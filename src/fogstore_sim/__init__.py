@@ -19,7 +19,6 @@ from .consistency import (
     get_level,
     get_region,
     load_regions,
-    map_and_execute,
     required_acks,
 )
 from .errors import ConfigError

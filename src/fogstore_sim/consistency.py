@@ -1,4 +1,4 @@
-"""Consistency levels, geographic consistency regions, and the query mapper.
+"""Consistency levels, acknowledgement counts and geographic consistency regions.
 
 A region spec maps a key space to distance bands around the data location.
 Each band names the consistency level to use for reads and writes issued by
@@ -7,24 +7,22 @@ clients inside that band. Band matching is half-open: a client at distance
 a boundary still receives the stronger (inner) level.
 
 Key matching prefers an exact key, then the longest declared prefix, then
-the mandatory default spec. The spec set is immutable after load; mapping a
-query touches no shared mutable state.
+the mandatory default spec. The spec set is immutable after load; a band
+lookup touches no shared mutable state. This module only answers "which
+band"; the store's coordinator decides which data location a query is
+resolved against and when region mapping applies at all.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Literal, Mapping, Protocol, Sequence
+from typing import Callable, Literal, Mapping, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, load_json
 from .topology import Coord, geo_distance
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .store import Query, QueryResult
 
 OpKind = Literal["read", "write"]
 
@@ -50,10 +48,6 @@ class LevelInfeasibleError(Exception):
         super().__init__(
             f"level {level.value} infeasible with replication factor {replication_factor}"
         )
-
-
-class NoMatchingSpecError(Exception):
-    """No region spec matches a key (impossible once a default is loaded)."""
 
 
 def required_acks(level: ConsistencyLevel, replication_factor: int) -> int:
@@ -138,8 +132,8 @@ class RegionSet:
     """All loaded region specs plus the mandatory default.
 
     ``band_hook``, when given, post-processes the band chosen by distance,
-    which is the extension point for non-geographic context predicates. The
-    built-in mapper itself only evaluates client-to-data distance.
+    which is the extension point for non-geographic context predicates.
+    :func:`get_region` itself only evaluates client-to-data distance.
     """
 
     def __init__(
@@ -187,65 +181,6 @@ def get_region(
 def get_level(band: Band, op_kind: OpKind) -> ConsistencyLevel:
     """The band's configured level for reads or writes."""
     return band.level_for(op_kind)
-
-
-class StoreHandle(Protocol):
-    """What the mapper needs from a store to translate and run a query.
-
-    ``replica_count`` returns the key's current replica count, the
-    prospective count for a key about to be created, or None when the key
-    is unknown. ``data_location`` returns the record's current data
-    location as known locally (falling back to the placement-time anchor
-    when the local node holds no replica), or None for unknown keys.
-    """
-
-    def replica_count(self, key: str, creating: bool = False) -> int | None: ...
-
-    def data_location(self, key: str, client_geo: Coord) -> Coord | None: ...
-
-    def execute(self, query: "Query", level: ConsistencyLevel) -> "QueryResult": ...
-
-
-def map_and_execute(query: "Query", spec_set: RegionSet, store: StoreHandle) -> "QueryResult":
-    """Resolve a query's consistency level from its context, then run it.
-
-    Transactional queries are declared but unsupported: they return an
-    ``unsupported_operation`` error without touching the store. Levels whose
-    acknowledgement requirement exceeds the key's replica count are rejected
-    here with ``level_infeasible`` instead of stalling in the store.
-    """
-    from . import store as store_mod
-
-    if query.kind.is_transactional:
-        return store_mod.QueryResult(
-            status="error", error="unsupported_operation", level_used=None
-        )
-
-    creating = query.kind is store_mod.QueryKind.CREATE
-    count = store.replica_count(query.key, creating=creating)
-    if count is None:
-        # Key was never created: no data location exists to resolve a band,
-        # and the store could only answer not_found anyway.
-        return store_mod.QueryResult(status="not_found", level_used=None)
-
-    if creating:
-        if query.data_ctx is None:
-            return store_mod.QueryResult(status="error", error="missing_data_context", level_used=None)
-        data_ctx = query.data_ctx
-    else:
-        location = store.data_location(query.key, query.client_ctx.client_geo)
-        if location is None:
-            return store_mod.QueryResult(status="not_found", level_used=None)
-        data_ctx = DataContext(location)
-
-    band = get_region(spec_set, query.key, query.client_ctx, data_ctx)
-    op_kind: OpKind = "read" if query.kind is store_mod.QueryKind.READ else "write"
-    level = get_level(band, op_kind)
-    try:
-        required_acks(level, count)
-    except LevelInfeasibleError:
-        return store_mod.QueryResult(status="error", error="level_infeasible", level_used=level)
-    return store.execute(query, level)
 
 
 def _parse_level(raw: object, source: str, where: str) -> ConsistencyLevel:
@@ -300,12 +235,4 @@ def regions_from_dict(data: dict, source: str = "<dict>") -> RegionSet:
 def load_regions(path: str | Path) -> RegionSet:
     """Load and validate a consistency regions JSON file."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(str(path), f"cannot read file: {exc.strerror}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(path), f"invalid JSON: {exc}") from None
-    return regions_from_dict(data, source=str(path))
+    return regions_from_dict(load_json(path), source=str(path))

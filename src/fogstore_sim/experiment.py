@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .consistency import ConsistencyLevel, RegionSet
-from .errors import ConfigError
+from .consistency import ConsistencyLevel, RegionSet, _parse_level
+from .errors import ConfigError, load_json
 from .netsim import BudgetExceededError, FaultAction, SimReport, Simulator
 from .store import Cluster, Query, QueryKind, QueryResult
 from .topology import FogNode, Link, Topology, load_topology
@@ -284,12 +284,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
 def load_sweep_plan(path: str | Path) -> SweepPlan:
     """Load a sweep plan file; relative paths resolve against its directory."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(str(path), f"cannot read file: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(path), f"invalid JSON: {exc}") from None
+    data = load_json(path)
     if not isinstance(data, dict):
         raise ConfigError(str(path), "sweep document must be a JSON object")
     base = path.parent
@@ -322,12 +317,8 @@ def load_sweep_plan(path: str | Path) -> SweepPlan:
         else:
             raise ConfigError(str(path), f"{where}: needs 'topology' or 'multiplier'")
 
-    levels = []
-    for raw_level in data.get("levels", []):
-        try:
-            levels.append(ConsistencyLevel(str(raw_level)))
-        except ValueError:
-            raise ConfigError(str(path), f"levels: unknown level {raw_level!r}") from None
+    levels = [_parse_level(raw, str(path), f"levels[{i}]")
+              for i, raw in enumerate(data.get("levels", []))]
 
     directions = [str(d) for d in data.get("directions", ["read", "write"])]
     try:

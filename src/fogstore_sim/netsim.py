@@ -26,13 +26,12 @@ later, which is the order a test author expects.
 from __future__ import annotations
 
 import heapq
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, load_json
 from .topology import Topology
 
 Handler = Callable[["Simulator", "SimEvent"], None]
@@ -307,12 +306,4 @@ def fault_script_from_dict(data: dict, source: str = "<dict>") -> list[FaultActi
 def load_fault_script(path: str | Path) -> list[FaultAction]:
     """Load and validate a fault script JSON file."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(str(path), f"cannot read file: {exc.strerror}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(path), f"invalid JSON: {exc}") from None
-    return fault_script_from_dict(data, source=str(path))
+    return fault_script_from_dict(load_json(path), source=str(path))

@@ -1,9 +1,12 @@
 """Replicated key-value store: per-node replica state plus the coordinator protocol.
 
 Every storage node can act as a coordinator. A client's query travels from
-its attach point to the storage node geographically closest to the client,
-which resolves the consistency level (fixed override, else region mapping),
-then fans out to the key's replicas:
+its attach point to the storage node geographically closest to the client.
+That coordinator is the only place a query's consistency level is decided
+(precedence in :class:`Cluster`). Region bands are looked up against the
+data location: the one a CREATE names, else the coordinator's local record,
+else the key's placement-time anchor. The coordinator then fans out to the
+key's replicas:
 
 * writes are sent to every replica immediately; the client is acknowledged
   as soon as the level's required acknowledgement count is reached, and the
@@ -11,6 +14,10 @@ then fans out to the key's replicas:
 * reads are answered from the first ``required`` replica responses, picking
   the record with the highest version among them; level ONE with a local
   replica short-circuits without any replica fan-out.
+
+Clients enter through :meth:`Cluster.submit` (asynchronous, callback on
+completion) or :meth:`Cluster.apply_crud` (submit one query and run the
+simulation to quiescence).
 
 Versions are (counter, writer) pairs. Counters per key are issued by the
 control plane, a zero-latency global registry that also caches replica maps
@@ -350,59 +357,12 @@ class Cluster:
         self.sim.schedule_message(attach, coordinator, QueryReq(op_id, query, attach, level_override))
         return op_id
 
-    def apply_crud(self, query: Query, level: ConsistencyLevel | None = None,
-                   max_ms: float | None = None) -> QueryResult:
+    def apply_crud(self, query: Query, level: ConsistencyLevel | None = None) -> QueryResult:
         """Submit one query and run the simulation until fully quiescent."""
         box: list[QueryResult] = []
         self.submit(query, lambda _q, r: box.append(r), level_override=level)
-        self.sim.run_until_quiescent(max_ms)
+        self.sim.run_until_quiescent()
         return box[0]
-
-    def coordinator_write(self, key: str, value: str, level: ConsistencyLevel,
-                          client_geo: Coord = (0.0, 0.0),
-                          data_ctx: DataContext | None = None) -> QueryResult:
-        """Write at an explicit level via the client's coordinator (key must be placed)."""
-        query = Query(QueryKind.UPDATE, key, ClientContext("coordinator-op", client_geo),
-                      value=value, data_ctx=data_ctx)
-        return self.apply_crud(query, level=level)
-
-    def coordinator_read(self, key: str, level: ConsistencyLevel,
-                         client_geo: Coord = (0.0, 0.0)) -> QueryResult:
-        """Read at an explicit level via the client's coordinator."""
-        query = Query(QueryKind.READ, key, ClientContext("coordinator-op", client_geo))
-        return self.apply_crud(query, level=level)
-
-    def register_key(self, key: str, data_location: Coord) -> ReplicaMap:
-        """Compute and cache placement for a key without writing a record."""
-        rmap = place_replicas(key, data_location, self.topology, self.replication_factor)
-        self.control.register(key, rmap, data_location)
-        return rmap
-
-    # -- StoreHandle protocol (used by the consistency mapper) -------------
-
-    def replica_count(self, key: str, creating: bool = False) -> int | None:
-        rmap = self.control.replica_map(key)
-        if rmap is not None:
-            return rmap.effective_rf
-        if creating:
-            return min(self.replication_factor, len(self.topology.storage_ids))
-        return None
-
-    def data_location(self, key: str, client_geo: Coord) -> Coord | None:
-        """The data location as seen by the client's coordinator.
-
-        Prefers the coordinator's local replica metadata (fresh after
-        data-context updates it has applied); falls back to the
-        placement-time anchor when the coordinator holds no replica.
-        """
-        coordinator = find_closest(self.topology, client_geo)
-        record = self._replicas[coordinator].get(key)
-        if record is not None and record.data_ctx is not None:
-            return record.data_ctx.data_geo
-        return self.control.anchors.get(key)
-
-    def execute(self, query: Query, level: ConsistencyLevel) -> QueryResult:
-        return self.apply_crud(query, level=level)
 
     # -- introspection ------------------------------------------------------
 
@@ -504,12 +464,16 @@ class Cluster:
             self._start_read(node, pend, rmap)
 
     def _map_level(self, node: str, query: Query, direction: str) -> ConsistencyLevel:
-        record = self._replicas[node].get(query.key)
-        if record is not None and record.data_ctx is not None:
-            data_geo = record.data_ctx.data_geo
+        if query.kind is QueryKind.CREATE:
+            # the local record may be a tombstone that still holds the old location
+            data_ctx = query.data_ctx
         else:
-            data_geo = self.control.anchors[query.key]
-        band = get_region(self.region_set, query.key, query.client_ctx, DataContext(data_geo))
+            record = self._replicas[node].get(query.key)
+            if record is not None and record.data_ctx is not None:
+                data_ctx = record.data_ctx
+            else:
+                data_ctx = DataContext(self.control.anchors[query.key])
+        band = get_region(self.region_set, query.key, query.client_ctx, data_ctx)
         return get_level(band, direction)  # type: ignore[arg-type]
 
     # -- coordinator: write path ----------------------------------------------

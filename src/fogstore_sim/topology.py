@@ -14,7 +14,6 @@ Two distance notions coexist and are deliberately kept apart:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Iterable
 
 import networkx as nx
 
-from .errors import ConfigError
+from .errors import ConfigError, load_json
 
 Coord = tuple[float, float]
 
@@ -252,12 +251,4 @@ def topology_from_dict(data: dict, source: str = "<dict>") -> Topology:
 def load_topology(path: str | Path) -> Topology:
     """Load and validate a topology JSON file."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(str(path), f"cannot read file: {exc.strerror}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(path), f"invalid JSON: {exc}") from None
-    return topology_from_dict(data, source=str(path))
+    return topology_from_dict(load_json(path), source=str(path))

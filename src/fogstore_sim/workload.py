@@ -15,15 +15,14 @@ are exactly reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .consistency import ClientContext, ConsistencyLevel, DataContext
-from .errors import ConfigError
+from .consistency import ClientContext, ConsistencyLevel, DataContext, _parse_level
+from .errors import ConfigError, load_json
 from .store import Query, QueryKind
 from .topology import Coord
 
@@ -163,16 +162,6 @@ def format_stats_row(setting: str, level: str, op_kind: str, summary: StatsSumma
     return ",".join(cells)
 
 
-def _parse_level_or_none(raw: object, source: str, where: str) -> ConsistencyLevel | None:
-    if raw is None:
-        return None
-    try:
-        return ConsistencyLevel(str(raw))
-    except ValueError:
-        valid = ", ".join(l.value for l in ConsistencyLevel)
-        raise ConfigError(source, f"{where}: unknown level {raw!r} (expected one of {valid})") from None
-
-
 def workload_from_dict(data: dict, source: str = "<dict>") -> WorkloadSpec:
     """Build a workload spec from the JSON document structure."""
     if not isinstance(data, dict):
@@ -198,6 +187,10 @@ def workload_from_dict(data: dict, source: str = "<dict>") -> WorkloadSpec:
             data_geo = (float(raw_geo[0]), float(raw_geo[1]))
         except (TypeError, ValueError, IndexError):
             raise ConfigError(source, "data_geo: expected [x, y]") from None
+    fixed_read_level, fixed_write_level = (
+        None if data.get(name) is None else _parse_level(data[name], source, name)
+        for name in ("fixed_read_level", "fixed_write_level")
+    )
     try:
         return WorkloadSpec(
             op_count=int(data.get("op_count", 0)),
@@ -206,8 +199,8 @@ def workload_from_dict(data: dict, source: str = "<dict>") -> WorkloadSpec:
             key_prefix=str(data.get("key_prefix", "key-")),
             recency_skew=float(data.get("recency_skew", 0.3)),
             data_geo=data_geo,
-            fixed_read_level=_parse_level_or_none(data.get("fixed_read_level"), source, "fixed_read_level"),
-            fixed_write_level=_parse_level_or_none(data.get("fixed_write_level"), source, "fixed_write_level"),
+            fixed_read_level=fixed_read_level,
+            fixed_write_level=fixed_write_level,
             open_loop_interval_ms=(
                 float(data["open_loop_interval_ms"])
                 if data.get("open_loop_interval_ms") is not None else None
@@ -221,12 +214,4 @@ def workload_from_dict(data: dict, source: str = "<dict>") -> WorkloadSpec:
 def load_workload(path: str | Path) -> WorkloadSpec:
     """Load and validate a workload JSON file."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(str(path), f"cannot read file: {exc.strerror}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(path), f"invalid JSON: {exc}") from None
-    return workload_from_dict(data, source=str(path))
+    return workload_from_dict(load_json(path), source=str(path))

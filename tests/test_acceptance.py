@@ -133,8 +133,8 @@ def test_criterion_4_closed_form_spot_checks():
               data_ctx=DataContext(STAR_CLIENT)),
         level=ONE,
     )
-    read_one = cluster.coordinator_read("k1", ONE, client_geo=STAR_CLIENT)
-    read_all = cluster.coordinator_read("k1", ALL, client_geo=STAR_CLIENT)
+    read_one = cluster.apply_crud(Query(QueryKind.READ, "k1", client_ctx()), level=ONE)
+    read_all = cluster.apply_crud(Query(QueryKind.READ, "k1", client_ctx()), level=ALL)
     ok = (
         created.status == "ok"
         and read_one.latency_ms == 10.0  # bit-exact: 2 x (1 + 4)

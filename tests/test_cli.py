@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fogstore_sim.cli import main
+from fogstore_sim.errors import ConfigError
 from fogstore_sim.experiment import (
     PAPER_LATENCY_SETTINGS,
     build_star_topology,
@@ -179,6 +180,19 @@ class TestSweep:
         }))
         assert main(["sweep", "--config", str(config)]) == 2
         assert "SOME" in capsys.readouterr().err
+
+    def test_bad_level_in_plan_names_index_and_choices(self, paper_dir, tmp_path):
+        write_workload(tmp_path / "wl.json")
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "workload": "wl.json",
+            "settings": [{"name": "low", "topology": str(paper_dir / "star6-low.json")}],
+            "levels": ["ONE", "SOME"],
+        }))
+        with pytest.raises(ConfigError) as err:
+            load_sweep_plan(config)
+        assert str(err.value) == (f"{config}: levels[1]: unknown level 'SOME' "
+                                  "(expected one of ONE, TWO, QUORUM, ALL)")
 
 
 class TestPlace:

@@ -14,14 +14,13 @@ from fogstore_sim.consistency import (
     get_level,
     get_region,
     load_regions,
-    map_and_execute,
     regions_from_dict,
     required_acks,
 )
 from fogstore_sim.errors import ConfigError
 from fogstore_sim.experiment import build_star_topology
 from fogstore_sim.netsim import Simulator
-from fogstore_sim.store import Cluster, Query, QueryKind, QueryResult
+from fogstore_sim.store import Cluster, Query, QueryKind
 
 from conftest import STAR_CLIENT, client_ctx
 
@@ -175,81 +174,96 @@ class TestLevelMonotonicity:
         assert acks == sorted(acks, reverse=True)
 
 
-class FakeStore:
-    """Minimal store handle that records what the mapper asked it to run."""
+def region_cluster(spec_set, replication_factor=5):
+    topo = build_star_topology((4, 5, 6, 7, 8))
+    return Cluster(topo, Simulator(topo), replication_factor=replication_factor,
+                   region_set=spec_set)
 
-    def __init__(self, count=5, location=(0.0, 0.0), known=True):
-        self.count = count
-        self.location = location
-        self.known = known
-        self.executed = []
 
-    def replica_count(self, key, creating=False):
-        if creating or self.known:
-            return self.count
-        return None
+class TestCoordinatorLevelResolution:
+    def test_infeasible_level_rejected_before_fan_out(self):
+        inner_two = ConsistencyRegionSpec(
+            "", (Band(500, TWO, ONE), Band(math.inf, ONE, ONE)))
+        cluster = region_cluster(RegionSet([], default=inner_two), replication_factor=1)
+        create = Query(QueryKind.CREATE, "k", client_ctx(), value="v",
+                       data_ctx=DataContext(STAR_CLIENT))
+        assert cluster.apply_crud(create).status == "ok"
+        delivered = cluster.sim.report.messages_delivered
+        result = cluster.apply_crud(Query(QueryKind.READ, "k", client_ctx()))
+        assert result.status == "error"
+        assert result.error == "level_infeasible"
+        # only the client's request and the coordinator's reply: no replica traffic
+        assert cluster.sim.report.messages_delivered - delivered == 2
 
-    def data_location(self, key, client_geo):
-        return self.location if self.known else None
+    def test_recreate_resolves_against_its_own_data_ctx(self):
+        strong_near = ConsistencyRegionSpec(
+            "", (Band(500, ALL, ALL), Band(math.inf, ONE, ONE)))
+        cluster = region_cluster(RegionSet([], default=strong_near))
+        far = DataContext((100000.0, 0.0))
 
-    def execute(self, query, level):
-        self.executed.append((query, level))
-        return QueryResult(status="ok", level_used=level)
+        def create(key, data_ctx):
+            return cluster.apply_crud(Query(QueryKind.CREATE, key, client_ctx(), value="v",
+                                            data_ctx=data_ctx))
+
+        assert create("k", DataContext(STAR_CLIENT)).level_used is ALL
+        assert cluster.apply_crud(Query(QueryKind.DELETE, "k", client_ctx())).status == "ok"
+        recreated = create("k", far)
+        fresh = create("fresh", far)
+        assert (fresh.level_used, fresh.latency_ms) == (ONE, 10.0)
+        assert (recreated.level_used, recreated.latency_ms) == (ONE, 10.0)
 
 
 class TestMapAndExecute:
+    """A query's level is mapped at the coordinator and the query executed there."""
+
+    def created_cluster(self, key="tl-17"):
+        cluster = region_cluster(traffic_regions())
+        create = Query(QueryKind.CREATE, key, client_ctx((0.0, 0.0)), value="v",
+                       data_ctx=DataContext((0.0, 0.0)))
+        assert cluster.apply_crud(create).status == "ok"
+        return cluster
+
     def test_tx_queries_are_stubs(self):
-        store = FakeStore()
+        cluster = region_cluster(traffic_regions())
         for kind in (QueryKind.TX_BEGIN, QueryKind.TX_COMMIT, QueryKind.TX_ABORT, QueryKind.TX_ROLLBACK):
-            result = map_and_execute(Query(kind, "k", client_ctx()), traffic_regions(), store)
+            delivered = cluster.sim.report.messages_delivered
+            result = cluster.apply_crud(Query(kind, "k", client_ctx()))
             assert result.status == "error"
             assert result.error == "unsupported_operation"
-        assert store.executed == []
+            # only the client's request and the coordinator's reply: nothing executed
+            assert cluster.sim.report.messages_delivered - delivered == 2
 
     def test_unknown_key_not_found(self):
-        store = FakeStore(known=False)
-        result = map_and_execute(Query(QueryKind.READ, "k", client_ctx()), traffic_regions(), store)
+        cluster = region_cluster(traffic_regions())
+        result = cluster.apply_crud(Query(QueryKind.READ, "k", client_ctx()))
         assert result.status == "not_found"
 
     def test_close_client_reads_at_all(self):
-        store = FakeStore()
+        cluster = self.created_cluster()
         query = Query(QueryKind.READ, "tl-17", client_ctx((300.0, 0.0)))
-        result = map_and_execute(query, traffic_regions(), store)
+        result = cluster.apply_crud(query)
         assert result.status == "ok"
         assert result.level_used is ALL
-        assert store.executed[0][1] is ALL
+        assert result.acks_received == required_acks(ALL, 5)
 
     def test_far_client_reads_at_one(self):
-        store = FakeStore()
+        cluster = self.created_cluster()
         query = Query(QueryKind.READ, "tl-17", client_ctx((800.0, 0.0)))
-        result = map_and_execute(query, traffic_regions(), store)
+        result = cluster.apply_crud(query)
         assert result.level_used is ONE
 
-    def test_infeasible_level_rejected_at_mapping(self):
-        inner_two = ConsistencyRegionSpec(
-            "", (Band(500, TWO, ONE), Band(math.inf, ONE, ONE)))
-        spec_set = RegionSet([], default=inner_two)
-        store = FakeStore(count=1)
-        query = Query(QueryKind.READ, "k", client_ctx((100.0, 0.0)))
-        result = map_and_execute(query, spec_set, store)
-        assert result.status == "error"
-        assert result.error == "level_infeasible"
-        assert store.executed == []
-
     def test_end_to_end_against_cluster(self):
-        topo = build_star_topology((4, 5, 6, 7, 8))
-        cluster = Cluster(topo, Simulator(topo), replication_factor=5)
-        spec_set = RegionSet([], default=traffic_spec(""))
+        cluster = region_cluster(RegionSet([], default=traffic_spec("")))
         data_geo = STAR_CLIENT
 
         create = Query(QueryKind.CREATE, "tl-1", client_ctx(STAR_CLIENT), value="red",
                        data_ctx=DataContext(data_geo))
-        assert map_and_execute(create, spec_set, cluster).status == "ok"
+        assert cluster.apply_crud(create).status == "ok"
 
         near = Query(QueryKind.READ, "tl-1", client_ctx((-400.0, 0.0), "near"))
         far = Query(QueryKind.READ, "tl-1", client_ctx((-900.0, 0.0), "far"))
-        near_result = map_and_execute(near, spec_set, cluster)
-        far_result = map_and_execute(far, spec_set, cluster)
+        near_result = cluster.apply_crud(near)
+        far_result = cluster.apply_crud(far)
         assert near_result.level_used is ALL
         assert far_result.level_used is ONE
         assert near_result.value == far_result.value == "red"

@@ -50,6 +50,14 @@ def create(cluster, key="k1", value="v1", geo=STAR_CLIENT, data_geo=None, level=
     return cluster.apply_crud(query, level=level)
 
 
+def read(cluster, key, level):
+    return cluster.apply_crud(Query(QueryKind.READ, key, client_ctx()), level=level)
+
+
+def update(cluster, key, value, level):
+    return cluster.apply_crud(Query(QueryKind.UPDATE, key, client_ctx(), value=value), level=level)
+
+
 class TestRequiredAcksSurface:
     def test_paper_values(self):
         assert required_acks(ONE, 5) == 1
@@ -96,12 +104,12 @@ class TestCrudPaths:
     def test_create_then_read(self):
         cluster = star_cluster()
         assert create(cluster).status == "ok"
-        result = cluster.coordinator_read("k1", ONE, client_geo=STAR_CLIENT)
+        result = read(cluster, "k1", ONE)
         assert (result.status, result.value) == ("ok", "v1")
 
     def test_read_of_never_written_key(self):
         cluster = star_cluster()
-        result = cluster.coordinator_read("ghost", ALL, client_geo=STAR_CLIENT)
+        result = read(cluster, "ghost", ALL)
         assert result.status == "not_found"
 
     def test_duplicate_create_rejected(self):
@@ -112,7 +120,7 @@ class TestCrudPaths:
 
     def test_update_unknown_key_not_found(self):
         cluster = star_cluster()
-        result = cluster.coordinator_write("ghost", "v", ONE, client_geo=STAR_CLIENT)
+        result = update(cluster, "ghost", "v", ONE)
         assert result.status == "not_found"
 
     def test_delete_then_read_all_is_not_found(self):
@@ -121,7 +129,7 @@ class TestCrudPaths:
         gone = cluster.apply_crud(
             Query(QueryKind.DELETE, "k1", client_ctx(STAR_CLIENT)), level=QUORUM)
         assert gone.status == "ok"
-        result = cluster.coordinator_read("k1", ALL, client_geo=STAR_CLIENT)
+        result = read(cluster, "k1", ALL)
         assert result.status == "not_found"  # tombstone dominates by version
 
     def test_recreate_after_delete(self):
@@ -130,7 +138,7 @@ class TestCrudPaths:
         cluster.apply_crud(Query(QueryKind.DELETE, "k1", client_ctx(STAR_CLIENT)), level=ONE)
         fresh = create(cluster, value="v2")
         assert fresh.status == "ok"
-        result = cluster.coordinator_read("k1", ALL, client_geo=STAR_CLIENT)
+        result = read(cluster, "k1", ALL)
         assert (result.status, result.value) == ("ok", "v2")
 
     def test_tx_operations_are_stubs(self):
@@ -142,7 +150,7 @@ class TestCrudPaths:
     def test_level_infeasible_via_map_size(self):
         cluster = star_cluster(replication_factor=1)
         create(cluster)  # single replica
-        result = cluster.coordinator_read("k1", TWO, client_geo=STAR_CLIENT)
+        result = read(cluster, "k1", TWO)
         assert (result.status, result.error) == ("error", "level_infeasible")
 
     def test_no_level_source_is_an_error(self):
@@ -157,23 +165,23 @@ class TestLatencyPaths:
     def test_one_with_local_replica_is_two_hops(self):
         cluster = star_cluster()
         create(cluster)
-        result = cluster.coordinator_read("k1", ONE, client_geo=STAR_CLIENT)
+        result = read(cluster, "k1", ONE)
         assert result.latency_ms == 10.0  # 2 x (1 + 4), no replica fan-out
 
     def test_all_waits_for_farthest_replica(self):
         cluster = star_cluster()
         create(cluster)
-        result = cluster.coordinator_read("k1", ALL, client_geo=STAR_CLIENT)
+        result = read(cluster, "k1", ALL)
         assert result.latency_ms == 34.0  # 10 + 2 x (4 + 8)
         assert result.acks_received == 5
 
     def test_write_latencies_match_read_paths(self):
         cluster = star_cluster()
         create(cluster)
-        assert cluster.coordinator_write("k1", "w1", ONE, client_geo=STAR_CLIENT).latency_ms == 10.0
-        assert cluster.coordinator_write("k1", "w2", TWO, client_geo=STAR_CLIENT).latency_ms == 28.0
-        assert cluster.coordinator_write("k1", "w3", QUORUM, client_geo=STAR_CLIENT).latency_ms == 30.0
-        assert cluster.coordinator_write("k1", "w4", ALL, client_geo=STAR_CLIENT).latency_ms == 34.0
+        assert update(cluster, "k1", "w1", ONE).latency_ms == 10.0
+        assert update(cluster, "k1", "w2", TWO).latency_ms == 28.0
+        assert update(cluster, "k1", "w3", QUORUM).latency_ms == 30.0
+        assert update(cluster, "k1", "w4", ALL).latency_ms == 34.0
 
     def test_coordinator_without_replica_hops_to_nearest(self):
         # rf=1 anchored on the farthest node: the client's coordinator holds
@@ -181,7 +189,7 @@ class TestLatencyPaths:
         cluster = star_cluster(replication_factor=1)
         create(cluster, data_geo=(800.0, 0.0))  # anchor on fog-5 (8 ms link)
         assert cluster.control.replica_map("k1").replica_ids == ("fog-5",)
-        result = cluster.coordinator_read("k1", ONE, client_geo=STAR_CLIENT)
+        result = read(cluster, "k1", ONE)
         assert result.latency_ms == 34.0  # 10 + 2 x (4 + 8)
 
 
@@ -189,7 +197,7 @@ class TestConvergence:
     def test_background_completion_converges_all_replicas(self):
         cluster = star_cluster()
         create(cluster)
-        cluster.coordinator_write("k1", "v2", ONE, client_geo=STAR_CLIENT)
+        update(cluster, "k1", "v2", ONE)
         cluster.sim.run_until_quiescent()
         assert cluster.convergence_violations() == []
         versions = {cluster.replica_record(n, "k1").value for n in cluster.topology.storage_ids}
@@ -220,7 +228,7 @@ class TestFaultInteraction:
         script = [FaultAction(at_ms=0.0, action="crash", node="fog-5")]
         cluster = star_cluster(fault_script=script)
         create(cluster)  # level ONE create succeeds without fog-5
-        result = cluster.coordinator_write("k1", "v2", ALL, client_geo=STAR_CLIENT)
+        result = update(cluster, "k1", "v2", ALL)
         assert (result.status, result.error) == ("error", "timeout")
         assert result.acks_received == 4
 
@@ -231,7 +239,7 @@ class TestFaultInteraction:
             at_ms=0.0, action="partition",
             group_a=frozenset(["fog-4", "fog-5"]),
             group_b=frozenset(["fog-1", "fog-2", "fog-3", "switch", "client"])))
-        result = cluster.coordinator_write("k1", "v2", QUORUM, client_geo=STAR_CLIENT)
+        result = update(cluster, "k1", "v2", QUORUM)
         assert (result.status, result.acks_received) == ("ok", 3)
 
     def test_stale_write_visible_to_all_level_read(self):
@@ -244,11 +252,11 @@ class TestFaultInteraction:
             at_ms=0.0, action="partition",
             group_a=frozenset(["fog-1"]),
             group_b=frozenset(["fog-2", "fog-3", "fog-4", "fog-5"])))
-        lone = cluster.coordinator_write("k1", "v-new", ONE, client_geo=STAR_CLIENT)
+        lone = update(cluster, "k1", "v-new", ONE)
         assert (lone.status, lone.acks_received) == ("ok", 1)
         cluster.sim.apply_fault(FaultAction(at_ms=0.0, action="heal"))
         assert cluster.replica_record("fog-2", "k1").value == "v1"  # still stale
-        result = cluster.coordinator_read("k1", ALL, client_geo=STAR_CLIENT)
+        result = read(cluster, "k1", ALL)
         assert (result.status, result.value) == ("ok", "v-new")
 
     def test_crash_recover_preserves_replica_state(self):
@@ -256,7 +264,7 @@ class TestFaultInteraction:
         create(cluster, level=ALL)
         before = cluster.replica_record("fog-5", "k1")
         cluster.sim.apply_fault(FaultAction(at_ms=0.0, action="crash", node="fog-5"))
-        cluster.coordinator_write("k1", "v2", QUORUM, client_geo=STAR_CLIENT)
+        update(cluster, "k1", "v2", QUORUM)
         cluster.sim.apply_fault(FaultAction(at_ms=0.0, action="recover", node="fog-5"))
         assert cluster.replica_record("fog-5", "k1") == before  # durable, but stale
 
@@ -265,7 +273,7 @@ class TestFaultInteraction:
         cluster = star_cluster(fault_script=script)
         create(cluster)
         cluster.sim.run_until_quiescent()  # create finishes before the crash lands
-        result = cluster.coordinator_read("k1", QUORUM, client_geo=STAR_CLIENT)
+        result = read(cluster, "k1", QUORUM)
         assert (result.status, result.error) == ("error", "timeout")
 
 
