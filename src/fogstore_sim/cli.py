@@ -12,9 +12,11 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import ContextManager, TextIO
 
 from .consistency import load_regions
 from .errors import ConfigError
@@ -57,11 +59,18 @@ SAMPLE_SWEEP = """\
 """
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+def _open_output(path: str | None) -> ContextManager[TextIO]:
+    """Open an output file (stdout if ``path`` is None) before any work runs.
+
+    A path that cannot be written is a ConfigError, so a bad ``--out`` fails
+    before a long run instead of after it.
+    """
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(path, f"cannot write file: {exc.strerror}") from None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -79,8 +88,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     fault_script = load_fault_script(args.faults) if args.faults else ()
 
-    trace_file = open(args.trace, "w") if args.trace else None
-    try:
+    with contextlib.ExitStack() as files:
+        out = files.enter_context(_open_output(args.out))
+        trace_file = files.enter_context(_open_output(args.trace)) if args.trace else None
         trace_sink = (lambda line: trace_file.write(line + "\n")) if trace_file else None
         output = run_single(
             topology,
@@ -92,22 +102,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
             trace_sink=trace_sink,
             budget_ms=args.budget_ms,
         )
-    finally:
-        if trace_file is not None:
-            trace_file.close()
 
-    setting = args.setting_name or Path(args.topology).stem
-    lines = [STATS_CSV_HEADER]
-    for kind in ("read", "write"):
-        if output.stats.count(kind) == 0:
-            continue
-        if region_set is not None:
-            level_label = "region"
-        else:
-            level = workload.fixed_read_level if kind == "read" else workload.fixed_write_level
-            level_label = level.value if level else "-"
-        lines.append(format_stats_row(setting, level_label, kind, output.stats.summary(kind)))
-    _write_output("\n".join(lines) + "\n", args.out)
+        setting = args.setting_name or Path(args.topology).stem
+        lines = [STATS_CSV_HEADER]
+        for kind in ("read", "write"):
+            if output.stats.count(kind) == 0:
+                continue
+            if region_set is not None:
+                level_label = "region"
+            else:
+                level = workload.fixed_read_level if kind == "read" else workload.fixed_write_level
+                level_label = level.value if level else "-"
+            lines.append(format_stats_row(setting, level_label, kind, output.stats.summary(kind)))
+        out.write("\n".join(lines) + "\n")
     for label, count in sorted(output.error_counts.items()):
         print(f"note: {count} operations failed with {label}", file=sys.stderr)
     return 0
@@ -121,8 +128,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         plan.workload = replace(plan.workload, op_count=args.ops)
     if args.budget_ms is not None:
         plan.budget_ms = args.budget_ms
-    result = run_sweep(plan)
-    _write_output(result.csv_text, args.out)
+    with _open_output(args.out) as out:
+        result = run_sweep(plan)
+        out.write(result.csv_text)
     for failure in result.cell_failures:
         print(f"cell failed: {failure}", file=sys.stderr)
     return 3 if result.cell_failures else 0
@@ -150,7 +158,8 @@ def _cmd_place(args: argparse.Namespace) -> int:
     except ValueError:
         raise ConfigError("--at", f"expected X,Y coordinates, got {args.at!r}") from None
     maps = [place_replicas(key, location, topology, args.rf) for key in args.keys]
-    _write_output("\n".join(placement_csv_rows(maps)) + "\n", args.out)
+    with _open_output(args.out) as out:
+        out.write("\n".join(placement_csv_rows(maps)) + "\n")
     return 0
 
 

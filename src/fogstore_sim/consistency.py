@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Literal, Mapping, Sequence
 
-from .errors import ConfigError, load_json
+from .errors import ConfigError, expect, load_json
 from .topology import Coord, geo_distance
 
 OpKind = Literal["read", "write"]
@@ -196,10 +196,13 @@ def _parse_spec(raw: dict, source: str, where: str, keyspace: str) -> Consistenc
     raw_bands = raw.get("bands")
     if not raw_bands:
         raise ConfigError(source, f"{where}: missing or empty 'bands'")
-    for j, rb in enumerate(raw_bands):
+    for j, rb in enumerate(expect(raw_bands, list, source, f"{where}.bands")):
         bwhere = f"{where}.bands[{j}]"
-        radius = rb.get("radius_m", None)
-        radius_m = math.inf if radius is None else float(radius)
+        radius = expect(rb, dict, source, bwhere).get("radius_m", None)
+        try:
+            radius_m = math.inf if radius is None else float(radius)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(source, f"{bwhere}.radius_m: {exc}") from None
         bands.append(
             Band(
                 max_radius_m=radius_m,
@@ -219,11 +222,12 @@ def regions_from_dict(data: dict, source: str = "<dict>") -> RegionSet:
         raise ConfigError(source, "regions document must be a JSON object")
     if "default" not in data:
         raise ConfigError(source, "default: a default spec (infinite radius band) is required")
-    default = _parse_spec(data["default"], source, "default", keyspace="")
+    default = _parse_spec(expect(data["default"], dict, source, "default"), source, "default",
+                          keyspace="")
     specs = []
-    for i, raw in enumerate(data.get("specs", [])):
+    for i, raw in enumerate(expect(data.get("specs", []), list, source, "specs")):
         where = f"specs[{i}]"
-        if "keyspace" not in raw:
+        if "keyspace" not in expect(raw, dict, source, where):
             raise ConfigError(source, f"{where}: missing field 'keyspace'")
         specs.append(_parse_spec(raw, source, where, keyspace=str(raw["keyspace"])))
     try:

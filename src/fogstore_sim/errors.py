@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TypeVar
+
+T = TypeVar("T", dict, list)
 
 
 class ConfigError(Exception):
@@ -30,3 +33,14 @@ def load_json(path: str | Path) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from None
+
+
+def expect(value: object, kind: type[T], source: str, where: str) -> T:
+    """``value`` if it is a JSON object (``dict``) or array (``list``) as ``kind`` asks.
+
+    Anything else raises a ConfigError naming the file and the element path.
+    """
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "array"
+        raise ConfigError(source, f"{where}: expected a JSON {name}, got {value!r}")
+    return value

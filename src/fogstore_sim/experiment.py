@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .consistency import ConsistencyLevel, RegionSet, _parse_level
-from .errors import ConfigError, load_json
+from .errors import ConfigError, expect, load_json
 from .netsim import BudgetExceededError, FaultAction, SimReport, Simulator
 from .store import Cluster, Query, QueryKind, QueryResult
 from .topology import FogNode, Link, Topology, load_topology
@@ -302,8 +302,9 @@ def load_sweep_plan(path: str | Path) -> SweepPlan:
         base_topology = load_topology(resolve(str(data["base_topology"])))
 
     settings: list[tuple[str, Topology]] = []
-    for i, raw in enumerate(data.get("settings", [])):
+    for i, raw in enumerate(expect(data.get("settings", []), list, str(path), "settings")):
         where = f"settings[{i}]"
+        raw = expect(raw, dict, str(path), where)
         name = raw.get("name")
         if not name:
             raise ConfigError(str(path), f"{where}: missing field 'name'")
@@ -313,14 +314,19 @@ def load_sweep_plan(path: str | Path) -> SweepPlan:
             if base_topology is None:
                 raise ConfigError(
                     str(path), f"{where}: multiplier needs a base_topology at the top level")
-            settings.append((str(name), scale_topology(base_topology, float(raw["multiplier"]))))
+            try:
+                scaled = scale_topology(base_topology, float(raw["multiplier"]))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(str(path), f"{where}.multiplier: {exc}") from None
+            settings.append((str(name), scaled))
         else:
             raise ConfigError(str(path), f"{where}: needs 'topology' or 'multiplier'")
 
     levels = [_parse_level(raw, str(path), f"levels[{i}]")
-              for i, raw in enumerate(data.get("levels", []))]
+              for i, raw in enumerate(expect(data.get("levels", []), list, str(path), "levels"))]
 
-    directions = [str(d) for d in data.get("directions", ["read", "write"])]
+    directions = [str(d) for d in
+                  expect(data.get("directions", ["read", "write"]), list, str(path), "directions")]
     try:
         return SweepPlan(
             settings=settings,

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import ConfigError, load_json
+from .errors import ConfigError, expect, load_json
 from .topology import Topology
 
 Handler = Callable[["Simulator", "SimEvent"], None]
@@ -272,7 +272,7 @@ def fault_script_from_dict(data: dict, source: str = "<dict>") -> list[FaultActi
         raise ConfigError(source, "fault script document must be a JSON object")
     actions: list[FaultAction] = []
     last_at = 0.0
-    for i, raw in enumerate(data.get("events", [])):
+    for i, raw in enumerate(expect(data.get("events", []), list, source, "events")):
         where = f"events[{i}]"
         try:
             at_ms = float(raw["at_ms"])
@@ -289,8 +289,10 @@ def fault_script_from_dict(data: dict, source: str = "<dict>") -> list[FaultActi
                 raise ConfigError(source, f"{where}: {kind} needs a 'node'")
             actions.append(FaultAction(at_ms=at_ms, action=kind, node=str(raw["node"])))
         elif kind == "partition":
-            group_a = frozenset(map(str, raw.get("group_a", [])))
-            group_b = frozenset(map(str, raw.get("group_b", [])))
+            group_a, group_b = (
+                frozenset(map(str, expect(raw.get(name, []), list, source, f"{where}.{name}")))
+                for name in ("group_a", "group_b")
+            )
             if not group_a or not group_b:
                 raise ConfigError(source, f"{where}: partition needs non-empty group_a and group_b")
             if group_a & group_b:

@@ -14,14 +14,14 @@ Two distance notions coexist and are deliberately kept apart:
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 from typing import Iterable
 
-import networkx as nx
-
-from .errors import ConfigError, load_json
+from .errors import ConfigError, expect, load_json
 
 Coord = tuple[float, float]
 
@@ -101,8 +101,7 @@ class Topology:
         if not self.nodes:
             raise TopologyError("topology has no nodes")
 
-        graph = nx.Graph()
-        graph.add_nodes_from(self.nodes)
+        adjacency: dict[str, dict[str, float]] = {nid: {} for nid in self.nodes}
         for i, link in enumerate(link_list):
             for end in (link.endpoint_a, link.endpoint_b):
                 if end not in self.nodes:
@@ -113,13 +112,19 @@ class Topology:
                 raise TopologyError(
                     f"links[{i}]: latency_ms must be > 0 (got {link.latency_ms})"
                 )
-            graph.add_edge(link.endpoint_a, link.endpoint_b, latency_ms=link.latency_ms)
+            # A repeated link overwrites the earlier latency in place.
+            adjacency[link.endpoint_a][link.endpoint_b] = link.latency_ms
+            adjacency[link.endpoint_b][link.endpoint_a] = link.latency_ms
         self.links: tuple[Link, ...] = tuple(link_list)
-        self._graph = graph
 
-        if len(self.nodes) > 1 and not nx.is_connected(graph):
-            components = [sorted(c) for c in nx.connected_components(graph)]
-            raise UnreachableError(f"topology is disconnected: components {components}")
+        self._latency: dict[str, dict[str, float]] = {
+            src: _dijkstra(adjacency, src) for src in adjacency
+        }
+        first = next(iter(adjacency))
+        if len(self._latency[first]) < len(adjacency):
+            missing = sorted(nid for nid in adjacency if nid not in self._latency[first])
+            raise UnreachableError(
+                f"topology is disconnected: nodes {missing} cannot be reached from {first!r}")
 
         # Failure groups are derived from node membership, so the partition
         # invariant (every node in exactly one group) holds by construction.
@@ -130,10 +135,6 @@ class Topology:
             gid: FailureGroup(gid, frozenset(ids)) for gid, ids in sorted(members.items())
         }
 
-        self._latency: dict[str, dict[str, float]] = {
-            src: dict(dists)
-            for src, dists in nx.all_pairs_dijkstra_path_length(graph, weight="latency_ms")
-        }
         # Summation order varies with the Dijkstra source, which can skew the
         # two directions by float epsilons; mirror one triangle so the metric
         # is exactly symmetric.
@@ -187,6 +188,30 @@ class Topology:
         }
 
 
+def _dijkstra(adjacency: dict[str, dict[str, float]], source: str) -> dict[str, float]:
+    """Shortest-path latency from ``source`` to every node it reaches.
+
+    Links are relaxed in insertion order and heap ties break by push order,
+    as in the reference implementation the tests compare every latency with
+    bit for bit.
+    """
+    dist: dict[str, float] = {}
+    seen = {source: 0}
+    tie = count()
+    fringe = [(0, next(tie), source)]
+    while fringe:
+        d, _, node = heapq.heappop(fringe)
+        if node in dist:
+            continue
+        dist[node] = d
+        for neighbor, weight in adjacency[node].items():
+            nd = d + weight
+            if neighbor not in dist and (neighbor not in seen or nd < seen[neighbor]):
+                seen[neighbor] = nd
+                heapq.heappush(fringe, (nd, next(tie), neighbor))
+    return dist
+
+
 def geo_distance(a: Coord, b: Coord) -> float:
     """Planar Euclidean distance in meters."""
     return math.dist(a, b)
@@ -207,7 +232,7 @@ def topology_from_dict(data: dict, source: str = "<dict>") -> Topology:
     if not isinstance(data, dict):
         raise ConfigError(source, "topology document must be a JSON object")
     nodes = []
-    for i, raw in enumerate(data.get("nodes", [])):
+    for i, raw in enumerate(expect(data.get("nodes", []), list, source, "nodes")):
         where = f"nodes[{i}]"
         try:
             geo = raw["geo"]
@@ -228,7 +253,7 @@ def topology_from_dict(data: dict, source: str = "<dict>") -> Topology:
         except (TypeError, ValueError) as exc:
             raise ConfigError(source, f"{where}: {exc}") from None
     links = []
-    for i, raw in enumerate(data.get("links", [])):
+    for i, raw in enumerate(expect(data.get("links", []), list, source, "links")):
         where = f"links[{i}]"
         try:
             links.append(

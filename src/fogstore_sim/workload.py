@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .consistency import ClientContext, ConsistencyLevel, DataContext, _parse_level
-from .errors import ConfigError, load_json
+from .errors import ConfigError, expect, load_json
 from .store import Query, QueryKind
 from .topology import Coord
 
@@ -167,7 +167,7 @@ def workload_from_dict(data: dict, source: str = "<dict>") -> WorkloadSpec:
     if not isinstance(data, dict):
         raise ConfigError(source, "workload document must be a JSON object")
     clients = []
-    for i, raw in enumerate(data.get("clients", [])):
+    for i, raw in enumerate(expect(data.get("clients", []), list, source, "clients")):
         where = f"clients[{i}]"
         try:
             geo = raw["geo"]

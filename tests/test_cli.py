@@ -195,6 +195,30 @@ class TestSweep:
                                   "(expected one of ONE, TWO, QUORUM, ALL)")
 
 
+@pytest.mark.parametrize("command,flag", [("run", "--out"), ("run", "--trace"),
+                                          ("sweep", "--out")])
+def test_unwritable_output_fails_before_running(command, flag, paper_dir, tmp_path, capsys,
+                                                monkeypatch):
+    write_workload(tmp_path / "wl.json")
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "workload": "wl.json",
+        "settings": [{"name": "low", "topology": str(paper_dir / "star6-low.json")}],
+        "levels": ["ONE"],
+    }))
+    for name in ("run_single", "run_sweep"):
+        monkeypatch.setattr(f"fogstore_sim.cli.{name}",
+                            lambda *a, **k: pytest.fail("ran with an unwritable output"))
+    inputs = {
+        "run": ["--topology", str(paper_dir / "star6-low.json"),
+                "--workload", str(tmp_path / "wl.json")],
+        "sweep": ["--config", str(config)],
+    }[command]
+    bad = tmp_path / "missing-dir" / "out"
+    assert main([command, *inputs, flag, str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: cannot write file: ")
+
+
 class TestPlace:
     def test_placement_dump(self, paper_dir, tmp_path, capsys):
         code = main(["place", "--topology", str(paper_dir / "star6-low.json"),

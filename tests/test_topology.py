@@ -1,10 +1,17 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import fogstore_sim
 from fogstore_sim.errors import ConfigError
+from fogstore_sim.experiment import PAPER_LATENCY_SETTINGS, build_star_topology
 from fogstore_sim.topology import (
     FogNode,
     Link,
@@ -228,8 +235,9 @@ class TestLoader:
         doc["links"] = []
         path = tmp_path / "topo.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="disconnected"):
+        with pytest.raises(ConfigError, match="disconnected") as err:
             load_topology(path)
+        assert str(err.value).endswith("nodes ['b'] cannot be reached from 'a'")
 
     def test_service_ms_optional(self):
         doc = self.good_doc()
@@ -237,3 +245,100 @@ class TestLoader:
         topo = topology_from_dict(doc)
         assert topo.node("a").service_ms == 1.5
         assert topo.node("b").service_ms == 0.0
+
+
+def networkx_latencies(topo: Topology) -> dict[str, dict[str, float]]:
+    """Reference all-pairs latencies from networkx, with the same triangle mirror."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph()
+    graph.add_nodes_from(topo.nodes)
+    for link in topo.links:
+        graph.add_edge(link.endpoint_a, link.endpoint_b, latency_ms=link.latency_ms)
+    latency = {src: dict(dists)
+               for src, dists in nx.all_pairs_dijkstra_path_length(graph, weight="latency_ms")}
+    for a in latency:
+        for b, value in latency[a].items():
+            if a < b:
+                latency[b][a] = value
+    return latency
+
+
+def latency_mismatches(topo: Topology) -> list[tuple[str, str, str, str]]:
+    """Node pairs whose latency differs from networkx's in any bit (compared by repr)."""
+    expected = networkx_latencies(topo)
+    mismatches = []
+    for a in topo.nodes:
+        for b in topo.nodes:
+            got, want = repr(topo.latency_ms(a, b)), repr(0.0 if a == b else expected[a][b])
+            if got != want:
+                mismatches.append((a, b, got, want))
+    return mismatches
+
+
+def dense_topology(seed: int) -> Topology:
+    """Connected graph with repeated links and tie-prone weights.
+
+    Weights such as 0.1 + 0.2 and 0.3 make equal-length paths whose float
+    sums differ in the last bit, so the direction a sum is formed in (the
+    triangle mirror) and which of two repeated links counts both show up
+    in the latencies.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(2, 14)
+    ids = [f"d{i:02d}" for i in range(n)]
+    weights = [0.1, 0.2, 0.3, 0.6, 0.7, 1.0, 1.1, 2.2]
+    links = [Link(ids[i], ids[rng.randrange(i)], rng.choice(weights)) for i in range(1, n)]
+    for _ in range(rng.randint(0, n * n)):
+        a, b = rng.sample(ids, 2)
+        links.append(Link(a, b, rng.choice(weights)))
+    rng.shuffle(links)
+    nodes = [FogNode(nid, (float(i), 0.0), f"g{i}") for i, nid in enumerate(ids)]
+    return Topology(nodes, links)
+
+
+class TestLatencyOracle:
+    """Latencies must equal networkx's bit for bit: the pinned sweep CSV depends on it."""
+
+    def test_paper_stars(self):
+        for latencies in PAPER_LATENCY_SETTINGS.values():
+            assert latency_mismatches(build_star_topology(latencies)) == []
+
+    @pytest.mark.parametrize("max_nodes", [12, 30])
+    def test_random_topologies(self, max_nodes):
+        for seed in range(500):
+            assert latency_mismatches(random_topology(seed, max_nodes=max_nodes)) == [], seed
+
+    def test_dense_graphs_with_repeated_links_and_ties(self):
+        for seed in range(500):
+            assert latency_mismatches(dense_topology(seed)) == [], seed
+
+    def test_repeated_link_overwrites_latency(self):
+        nodes = [FogNode("a", (0, 0), "g"), FogNode("b", (1, 1), "g")]
+        topo = Topology(nodes, [Link("a", "b", 5.0), Link("b", "a", 2.0)])
+        assert topo.latency_ms("a", "b") == 2.0
+        assert latency_mismatches(topo) == []
+
+
+def test_package_runs_without_networkx():
+    """Importing the package, building a topology and running a cell never touch networkx."""
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["networkx"] = None  # any import of networkx now raises ImportError
+        from fogstore_sim import ConsistencyLevel, build_star_topology, run_single
+        from fogstore_sim.experiment import PAPER_LATENCY_SETTINGS
+        from fogstore_sim.workload import WorkloadClient, WorkloadSpec
+        topo = build_star_topology(PAPER_LATENCY_SETTINGS["low"])
+        spec = WorkloadSpec(op_count=50, clients=(WorkloadClient("c", (-100.0, 0.0)),),
+                            fixed_read_level=ConsistencyLevel.ONE,
+                            fixed_write_level=ConsistencyLevel.ONE, seed=42)
+        output = run_single(topo, spec)
+        assert output.stats.count("read") + output.stats.count("write") == 50
+        assert sys.modules.pop("networkx") is None
+        assert not [m for m in sys.modules if m.startswith("networkx.")]
+    """)
+    src = str(Path(fogstore_sim.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
