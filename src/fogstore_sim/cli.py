@@ -138,11 +138,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_gen_paper_configs(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
-    paths = make_paper_topologies(out_dir)
     workload_path = out_dir / "star6-workload.json"
-    workload_path.write_text(SAMPLE_WORKLOAD % {"x": STAR_CLIENT_GEO[0]})
     sweep_path = out_dir / "star6-sweep.json"
-    sweep_path.write_text(SAMPLE_SWEEP)
+    try:
+        paths = make_paper_topologies(out_dir)
+        workload_path.write_text(SAMPLE_WORKLOAD % {"x": STAR_CLIENT_GEO[0]})
+        sweep_path.write_text(SAMPLE_SWEEP)
+    except OSError as exc:
+        raise ConfigError(exc.filename or args.out_dir,
+                          f"cannot write file: {exc.strerror}") from None
     for name in PAPER_LATENCY_SETTINGS:
         print(paths[name])
     print(workload_path)

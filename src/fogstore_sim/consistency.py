@@ -109,8 +109,10 @@ class ConsistencyRegionSpec:
         if not self.bands:
             raise ValueError(f"spec {self.keyspace!r}: needs at least one band")
         radii = [b.max_radius_m for b in self.bands]
-        if any(r <= 0 for r in radii):
-            raise ValueError(f"spec {self.keyspace!r}: band radii must be > 0")
+        for j, r in enumerate(radii):
+            if not r > 0:  # also rejects NaN, which every band lookup would skip
+                raise ValueError(f"spec {self.keyspace!r}: bands[{j}].radius_m must be > 0 "
+                                 f"(got {r})")
         if any(a >= b for a, b in zip(radii, radii[1:])):
             raise ValueError(f"spec {self.keyspace!r}: band radii must strictly increase")
         if not math.isinf(radii[-1]):

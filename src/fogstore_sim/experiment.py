@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 from .consistency import ConsistencyLevel, RegionSet, _parse_level
 from .errors import ConfigError, expect, load_json
 from .netsim import BudgetExceededError, FaultAction, SimReport, Simulator
-from .store import Cluster, Query, QueryKind, QueryResult
+from .store import Arrival, Cluster, Query, QueryResult
 from .topology import FogNode, Link, Topology, load_topology
 from .workload import (
     STATS_CSV_HEADER,
@@ -105,22 +105,6 @@ class RunOutput:
     error_counts: dict[str, int] = field(default_factory=dict)
 
 
-class _ScheduledSubmit:
-    """Timer callback with a stable textual form so traces stay replayable."""
-
-    __slots__ = ("fn", "label")
-
-    def __init__(self, fn: Callable[[], None], label: str):
-        self.fn = fn
-        self.label = label
-
-    def __call__(self) -> None:
-        self.fn()
-
-    def __str__(self) -> str:
-        return self.label
-
-
 def run_queries(
     cluster: Cluster,
     queries: Sequence[Query],
@@ -153,19 +137,9 @@ def run_queries(
             results.append((query, result))
 
         for i, query in enumerate(queries):
-            def issue(q: Query = query) -> None:
-                cluster.submit(q, collect)
-
-            cluster.sim.set_timer(
-                None, i * open_loop_interval_ms,
-                _ScheduledSubmit(issue, f"issue op {i}"),
-            )
+            cluster.sim.set_timer(None, i * open_loop_interval_ms, Arrival(query, collect))
     cluster.sim.run_until_quiescent(budget_ms)
     return results
-
-
-def op_direction(kind: QueryKind) -> str:
-    return "read" if kind is QueryKind.READ else "write"
 
 
 def run_single(
@@ -204,7 +178,7 @@ def run_single(
     error_counts: dict[str, int] = {}
     for query, result in results:
         if result.status in ("ok", "not_found"):
-            stats.add(op_direction(query.kind), result.latency_ms)
+            stats.add(query.kind.direction, result.latency_ms)
         else:
             label = result.error or "error"
             error_counts[label] = error_counts.get(label, 0) + 1

@@ -201,11 +201,13 @@ class Simulator:
     def _drop(self, src: str | None, dst: str | None, payload: object, reason: str,
               seq: int | None = None) -> None:
         self.report.messages_dropped += 1
-        self._emit_trace(KIND_DROP, src, dst, f"{reason}: {payload}", seq)
+        self._emit_trace(KIND_DROP, src, dst, payload, seq, reason)
 
-    def _emit_trace(self, kind: str, src: str | None, dst: str | None, summary: str,
-                    seq: int | None = None) -> None:
+    def _emit_trace(self, kind: str, src: str | None, dst: str | None, payload: object,
+                    seq: int | None = None, reason: str | None = None) -> None:
+        """Format one trace line; the payload is only stringified when a sink is attached."""
         if self._trace is not None:
+            summary = str(payload) if reason is None else f"{reason}: {payload}"
             self._trace(
                 f"{self._now:g},{self._seq if seq is None else seq},{kind},"
                 f"{src or '-'},{dst or '-'},{summary}"
@@ -244,7 +246,7 @@ class Simulator:
                     self._drop(event.src, event.dst, event.payload, "timer at crashed node", event.seq)
                     continue
                 self.report.timers_fired += 1
-            self._emit_trace(event.kind, event.src, event.dst, str(event.payload), event.seq)
+            self._emit_trace(event.kind, event.src, event.dst, event.payload, event.seq)
             if self.handler is not None:
                 self.handler(self, event)
         self.report.end_ms = self._now

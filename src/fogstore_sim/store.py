@@ -17,7 +17,9 @@ key's replicas:
 
 Clients enter through :meth:`Cluster.submit` (asynchronous, callback on
 completion) or :meth:`Cluster.apply_crud` (submit one query and run the
-simulation to quiescence).
+simulation to quiescence). Every simulator event reaches the cluster through
+one table keyed by payload type: the wire messages below and three typed
+timers (:class:`OpTimeout`, :class:`ClientTimeout`, :class:`Arrival`).
 
 Versions are (counter, writer) pairs. Counters per key are issued by the
 control plane, a zero-latency global registry that also caches replica maps
@@ -47,7 +49,7 @@ from .consistency import (
     get_region,
     required_acks,
 )
-from .netsim import KIND_TIMER, SimEvent, Simulator, Timer
+from .netsim import SimEvent, Simulator, Timer
 from .placement import ReplicaMap, place_replicas
 from .topology import Coord, Topology, find_closest
 
@@ -66,6 +68,9 @@ __all__ = [
     "ReadResp",
     "QueryReq",
     "QueryResp",
+    "OpTimeout",
+    "ClientTimeout",
+    "Arrival",
 ]
 
 
@@ -84,8 +89,9 @@ class QueryKind(Enum):
         return self.value.startswith("tx_")
 
     @property
-    def is_write(self) -> bool:
-        return self in (QueryKind.CREATE, QueryKind.UPDATE, QueryKind.DELETE)
+    def direction(self) -> str:
+        """``read`` for reads; every other kind runs the write path."""
+        return "read" if self is QueryKind.READ else "write"
 
 
 class Version(NamedTuple):
@@ -210,6 +216,40 @@ class ReadResp:
         return f"ReadResp key={self.key} record={rec}"
 
 
+# -- timers ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OpTimeout:
+    """Coordinator deadline: the op fails if its replies have not arrived."""
+
+    op_id: int
+
+    def __str__(self) -> str:
+        return f"OpTimeout op={self.op_id}"
+
+
+@dataclass(frozen=True)
+class ClientTimeout:
+    """Client deadline: the callback fires even if the coordinator is gone."""
+
+    op_id: int
+
+    def __str__(self) -> str:
+        return f"ClientTimeout op={self.op_id}"
+
+
+@dataclass(frozen=True)
+class Arrival:
+    """Harness timer that submits ``query`` when it fires (open-loop runs)."""
+
+    query: Query
+    callback: Callable[[Query, QueryResult], None]
+
+    def __str__(self) -> str:
+        return f"Arrival {self.query.kind.value} key={self.query.key}"
+
+
 class ControlPlane:
     """Zero-latency global registry of key metadata.
 
@@ -270,19 +310,17 @@ class _ReplicaStore:
 
 @dataclass
 class _PendingOp:
-    op_id: int
-    direction: str  # read | write
-    query: Query
+    """A query in flight at its coordinator: replies count toward ``required``.
+
+    A reply is the replica's record for a read and ``None`` for a write ack.
+    """
+
+    req: QueryReq
+    coordinator: str
     level: ConsistencyLevel
     required: int
-    coordinator: str
-    reply_to: str
-    start_ms: float
-    version: Version | None = None
-    is_delete: bool = False
-    acks: int = 0
-    responses: list[VersionedRecord | None] = field(default_factory=list)
-    timer: Timer | None = None
+    timer: Timer
+    replies: list[VersionedRecord | None] = field(default_factory=list)
 
 
 @dataclass
@@ -290,8 +328,7 @@ class _ClientOp:
     query: Query
     callback: Callable[[Query, QueryResult], None]
     issued_ms: float
-    attach: str
-    timer: Timer | None = None
+    timer: Timer
 
 
 class Cluster:
@@ -332,6 +369,17 @@ class Cluster:
         self._op_ids = itertools.count(1)
         self._pending: dict[int, _PendingOp] = {}
         self._client_ops: dict[int, _ClientOp] = {}
+        self._handlers: dict[type, Callable[..., None]] = {
+            QueryReq: self._on_query_req,
+            WriteReq: self._on_write_req,
+            ReadReq: self._on_read_req,
+            WriteAck: self._on_replica_reply,
+            ReadResp: self._on_replica_reply,
+            QueryResp: self._on_query_resp,
+            OpTimeout: self._on_op_timeout,
+            ClientTimeout: self._on_client_timeout,
+            Arrival: self._on_arrival,
+        }
 
     # -- client gateway ---------------------------------------------------
 
@@ -351,9 +399,8 @@ class Cluster:
         op_id = next(self._op_ids)
         attach = self.topology.nearest_node(query.client_ctx.client_geo)
         coordinator = find_closest(self.topology, query.client_ctx.client_geo)
-        cop = _ClientOp(query, callback, issued_ms=self.sim.now, attach=attach)
-        cop.timer = self.sim.set_timer(None, self.client_timeout_ms, ("client_timeout", op_id))
-        self._client_ops[op_id] = cop
+        timer = self.sim.set_timer(None, self.client_timeout_ms, ClientTimeout(op_id))
+        self._client_ops[op_id] = _ClientOp(query, callback, self.sim.now, timer)
         self.sim.schedule_message(attach, coordinator, QueryReq(op_id, query, attach, level_override))
         return op_id
 
@@ -391,38 +438,19 @@ class Cluster:
     # -- event dispatch -----------------------------------------------------
 
     def _dispatch(self, sim: Simulator, event: SimEvent) -> None:
-        payload = event.payload
-        if event.kind == KIND_TIMER:
-            if callable(payload):  # harness-scheduled callback (e.g. open-loop arrivals)
-                payload()
-                return
-            tag, op_id = payload  # type: ignore[misc]
-            if tag == "op_timeout":
-                self._on_op_timeout(op_id)
-            else:
-                self._on_client_timeout(op_id)
-            return
-        if isinstance(payload, QueryReq):
-            self._on_query_req(event.dst, payload)
-        elif isinstance(payload, WriteReq):
-            self._on_write_req(event.dst, event.src, payload)
-        elif isinstance(payload, WriteAck):
-            self._on_write_ack(payload)
-        elif isinstance(payload, ReadReq):
-            self._on_read_req(event.dst, event.src, payload)
-        elif isinstance(payload, ReadResp):
-            self._on_read_resp(payload)
-        elif isinstance(payload, QueryResp):
-            self._on_query_resp(payload)
+        self._handlers[type(event.payload)](event.dst, event.src, event.payload)
 
-    # -- coordinator: query entry -------------------------------------------
+    def _on_arrival(self, node: None, src: None, msg: Arrival) -> None:
+        self.submit(msg.query, msg.callback)
 
-    def _on_query_req(self, node: str, req: QueryReq) -> None:
+    # -- coordinator ----------------------------------------------------------
+
+    def _on_query_req(self, node: str, src: str, req: QueryReq) -> None:
         query = req.query
         if query.kind.is_transactional:
             self._reply(node, req, QueryResult(status="error", error="unsupported_operation"))
             return
-        direction = "read" if query.kind is QueryKind.READ else "write"
+        direction = query.kind.direction
 
         rmap = self.control.replica_map(query.key)
         if query.kind is QueryKind.CREATE:
@@ -443,7 +471,7 @@ class Cluster:
             if self.region_set is None:
                 self._reply(node, req, QueryResult(status="error", error="no_level_configured"))
                 return
-            level = self._map_level(node, query, direction)
+            level = self._map_level(node, query)
         try:
             required = required_acks(level, rmap.effective_rf)
         except LevelInfeasibleError:
@@ -451,19 +479,30 @@ class Cluster:
                                                level_used=level))
             return
 
-        pend = _PendingOp(
-            op_id=req.op_id, direction=direction, query=query, level=level,
-            required=required, coordinator=node, reply_to=req.reply_to,
-            start_ms=self.sim.now,
-        )
-        self._pending[req.op_id] = pend
-        pend.timer = self.sim.set_timer(node, self.timeout_ms, ("op_timeout", req.op_id))
-        if direction == "write":
-            self._start_write(node, pend, rmap)
+        timer = self.sim.set_timer(node, self.timeout_ms, OpTimeout(req.op_id))
+        pend = self._pending[req.op_id] = _PendingOp(req, node, level, required, timer)
+        is_replica = node in rmap.replica_ids
+        if direction == "read":
+            msg: ReadReq | WriteReq = ReadReq(req.op_id, query.key)
+            if is_replica:
+                pend.replies.append(self._replicas[node].get(query.key))
         else:
-            self._start_read(node, pend, rmap)
+            value = None if query.kind is QueryKind.DELETE else query.value
+            version = self.control.next_version(query.key, node)
+            record = VersionedRecord(query.key, value, version, query.data_ctx)
+            msg = WriteReq(req.op_id, record)
+            if is_replica:
+                self._replicas[node].apply(record)
+                pend.replies.append(None)
+        answered = len(pend.replies) >= required
+        if not (answered and direction == "read"):  # a local answer needs no fan-out
+            for replica_id in rmap.replica_ids:
+                if replica_id != node:
+                    self.sim.schedule_message(node, replica_id, msg)
+        if answered:
+            self._finish(pend)
 
-    def _map_level(self, node: str, query: Query, direction: str) -> ConsistencyLevel:
+    def _map_level(self, node: str, query: Query) -> ConsistencyLevel:
         if query.kind is QueryKind.CREATE:
             # the local record may be a tombstone that still holds the old location
             data_ctx = query.data_ctx
@@ -474,115 +513,68 @@ class Cluster:
             else:
                 data_ctx = DataContext(self.control.anchors[query.key])
         band = get_region(self.region_set, query.key, query.client_ctx, data_ctx)
-        return get_level(band, direction)  # type: ignore[arg-type]
+        return get_level(band, query.kind.direction)  # type: ignore[arg-type]
 
-    # -- coordinator: write path ----------------------------------------------
+    def _on_replica_reply(self, node: str, src: str, msg: WriteAck | ReadResp) -> None:
+        pend = self._pending.get(msg.op_id)
+        if pend is None:
+            return  # operation already completed or timed out
+        pend.replies.append(getattr(msg, "record", None))  # a WriteAck carries no record
+        if len(pend.replies) >= pend.required:
+            self._finish(pend)
 
-    def _start_write(self, node: str, pend: _PendingOp, rmap: ReplicaMap) -> None:
-        query = pend.query
-        pend.is_delete = query.kind is QueryKind.DELETE
-        pend.version = self.control.next_version(query.key, node)
-        record = VersionedRecord(
-            key=query.key,
-            value=None if pend.is_delete else query.value,
-            version=pend.version,
-            data_ctx=query.data_ctx,
-        )
-        if node in rmap.replica_ids:
-            self._replicas[node].apply(record)
-            pend.acks += 1
-        for replica_id in rmap.replica_ids:
-            if replica_id != node:
-                self.sim.schedule_message(node, replica_id, WriteReq(pend.op_id, record))
-        if pend.acks >= pend.required:
-            self._finish_write(pend)
+    def _finish(self, pend: _PendingOp) -> None:
+        query = pend.req.query
+        value = None
+        if query.kind.direction == "write":
+            self.control.note_completed_write(query.key, deleted=query.kind is QueryKind.DELETE)
+            status = "ok"
+        else:
+            freshest = max((r for r in pend.replies if r is not None),
+                           key=lambda r: r.version, default=None)
+            value = freshest.value if freshest is not None else None  # None: absent or tombstone
+            status = "ok" if value is not None else "not_found"
+        self._reply_pending(pend, QueryResult(status=status, value=value, level_used=pend.level,
+                                              acks_received=len(pend.replies)))
+
+    def _on_op_timeout(self, node: str, src: None, msg: OpTimeout) -> None:
+        pend = self._pending.get(msg.op_id)
+        if pend is None:
+            return
+        self._reply_pending(pend, QueryResult(status="error", error="timeout",
+                                              level_used=pend.level,
+                                              acks_received=len(pend.replies)))
+
+    def _reply_pending(self, pend: _PendingOp, result: QueryResult) -> None:
+        del self._pending[pend.req.op_id]
+        pend.timer.cancel()
+        self._reply(pend.coordinator, pend.req, result)
+
+    def _reply(self, node: str, req: QueryReq, result: QueryResult) -> None:
+        self.sim.schedule_message(node, req.reply_to, QueryResp(req.op_id, result))
+
+    # -- replica side -------------------------------------------------------------
 
     def _on_write_req(self, node: str, src: str, msg: WriteReq) -> None:
         self._replicas[node].apply(msg.record)
         self.sim.schedule_message(node, src, WriteAck(msg.op_id, msg.record.key, msg.record.version))
 
-    def _on_write_ack(self, msg: WriteAck) -> None:
-        pend = self._pending.get(msg.op_id)
-        if pend is None or pend.direction != "write":
-            return  # operation already completed or timed out
-        pend.acks += 1
-        if pend.acks >= pend.required:
-            self._finish_write(pend)
-
-    def _finish_write(self, pend: _PendingOp) -> None:
-        self.control.note_completed_write(pend.query.key, deleted=pend.is_delete)
-        self._reply_pending(pend, QueryResult(
-            status="ok", level_used=pend.level, acks_received=pend.acks))
-
-    # -- coordinator: read path -------------------------------------------------
-
-    def _start_read(self, node: str, pend: _PendingOp, rmap: ReplicaMap) -> None:
-        if node in rmap.replica_ids:
-            pend.responses.append(self._replicas[node].get(pend.query.key))
-            if len(pend.responses) >= pend.required:
-                self._finish_read(pend)  # local answer, no fan-out
-                return
-        for replica_id in rmap.replica_ids:
-            if replica_id != node:
-                self.sim.schedule_message(node, replica_id, ReadReq(pend.op_id, pend.query.key))
-
     def _on_read_req(self, node: str, src: str, msg: ReadReq) -> None:
         record = self._replicas[node].get(msg.key)
         self.sim.schedule_message(node, src, ReadResp(msg.op_id, msg.key, record))
 
-    def _on_read_resp(self, msg: ReadResp) -> None:
-        pend = self._pending.get(msg.op_id)
-        if pend is None or pend.direction != "read":
-            return
-        pend.responses.append(msg.record)
-        if len(pend.responses) >= pend.required:
-            self._finish_read(pend)
-
-    def _finish_read(self, pend: _PendingOp) -> None:
-        freshest: VersionedRecord | None = None
-        for record in pend.responses:
-            if record is not None and (freshest is None or record.version > freshest.version):
-                freshest = record
-        if freshest is None or freshest.is_tombstone:
-            result = QueryResult(status="not_found", level_used=pend.level,
-                                 acks_received=len(pend.responses))
-        else:
-            result = QueryResult(status="ok", value=freshest.value, level_used=pend.level,
-                                 acks_received=len(pend.responses))
-        self._reply_pending(pend, result)
-
-    # -- completion and timeouts ---------------------------------------------
-
-    def _on_op_timeout(self, op_id: int) -> None:
-        pend = self._pending.get(op_id)
-        if pend is None:
-            return
-        acks = pend.acks if pend.direction == "write" else len(pend.responses)
-        self._reply_pending(pend, QueryResult(
-            status="error", error="timeout", level_used=pend.level, acks_received=acks))
-
-    def _reply_pending(self, pend: _PendingOp, result: QueryResult) -> None:
-        self._pending.pop(pend.op_id, None)
-        if pend.timer is not None:
-            pend.timer.cancel()
-        self.sim.schedule_message(pend.coordinator, pend.reply_to, QueryResp(pend.op_id, result))
-
-    def _reply(self, node: str, req: QueryReq, result: QueryResult) -> None:
-        self.sim.schedule_message(node, req.reply_to, QueryResp(req.op_id, result))
-
     # -- client side ------------------------------------------------------------
 
-    def _on_query_resp(self, msg: QueryResp) -> None:
+    def _on_query_resp(self, node: str, src: str, msg: QueryResp) -> None:
         cop = self._client_ops.pop(msg.op_id, None)
         if cop is None:
             return  # client already gave up on this operation
-        if cop.timer is not None:
-            cop.timer.cancel()
+        cop.timer.cancel()
         msg.result.latency_ms = self.sim.now - cop.issued_ms
         cop.callback(cop.query, msg.result)
 
-    def _on_client_timeout(self, op_id: int) -> None:
-        cop = self._client_ops.pop(op_id, None)
+    def _on_client_timeout(self, node: None, src: None, msg: ClientTimeout) -> None:
+        cop = self._client_ops.pop(msg.op_id, None)
         if cop is None:
             return
         result = QueryResult(status="error", error="timeout",

@@ -90,13 +90,14 @@ class Topology:
         link_list = list(links)
 
         self.nodes: dict[str, FogNode] = {}
-        for node in node_list:
+        for i, node in enumerate(node_list):
             if node.node_id in self.nodes:
                 raise TopologyError(f"duplicate node id {node.node_id!r}")
             if not all(math.isfinite(c) for c in node.geo):
-                raise TopologyError(f"node {node.node_id!r}: geo must be finite")
-            if node.service_ms < 0:
-                raise TopologyError(f"node {node.node_id!r}: service_ms must be >= 0")
+                raise TopologyError(f"nodes[{i}].geo: must be finite (node {node.node_id!r})")
+            if not (math.isfinite(node.service_ms) and node.service_ms >= 0):
+                raise TopologyError(f"nodes[{i}].service_ms: must be finite and >= 0 "
+                                    f"(got {node.service_ms}, node {node.node_id!r})")
             self.nodes[node.node_id] = node
         if not self.nodes:
             raise TopologyError("topology has no nodes")
@@ -108,9 +109,9 @@ class Topology:
                     raise UnknownNodeError(f"links[{i}]: unknown node {end!r}")
             if link.endpoint_a == link.endpoint_b:
                 raise TopologyError(f"links[{i}]: self-links are not allowed")
-            if link.latency_ms <= 0:
+            if not (math.isfinite(link.latency_ms) and link.latency_ms > 0):
                 raise TopologyError(
-                    f"links[{i}]: latency_ms must be > 0 (got {link.latency_ms})"
+                    f"links[{i}].latency_ms: must be finite and > 0 (got {link.latency_ms})"
                 )
             # A repeated link overwrites the earlier latency in place.
             adjacency[link.endpoint_a][link.endpoint_b] = link.latency_ms

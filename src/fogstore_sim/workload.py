@@ -35,6 +35,10 @@ class EmptySampleError(Exception):
     """Percentiles of an empty sample are undefined."""
 
 
+def _finite_positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0
+
+
 @dataclass(frozen=True)
 class WorkloadClient:
     client_id: str
@@ -62,14 +66,21 @@ class WorkloadSpec:
             raise ValueError("op_count must be >= 1")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ValueError("read_fraction must be in [0, 1]")
-        if self.recency_skew <= 0.0:
-            raise ValueError("recency_skew must be > 0")
+        if not _finite_positive(self.recency_skew):
+            raise ValueError(f"recency_skew: must be finite and > 0 (got {self.recency_skew})")
         if not self.clients:
             raise ValueError("at least one client position is required")
-        if any(c.weight <= 0 for c in self.clients):
-            raise ValueError("client weights must be > 0")
-        if self.open_loop_interval_ms is not None and self.open_loop_interval_ms <= 0:
-            raise ValueError("open_loop_interval_ms must be > 0")
+        for i, client in enumerate(self.clients):
+            if not _finite_positive(client.weight):
+                raise ValueError(
+                    f"clients[{i}].weight: must be finite and > 0 (got {client.weight})")
+            if not all(math.isfinite(c) for c in client.geo):
+                raise ValueError(f"clients[{i}].geo: must be finite (got {client.geo})")
+        if self.data_geo is not None and not all(math.isfinite(c) for c in self.data_geo):
+            raise ValueError(f"data_geo: must be finite (got {self.data_geo})")
+        interval = self.open_loop_interval_ms
+        if interval is not None and not _finite_positive(interval):
+            raise ValueError(f"open_loop_interval_ms: must be finite and > 0 (got {interval})")
 
     @property
     def insert_fraction(self) -> float:

@@ -219,6 +219,13 @@ def test_unwritable_output_fails_before_running(command, flag, paper_dir, tmp_pa
     assert capsys.readouterr().err.startswith(f"error: {bad}: cannot write file: ")
 
 
+def test_gen_paper_configs_under_a_file_fails_cleanly(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    bad = tmp_path / "afile" / "sub"
+    assert main(["gen-paper-configs", "--out-dir", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: cannot write file: ")
+
+
 class TestPlace:
     def test_placement_dump(self, paper_dir, tmp_path, capsys):
         code = main(["place", "--topology", str(paper_dir / "star6-low.json"),

@@ -29,6 +29,7 @@ class TestLoadJson:
 
 
 BAND = {"read": "ONE", "write": "ONE"}
+NAN, INF = float("nan"), float("inf")
 GOOD_DEFAULT = {"bands": [BAND]}
 
 MALFORMED = [
@@ -57,9 +58,39 @@ MALFORMED = [
 ]
 
 
+def _topology(link_ms=1.0, service_ms=0.0):
+    return {"nodes": [{"id": "a", "geo": [0, 0], "failure_group": "g", "service_ms": service_ms},
+                      {"id": "b", "geo": [1, 0], "failure_group": "g"}],
+            "links": [{"a": "a", "b": "b", "latency_ms": link_ms}]}
+
+
+def _workload(interval=None, skew=0.3, weight=1.0, geo=(0, 0)):
+    return {"op_count": 1, "open_loop_interval_ms": interval, "recency_skew": skew,
+            "clients": [{"id": "c", "geo": list(geo), "weight": weight}]}
+
+
+# Non-finite numbers: json reads NaN and Infinity, and NaN passes every "<= 0" check.
+NON_FINITE = [
+    (load_topology, _topology(link_ms=NAN), "links[0].latency_ms", "nan"),
+    (load_topology, _topology(link_ms=INF), "links[0].latency_ms", "inf"),
+    (load_topology, _topology(service_ms=NAN), "nodes[0].service_ms", "nan"),
+    (load_topology, _topology(service_ms=INF), "nodes[0].service_ms", "inf"),
+    (load_workload, _workload(interval=NAN), "open_loop_interval_ms", "nan"),
+    (load_workload, _workload(interval=INF), "open_loop_interval_ms", "inf"),
+    (load_workload, _workload(skew=NAN), "recency_skew", "nan"),
+    (load_workload, _workload(weight=NAN), "clients[0].weight", "nan"),
+    (load_workload, _workload(weight=INF), "clients[0].weight", "inf"),
+    (load_workload, _workload(geo=(NAN, 0)), "clients[0].geo", "nan"),
+    (load_workload, {**_workload(), "data_geo": [INF, 0]}, "data_geo", "inf"),
+    (load_regions, {"default": {"bands": [{**BAND, "radius_m": NAN}, BAND]}}, "default", "nan"),
+]
+
+
 @pytest.mark.parametrize(
-    "loader,doc,where", MALFORMED,
-    ids=[f"{loader.__name__}-{where}" for loader, _, where in MALFORMED],
+    "loader,doc,where",
+    MALFORMED + [row[:3] for row in NON_FINITE],
+    ids=[f"{loader.__name__}-{where}" for loader, _, where in MALFORMED]
+    + [f"{loader.__name__}-{where}-{tag}" for loader, _, where, tag in NON_FINITE],
 )
 def test_malformed_element_names_file_and_path(loader, doc, where, tmp_path):
     workload = {"op_count": 1, "clients": [{"id": "c", "geo": [0, 0]}]}

@@ -209,6 +209,27 @@ class TestDeterminism:
         assert trace_a != self.run_once(jitter_ms=0.0)[0]
 
 
+class Unprintable:
+    def __str__(self):
+        raise AssertionError("payload formatted with no trace sink attached")
+
+
+def test_payloads_are_formatted_only_for_a_trace_sink():
+    """With no sink, no event path stringifies a payload (drops included)."""
+    def handler(sim, event):
+        if event.kind == "timer":  # a is down by now, so this send is dropped at once
+            sim.schedule_message("a", "b", Unprintable())
+
+    sim = Simulator(pair_topology(), handler=handler,
+                    fault_script=[FaultAction(3.0, "crash", node="a")])
+    sim.schedule_message("a", "b", Unprintable())  # delivered at 5
+    sim.schedule_message("b", "a", Unprintable())  # blocked at delivery: a crashed at 3
+    sim.set_timer("a", 4.0, Unprintable())  # dropped: a is down when it fires
+    sim.set_timer(None, 4.0, Unprintable())  # fires
+    report = sim.run_until_quiescent()
+    assert (report.messages_delivered, report.messages_dropped, report.timers_fired) == (1, 3, 1)
+
+
 class TestFaultScriptLoader:
     def good_doc(self):
         return {

@@ -1,5 +1,7 @@
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -9,10 +11,12 @@ from fogstore_sim.consistency import (
     ConsistencyLevel,
     ConsistencyRegionSpec,
     DataContext,
+    LevelInfeasibleError,
     RegionSet,
 )
-from fogstore_sim.experiment import build_star_topology, run_queries
+from fogstore_sim.experiment import build_star_topology, run_queries, run_single
 from fogstore_sim.netsim import FaultAction, Simulator
+from fogstore_sim.placement import place_replicas
 from fogstore_sim.store import (
     Cluster,
     Query,
@@ -22,6 +26,8 @@ from fogstore_sim.store import (
     required_acks,
     _ReplicaStore,
 )
+from fogstore_sim.topology import Topology, find_closest
+from fogstore_sim.workload import WorkloadClient, WorkloadSpec
 
 from conftest import (
     ALL_LEVELS,
@@ -193,6 +199,60 @@ class TestLatencyPaths:
         assert result.latency_ms == 34.0  # 10 + 2 x (4 + 8)
 
 
+def closed_form_latency(topo, issued_ms, client_geo, replica_ids, required):
+    """Latency of a fault-free, jitter-free op, added up as the simulator does.
+
+    Client hop to the coordinator, then the ``required``-th smallest replica
+    round trip (a local replica answers at once), then the hop back. Every
+    hop adds the destination's service time.
+    """
+    def hop(t, a, b):
+        return t + (topo.latency_ms(a, b) + topo.node(b).service_ms)
+
+    attach = topo.nearest_node(client_geo)
+    coordinator = find_closest(topo, client_geo)
+    at_coordinator = hop(issued_ms, attach, coordinator)
+    replies = sorted(at_coordinator if r == coordinator
+                     else hop(hop(at_coordinator, coordinator, r), r, coordinator)
+                     for r in replica_ids)
+    return hop(replies[required - 1], coordinator, attach) - issued_ms
+
+
+class TestLatencyOracle:
+    def test_every_feasible_level_matches_the_closed_form(self):
+        checked, mismatches = 0, []
+        for seed in range(500):
+            rng = random.Random(seed)
+            topo = random_topology(seed)
+            if seed % 2:
+                topo = Topology([replace(n, service_ms=round(rng.uniform(0.1, 3), 2))
+                                 for n in topo.nodes.values()], topo.links)
+            ctx = ClientContext("c", (rng.uniform(0, 1000), rng.uniform(0, 1000)))
+            data_geo = (rng.uniform(0, 1000), rng.uniform(0, 1000))
+            for rf in (1, 3, 5):
+                cluster = Cluster(topo, Simulator(topo), replication_factor=rf)
+                for level in ALL_LEVELS:
+                    key = f"k-{level.value}"
+                    replica_ids = place_replicas(key, data_geo, topo, rf).replica_ids
+                    try:
+                        required = required_acks(level, len(replica_ids))
+                    except LevelInfeasibleError:
+                        continue
+                    for query in (Query(QueryKind.CREATE, key, ctx, value="v",
+                                        data_ctx=DataContext(data_geo)),
+                                  Query(QueryKind.READ, key, ctx)):
+                        issued_ms = cluster.sim.now
+                        result = cluster.apply_crud(query, level)
+                        expected = closed_form_latency(topo, issued_ms, ctx.client_geo,
+                                                       replica_ids, required)
+                        checked += 1
+                        if (result.status, result.latency_ms) != ("ok", expected):
+                            mismatches.append((seed, rf, level.value, query.kind.value,
+                                               result.status, result.latency_ms, expected))
+        assert mismatches == []
+        assert checked > 10_000
+
+
 class TestConvergence:
     def test_background_completion_converges_all_replicas(self):
         cluster = star_cluster()
@@ -345,6 +405,29 @@ class TestOpenLoopDriver:
         reads = [r for q, r in results if q.kind is QueryKind.READ]
         assert {r.status for r in reads} == {"ok"}
         assert {r.latency_ms for r in reads} == {34.0}
+
+    def test_every_op_gets_exactly_one_callback_under_faults(self):
+        # The partition cuts the coordinator fog-1 off its peers, so QUORUM ops
+        # time out at the coordinator; while fog-1 is down only the client
+        # deadline answers.
+        others = frozenset({"fog-2", "fog-3", "fog-4", "fog-5"})
+        faults = [FaultAction(100.0, "partition", group_a=frozenset({"fog-1"}), group_b=others),
+                  FaultAction(300.0, "heal"),
+                  FaultAction(400.0, "crash", node="fog-1"),
+                  FaultAction(600.0, "recover", node="fog-1")]
+        workload = WorkloadSpec(op_count=400, clients=(WorkloadClient("c1", STAR_CLIENT),),
+                                read_fraction=0.7, fixed_read_level=QUORUM,
+                                fixed_write_level=QUORUM, open_loop_interval_ms=2.0, seed=3)
+        trace = []
+        output = run_single(build_star_topology((4, 5, 6, 7, 8)), workload, timeout_ms=50.0,
+                            fault_script=faults, trace_sink=trace.append)
+        fired = Counter(line.split(",")[5].split()[0] for line in trace
+                        if line.split(",")[2] == "timer")
+        assert fired["Arrival"] == 400
+        assert fired["OpTimeout"] > 0 and fired["ClientTimeout"] > 0
+        assert len(output.results) == 400
+        assert len({id(query) for query, _ in output.results}) == 400
+        assert output.error_counts["timeout"] == fired["OpTimeout"] + fired["ClientTimeout"]
 
     def test_open_loop_trace_is_deterministic(self):
         def one_trace():
