@@ -16,7 +16,6 @@ from .consistency import (
     DataContext,
     LevelInfeasibleError,
     RegionSet,
-    get_level,
     get_region,
     load_regions,
     required_acks,
@@ -63,10 +62,8 @@ from .topology import (
     TopologyError,
     UnknownNodeError,
     UnreachableError,
-    find_closest,
     geo_distance,
     load_topology,
-    network_latency,
 )
 from .workload import (
     EmptySampleError,

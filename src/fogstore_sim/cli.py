@@ -28,7 +28,7 @@ from .experiment import (
     run_single,
     run_sweep,
 )
-from .netsim import BudgetExceededError, load_fault_script
+from .netsim import BudgetExceededError, check_fault_nodes, load_fault_script
 from .placement import place_replicas, placement_csv_rows
 from .topology import load_topology
 from .workload import STATS_CSV_HEADER, format_stats_row, load_workload
@@ -40,6 +40,8 @@ SAMPLE_WORKLOAD = """\
   "key_prefix": "key-",
   "recency_skew": 0.3,
   "clients": [{"id": "ycsb", "geo": [%(x)s, 0.0], "weight": 1.0}],
+  "fixed_read_level": "ONE",
+  "fixed_write_level": "ONE",
   "seed": 42
 }
 """
@@ -87,6 +89,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "fixed_read_level/fixed_write_level: required when no regions file is given",
         )
     fault_script = load_fault_script(args.faults) if args.faults else ()
+    check_fault_nodes(fault_script, topology, args.faults)
 
     with contextlib.ExitStack() as files:
         out = files.enter_context(_open_output(args.out))
@@ -185,16 +188,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             loaded = loader(path)
             if label == "topology":
                 topology = loaded
+            elif label == "faults" and topology is not None:
+                check_fault_nodes(loaded, topology, path)
             print(f"ok: {path}")
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             failures += 1
-    if topology is not None and args.faults and failures == 0:
-        for action in load_fault_script(args.faults):
-            for nid in ([action.node] if action.node else []) + sorted(action.group_a | action.group_b):
-                if nid not in topology.nodes:
-                    print(f"error: {args.faults}: unknown node {nid!r}", file=sys.stderr)
-                    failures += 1
     return 1 if failures else 0
 
 

@@ -81,7 +81,7 @@ class ClientContext:
 
 @dataclass(frozen=True)
 class DataContext:
-    """Location of the data source a record describes."""
+    """Location of the source of a key's data."""
 
     data_geo: Coord
 
@@ -178,11 +178,6 @@ def get_region(
     if spec_set.band_hook is not None:
         band = spec_set.band_hook(key, client_ctx, data_ctx, band)
     return band
-
-
-def get_level(band: Band, op_kind: OpKind) -> ConsistencyLevel:
-    """The band's configured level for reads or writes."""
-    return band.level_for(op_kind)
 
 
 def _parse_level(raw: object, source: str, where: str) -> ConsistencyLevel:

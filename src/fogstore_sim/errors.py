@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TypeVar
+from typing import Iterator, TypeVar
 
 T = TypeVar("T", dict, list)
 
@@ -44,3 +45,18 @@ def expect(value: object, kind: type[T], source: str, where: str) -> T:
         name = "object" if kind is dict else "array"
         raise ConfigError(source, f"{where}: expected a JSON {name}, got {value!r}")
     return value
+
+
+@contextmanager
+def element(source: str, where: str) -> Iterator[None]:
+    """Turn a malformed field of one config element into a ConfigError.
+
+    A missing field reads ``<where>: missing field 'x'``; a field of the
+    wrong type or value (including a short list) reads ``<where>: <exc>``.
+    """
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(source, f"{where}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(source, f"{where}: {exc}") from None

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import ConfigError, expect, load_json
+from .errors import ConfigError, element, expect, load_json
 from .topology import Topology
 
 Handler = Callable[["Simulator", "SimEvent"], None]
@@ -139,12 +139,8 @@ class Simulator:
         self._jitter_ms = jitter_ms
         self._jitter_rng = random.Random(jitter_seed)
         self.report = SimReport()
+        check_fault_nodes(fault_script, topology, "<fault script>")
         for action in fault_script:
-            if action.node is not None and action.node not in topology.nodes:
-                raise ConfigError("<fault script>", f"unknown node {action.node!r}")
-            for nid in (*action.group_a, *action.group_b):
-                if nid not in topology.nodes:
-                    raise ConfigError("<fault script>", f"unknown node {nid!r}")
             self._push(action.at_ms, KIND_FAULT, None, None, action)
 
     @property
@@ -268,6 +264,16 @@ class Simulator:
         self._emit_trace(KIND_FAULT, None, None, action.describe(), seq)
 
 
+def check_fault_nodes(fault_script: Sequence[FaultAction], topology: Topology,
+                      source: str) -> None:
+    """Raise a ConfigError naming ``source`` for the first node the topology lacks."""
+    for action in fault_script:
+        nodes = [] if action.node is None else [action.node]
+        for nid in nodes + sorted(action.group_a | action.group_b):
+            if nid not in topology.nodes:
+                raise ConfigError(source, f"unknown node {nid!r}")
+
+
 def fault_script_from_dict(data: dict, source: str = "<dict>") -> list[FaultAction]:
     """Build a fault script from the JSON document structure."""
     if not isinstance(data, dict):
@@ -276,13 +282,9 @@ def fault_script_from_dict(data: dict, source: str = "<dict>") -> list[FaultActi
     last_at = 0.0
     for i, raw in enumerate(expect(data.get("events", []), list, source, "events")):
         where = f"events[{i}]"
-        try:
+        with element(source, where):
             at_ms = float(raw["at_ms"])
             kind = str(raw["action"])
-        except KeyError as exc:
-            raise ConfigError(source, f"{where}: missing field {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(source, f"{where}: {exc}") from None
         if at_ms < last_at:
             raise ConfigError(source, f"{where}.at_ms: times must be non-decreasing")
         last_at = at_ms

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .topology import Coord, Topology, find_closest, network_latency
+from .topology import Coord, Topology
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,13 @@ def place_replicas(
     """Choose replica nodes for ``key`` anchored near ``data_location``."""
     if replication_factor < 1:
         raise ValueError("replication_factor must be >= 1")
-    anchor = find_closest(topology, data_location)
+    anchor = topology.nearest_node(data_location, storage_only=True)
     target = min(replication_factor, len(topology.storage_ids))
 
     chosen = [anchor]
     used_groups = {topology.node(anchor).failure_group_id}
     remaining = [nid for nid in topology.storage_ids if nid != anchor]
-    remaining.sort(key=lambda nid: (network_latency(topology, anchor, nid), nid))
+    remaining.sort(key=lambda nid: (topology.latency_ms(anchor, nid), nid))
 
     degraded = False
     while len(chosen) < target:

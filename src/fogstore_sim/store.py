@@ -4,9 +4,8 @@ Every storage node can act as a coordinator. A client's query travels from
 its attach point to the storage node geographically closest to the client.
 That coordinator is the only place a query's consistency level is decided
 (precedence in :class:`Cluster`). Region bands are looked up against the
-data location: the one a CREATE names, else the coordinator's local record,
-else the key's placement-time anchor. The coordinator then fans out to the
-key's replicas:
+data location the query names, else the key's current location in the
+control plane. The coordinator then fans out to the key's replicas:
 
 * writes are sent to every replica immediately; the client is acknowledged
   as soon as the level's required acknowledgement count is reached, and the
@@ -22,11 +21,12 @@ one table keyed by payload type: the wire messages below and three typed
 timers (:class:`OpTimeout`, :class:`ClientTimeout`, :class:`Arrival`).
 
 Versions are (counter, writer) pairs. Counters per key are issued by the
-control plane, a zero-latency global registry that also caches replica maps
-and placement-time data locations. Real deployments would gossip or use
-synchronized clocks here; a shared registry keeps version order aligned
-with operation order, which makes last-write-wins resolution deterministic
-and exact at simulation scale.
+control plane, a zero-latency global registry that also holds each key's
+replica map and current data location; replica records carry only a value
+and a version. Real deployments would gossip or use synchronized clocks
+here; a shared registry keeps version order aligned with operation order,
+which makes last-write-wins resolution deterministic and exact at
+simulation scale.
 
 Deletes replicate a tombstone record (no value) that wins by version like
 any write; tombstones are never garbage collected since runs are finite.
@@ -35,7 +35,7 @@ any write; tombstones are never garbage collected since runs are finite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -45,13 +45,12 @@ from .consistency import (
     DataContext,
     LevelInfeasibleError,
     RegionSet,
-    get_level,
     get_region,
     required_acks,
 )
 from .netsim import SimEvent, Simulator, Timer
 from .placement import ReplicaMap, place_replicas
-from .topology import Coord, Topology, find_closest
+from .topology import Topology
 
 __all__ = [
     "QueryKind",
@@ -106,17 +105,11 @@ class Version(NamedTuple):
 
 @dataclass(frozen=True)
 class VersionedRecord:
-    """What a replica stores for one key. ``value=None`` marks a tombstone.
-
-    ``data_ctx=None`` on an incoming record means "carry the stored data
-    context forward", so updates and deletes that do not re-locate the data
-    source never clobber it.
-    """
+    """What a replica stores for one key. ``value=None`` marks a tombstone."""
 
     key: str
     value: str | None
     version: Version
-    data_ctx: DataContext | None = None
 
     @property
     def is_tombstone(self) -> bool:
@@ -182,8 +175,7 @@ class WriteReq:
 
     def __str__(self) -> str:
         r = self.record
-        ctx = f"({r.data_ctx.data_geo[0]};{r.data_ctx.data_geo[1]})" if r.data_ctx else "-"
-        return f"WriteReq key={r.key} value={r.value!r} version={r.version} data_ctx={ctx}"
+        return f"WriteReq key={r.key} value={r.value!r} version={r.version}"
 
 
 @dataclass(frozen=True)
@@ -253,15 +245,16 @@ class Arrival:
 class ControlPlane:
     """Zero-latency global registry of key metadata.
 
-    Holds the replica map and placement-time data location per key, issues
-    monotone per-key version counters, and tracks liveness (created vs
-    deleted) for duplicate-create detection. Deliberately not a replicated
-    component: it stands in for the deployment's metadata service.
+    Holds the replica map and the current data location per key (the one
+    the latest write naming a location gave it), issues monotone per-key
+    version counters, and tracks liveness (created vs deleted) for
+    duplicate-create detection. Deliberately not a replicated component: it
+    stands in for the deployment's metadata service.
     """
 
     def __init__(self) -> None:
         self.maps: dict[str, ReplicaMap] = {}
-        self.anchors: dict[str, Coord] = {}
+        self.locations: dict[str, DataContext] = {}
         self._counters: dict[str, int] = {}
         self._deleted: set[str] = set()
 
@@ -271,9 +264,8 @@ class ControlPlane:
     def is_live(self, key: str) -> bool:
         return key in self.maps and key not in self._deleted
 
-    def register(self, key: str, rmap: ReplicaMap, anchor: Coord) -> None:
+    def register(self, key: str, rmap: ReplicaMap) -> None:
         self.maps[key] = rmap
-        self.anchors[key] = anchor
         self._deleted.discard(key)
 
     def next_version(self, key: str, writer: str) -> Version:
@@ -301,11 +293,8 @@ class _ReplicaStore:
 
     def apply(self, record: VersionedRecord) -> None:
         existing = self.records.get(record.key)
-        if existing is not None and record.version <= existing.version:
-            return  # never replace with an older or equal version
-        if record.data_ctx is None and existing is not None:
-            record = replace(record, data_ctx=existing.data_ctx)
-        self.records[record.key] = record
+        if existing is None or record.version > existing.version:
+            self.records[record.key] = record
 
 
 @dataclass
@@ -398,7 +387,7 @@ class Cluster:
         """
         op_id = next(self._op_ids)
         attach = self.topology.nearest_node(query.client_ctx.client_geo)
-        coordinator = find_closest(self.topology, query.client_ctx.client_geo)
+        coordinator = self.topology.nearest_node(query.client_ctx.client_geo, storage_only=True)
         timer = self.sim.set_timer(None, self.client_timeout_ms, ClientTimeout(op_id))
         self._client_ops[op_id] = _ClientOp(query, callback, self.sim.now, timer)
         self.sim.schedule_message(attach, coordinator, QueryReq(op_id, query, attach, level_override))
@@ -426,10 +415,7 @@ class Cluster:
             for nid in rmap.replica_ids:
                 if not self.sim.is_up(nid):
                     continue
-                record = self._replicas[nid].get(key)
-                fingerprint = None if record is None else (
-                    record.value, record.version, record.data_ctx)
-                seen.setdefault(fingerprint, []).append(nid)
+                seen.setdefault(self._replicas[nid].get(key), []).append(nid)
             if len(seen) > 1:
                 detail = "; ".join(f"{v}={k}" for k, v in sorted(seen.items(), key=str))
                 problems.append(f"{key}: {detail}")
@@ -454,12 +440,11 @@ class Cluster:
 
         rmap = self.control.replica_map(query.key)
         if query.kind is QueryKind.CREATE:
-            if rmap is not None and self.control.is_live(query.key):
+            if self.control.is_live(query.key):
                 self._reply(node, req, QueryResult(status="error", error="duplicate_key"))
                 return
-            anchor = query.data_ctx.data_geo  # create always carries a data context
-            rmap = place_replicas(query.key, anchor, self.topology, self.replication_factor)
-            self.control.register(query.key, rmap, anchor)
+            rmap = place_replicas(query.key, query.data_ctx.data_geo, self.topology,
+                                  self.replication_factor)
         elif rmap is None:
             self._reply(node, req, QueryResult(status="not_found"))
             return
@@ -471,7 +456,9 @@ class Cluster:
             if self.region_set is None:
                 self._reply(node, req, QueryResult(status="error", error="no_level_configured"))
                 return
-            level = self._map_level(node, query)
+            band = get_region(self.region_set, query.key, query.client_ctx,
+                              query.data_ctx or self.control.locations[query.key])
+            level = band.level_for(direction)  # type: ignore[arg-type]
         try:
             required = required_acks(level, rmap.effective_rf)
         except LevelInfeasibleError:
@@ -488,8 +475,12 @@ class Cluster:
                 pend.replies.append(self._replicas[node].get(query.key))
         else:
             value = None if query.kind is QueryKind.DELETE else query.value
+            if query.kind is QueryKind.CREATE:
+                self.control.register(query.key, rmap)
+            if query.data_ctx is not None:
+                self.control.locations[query.key] = query.data_ctx
             version = self.control.next_version(query.key, node)
-            record = VersionedRecord(query.key, value, version, query.data_ctx)
+            record = VersionedRecord(query.key, value, version)
             msg = WriteReq(req.op_id, record)
             if is_replica:
                 self._replicas[node].apply(record)
@@ -501,19 +492,6 @@ class Cluster:
                     self.sim.schedule_message(node, replica_id, msg)
         if answered:
             self._finish(pend)
-
-    def _map_level(self, node: str, query: Query) -> ConsistencyLevel:
-        if query.kind is QueryKind.CREATE:
-            # the local record may be a tombstone that still holds the old location
-            data_ctx = query.data_ctx
-        else:
-            record = self._replicas[node].get(query.key)
-            if record is not None and record.data_ctx is not None:
-                data_ctx = record.data_ctx
-            else:
-                data_ctx = DataContext(self.control.anchors[query.key])
-        band = get_region(self.region_set, query.key, query.client_ctx, data_ctx)
-        return get_level(band, query.kind.direction)  # type: ignore[arg-type]
 
     def _on_replica_reply(self, node: str, src: str, msg: WriteAck | ReadResp) -> None:
         pend = self._pending.get(msg.op_id)

@@ -21,7 +21,7 @@ from itertools import count
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ConfigError, expect, load_json
+from .errors import ConfigError, element, expect, load_json
 
 Coord = tuple[float, float]
 
@@ -218,16 +218,6 @@ def geo_distance(a: Coord, b: Coord) -> float:
     return math.dist(a, b)
 
 
-def network_latency(topology: Topology, a: str, b: str) -> float:
-    """One-way shortest-path latency in milliseconds (0 for a == b)."""
-    return topology.latency_ms(a, b)
-
-
-def find_closest(topology: Topology, location: Coord) -> str:
-    """Storage node geographically closest to ``location``; ties break on id."""
-    return topology.nearest_node(location, storage_only=True)
-
-
 def topology_from_dict(data: dict, source: str = "<dict>") -> Topology:
     """Build a topology from the JSON document structure, validating fields."""
     if not isinstance(data, dict):
@@ -235,7 +225,7 @@ def topology_from_dict(data: dict, source: str = "<dict>") -> Topology:
     nodes = []
     for i, raw in enumerate(expect(data.get("nodes", []), list, source, "nodes")):
         where = f"nodes[{i}]"
-        try:
+        with element(source, where):
             geo = raw["geo"]
             if not (isinstance(geo, (list, tuple)) and len(geo) == 2):
                 raise ConfigError(source, f"{where}.geo: expected [x, y]")
@@ -249,14 +239,9 @@ def topology_from_dict(data: dict, source: str = "<dict>") -> Topology:
                     service_ms=float(raw.get("service_ms", 0.0)),
                 )
             )
-        except KeyError as exc:
-            raise ConfigError(source, f"{where}: missing field {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(source, f"{where}: {exc}") from None
     links = []
     for i, raw in enumerate(expect(data.get("links", []), list, source, "links")):
-        where = f"links[{i}]"
-        try:
+        with element(source, f"links[{i}]"):
             links.append(
                 Link(
                     endpoint_a=str(raw["a"]),
@@ -264,10 +249,6 @@ def topology_from_dict(data: dict, source: str = "<dict>") -> Topology:
                     latency_ms=float(raw["latency_ms"]),
                 )
             )
-        except KeyError as exc:
-            raise ConfigError(source, f"{where}: missing field {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(source, f"{where}: {exc}") from None
     try:
         return Topology(nodes, links)
     except TopologyError as exc:

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .consistency import ClientContext, ConsistencyLevel, DataContext, _parse_level
-from .errors import ConfigError, expect, load_json
+from .errors import ConfigError, element, expect, load_json
 from .store import Query, QueryKind
 from .topology import Coord
 
@@ -179,18 +179,13 @@ def workload_from_dict(data: dict, source: str = "<dict>") -> WorkloadSpec:
         raise ConfigError(source, "workload document must be a JSON object")
     clients = []
     for i, raw in enumerate(expect(data.get("clients", []), list, source, "clients")):
-        where = f"clients[{i}]"
-        try:
+        with element(source, f"clients[{i}]"):
             geo = raw["geo"]
             clients.append(WorkloadClient(
                 client_id=str(raw["id"]),
                 geo=(float(geo[0]), float(geo[1])),
                 weight=float(raw.get("weight", 1.0)),
             ))
-        except KeyError as exc:
-            raise ConfigError(source, f"{where}: missing field {exc.args[0]!r}") from None
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ConfigError(source, f"{where}: {exc}") from None
     data_geo = None
     if data.get("data_geo") is not None:
         raw_geo = data["data_geo"]

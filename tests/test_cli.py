@@ -11,7 +11,7 @@ from fogstore_sim.experiment import (
     make_paper_topologies,
     scale_topology,
 )
-from fogstore_sim.topology import load_topology, network_latency
+from fogstore_sim.topology import load_topology
 
 
 def write_workload(path, **overrides):
@@ -61,6 +61,15 @@ class TestGenPaperConfigs:
         assert len(plan.levels) == 4
         assert plan.directions == ["read", "write"]
 
+    def test_readme_run_example(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-paper-configs", "--out-dir", "configs/"]) == 0
+        assert main(["run", "--topology", "configs/star6-low.json",
+                     "--workload", "configs/star6-workload.json",
+                     "--out", "run.csv", "--trace", "run.trace"]) == 0
+        rows = (tmp_path / "run.csv").read_text().splitlines()
+        assert any(row.startswith("star6-low,ONE,read,") for row in rows)
+
 
 class TestRun:
     def test_single_run_one_level_read_p50(self, paper_dir, tmp_path):
@@ -95,6 +104,17 @@ class TestRun:
                      "--workload", str(workload)])
         assert code == 2
         assert "fixed_read_level" in capsys.readouterr().err
+
+    def test_unknown_fault_node_names_the_fault_script(self, paper_dir, tmp_path, capsys):
+        faults = tmp_path / "faults.json"
+        faults.write_text(json.dumps({"events": [{"at_ms": 1, "action": "crash", "node": "fog-9"}]}))
+        out = tmp_path / "out.csv"
+        code = main(["run", "--topology", str(paper_dir / "star6-low.json"),
+                     "--workload", str(write_workload(tmp_path / "wl.json")),
+                     "--faults", str(faults), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {faults}: unknown node 'fog-9'")
+        assert not out.exists()  # checked before any output file is opened
 
     def test_trace_file_is_written_and_deterministic(self, paper_dir, tmp_path):
         workload = write_workload(tmp_path / "wl.json", op_count=10)
@@ -134,7 +154,7 @@ class TestSweep:
     def test_multiplier_settings(self, paper_dir, tmp_path):
         base = load_topology(paper_dir / "star6-low.json")
         doubled = scale_topology(base, 2.0)
-        assert network_latency(doubled, "client", "fog-1") == 10.0
+        assert doubled.latency_ms("client", "fog-1") == 10.0
 
         write_workload(tmp_path / "wl.json", op_count=20)
         config = tmp_path / "sweep.json"
@@ -287,4 +307,4 @@ class TestStarTopologyGeometry:
         # the client-side coordinator must be the lowest-latency spoke in
         # every setting, so geographic and latency closeness agree
         assert topo.nearest_node((-100.0, 0.0), storage_only=True) == "fog-1"
-        assert network_latency(topo, "client", "fog-1") == 13.0
+        assert topo.latency_ms("client", "fog-1") == 13.0

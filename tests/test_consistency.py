@@ -11,7 +11,6 @@ from fogstore_sim.consistency import (
     DataContext,
     LevelInfeasibleError,
     RegionSet,
-    get_level,
     get_region,
     load_regions,
     regions_from_dict,
@@ -93,9 +92,9 @@ class TestGetRegion:
 
     def test_get_level(self):
         inner, outer = traffic_spec().bands
-        assert get_level(inner, "read") is ALL
-        assert get_level(inner, "write") is ONE
-        assert get_level(outer, "read") is ONE
+        assert inner.level_for("read") is ALL
+        assert inner.level_for("write") is ONE
+        assert outer.level_for("read") is ONE
 
 
 class TestSpecValidation:

@@ -4,7 +4,7 @@ import pytest
 
 from fogstore_sim.experiment import build_star_topology
 from fogstore_sim.placement import ReplicaMap, place_replicas, placement_csv_rows
-from fogstore_sim.topology import FogNode, Link, Topology, network_latency
+from fogstore_sim.topology import FogNode, Link, Topology
 
 from conftest import (
     STAR_CLIENT,
@@ -106,7 +106,7 @@ class TestPlacementProperties:
             ]
             if not eligible:
                 eligible = [nid for nid in topo.storage_ids if nid != anchor]
-            best = min(eligible, key=lambda nid: (network_latency(topo, anchor, nid), nid))
+            best = min(eligible, key=lambda nid: (topo.latency_ms(anchor, nid), nid))
             assert rmap.replica_ids[1] == best
 
 

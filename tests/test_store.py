@@ -26,7 +26,7 @@ from fogstore_sim.store import (
     required_acks,
     _ReplicaStore,
 )
-from fogstore_sim.topology import Topology, find_closest
+from fogstore_sim.topology import Topology
 from fogstore_sim.workload import WorkloadClient, WorkloadSpec
 
 from conftest import (
@@ -80,15 +80,15 @@ class TestVersions:
 
     def test_replica_never_downgrades(self):
         store = _ReplicaStore()
-        newer = VersionedRecord("k", "new", Version(2, "a"), DataContext((0, 0)))
-        older = VersionedRecord("k", "old", Version(1, "b"), DataContext((0, 0)))
+        newer = VersionedRecord("k", "new", Version(2, "a"))
+        older = VersionedRecord("k", "old", Version(1, "b"))
         store.apply(newer)
         store.apply(older)
         assert store.get("k").value == "new"
 
     def test_last_write_wins_is_order_independent(self):
         records = [
-            VersionedRecord("k", f"v{i}", Version(i, w), DataContext((0, 0)))
+            VersionedRecord("k", f"v{i}", Version(i, w))
             for i, w in [(1, "a"), (3, "b"), (2, "c")]
         ]
         outcomes = set()
@@ -98,12 +98,6 @@ class TestVersions:
                 store.apply(records[idx])
             outcomes.add(store.get("k").version)
         assert outcomes == {Version(3, "b")}
-
-    def test_data_context_carried_forward(self):
-        store = _ReplicaStore()
-        store.apply(VersionedRecord("k", "v1", Version(1, "a"), DataContext((5, 5))))
-        store.apply(VersionedRecord("k", "v2", Version(2, "a"), data_ctx=None))
-        assert store.get("k").data_ctx == DataContext((5, 5))
 
 
 class TestCrudPaths:
@@ -166,6 +160,17 @@ class TestCrudPaths:
                   data_ctx=DataContext(STAR_CLIENT)))
         assert (result.status, result.error) == ("error", "no_level_configured")
 
+    @pytest.mark.parametrize("level, error", [(TWO, "level_infeasible"),
+                                              (None, "no_level_configured")])
+    def test_rejected_create_leaves_the_key_unregistered(self, level, error):
+        cluster = star_cluster(replication_factor=1)  # no fixed levels, no regions
+        rejected = create(cluster, level=level)
+        assert (rejected.status, rejected.error) == ("error", error)
+        assert cluster.control.replica_map("k1") is None
+        assert create(cluster, level=ONE).status == "ok"
+        result = read(cluster, "k1", ONE)
+        assert (result.status, result.value) == ("ok", "v1")
+
 
 class TestLatencyPaths:
     def test_one_with_local_replica_is_two_hops(self):
@@ -210,7 +215,7 @@ def closed_form_latency(topo, issued_ms, client_geo, replica_ids, required):
         return t + (topo.latency_ms(a, b) + topo.node(b).service_ms)
 
     attach = topo.nearest_node(client_geo)
-    coordinator = find_closest(topo, client_geo)
+    coordinator = topo.nearest_node(client_geo, storage_only=True)
     at_coordinator = hop(issued_ms, attach, coordinator)
     replies = sorted(at_coordinator if r == coordinator
                      else hop(hop(at_coordinator, coordinator, r), r, coordinator)
@@ -357,6 +362,18 @@ class TestDataContextUpdates:
         assert moved.status == "ok"
         after = cluster.apply_crud(Query(QueryKind.READ, "tl-1", client))
         assert after.level_used is ONE
+        assert after.value == "green"
+
+    def test_read_resolves_against_the_location_an_update_moved_to(self):
+        # rf 1 puts the only replica on fog-5, so the coordinator fog-1 holds no record
+        cluster = star_cluster(region_set=self.regions(), replication_factor=1)
+        assert create(cluster, "tl-1", "red", data_geo=(800.0, 0.0)).status == "ok"
+        assert cluster.control.replica_map("tl-1").replica_ids == ("fog-5",)
+        moved = cluster.apply_crud(Query(QueryKind.UPDATE, "tl-1", client_ctx(), value="green",
+                                         data_ctx=DataContext(STAR_CLIENT)))
+        assert moved.status == "ok"
+        after = cluster.apply_crud(Query(QueryKind.READ, "tl-1", client_ctx()))
+        assert after.level_used is ALL  # the client sits on the data's new location
         assert after.value == "green"
 
 

@@ -20,10 +20,8 @@ from fogstore_sim.topology import (
     TopologyError,
     UnknownNodeError,
     UnreachableError,
-    find_closest,
     geo_distance,
     load_topology,
-    network_latency,
     topology_from_dict,
 )
 
@@ -73,15 +71,15 @@ class TestNetworkLatency:
         ]
         links = [Link("client", "hub", 1.0), Link("hub", "s1", 4.0)]
         topo = Topology(nodes, links)
-        assert network_latency(topo, "client", "s1") == 5.0
+        assert topo.latency_ms("client", "s1") == 5.0
 
     def test_self_distance_zero(self):
         topo = make_chain()
-        assert network_latency(topo, "x", "x") == 0.0
+        assert topo.latency_ms("x", "x") == 0.0
 
     def test_chain(self):
         topo = make_chain()
-        assert network_latency(topo, "a", "b") == 5.0
+        assert topo.latency_ms("a", "b") == 5.0
 
     def test_symmetry_and_oracle(self):
         for seed in range(40):
@@ -89,15 +87,15 @@ class TestNetworkLatency:
             ids = sorted(topo.nodes)
             for a in ids:
                 for b in ids:
-                    got = network_latency(topo, a, b)
-                    assert got == network_latency(topo, b, a)
+                    got = topo.latency_ms(a, b)
+                    assert got == topo.latency_ms(b, a)
                     assert got == pytest.approx(brute_force_shortest(topo, a, b))
                     assert got >= 0.0
 
     def test_unknown_node(self):
         topo = make_chain()
         with pytest.raises(UnknownNodeError):
-            network_latency(topo, "a", "nope")
+            topo.latency_ms("a", "nope")
 
 
 class TestFindClosest:
@@ -106,34 +104,37 @@ class TestFindClosest:
             [FogNode("only", (5, 5), "g1"), FogNode("relay", (0, 0), "g2", is_storage=False)],
             [Link("only", "relay", 1.0)],
         )
-        assert find_closest(topo, (1000, 1000)) == "only"
+        assert topo.nearest_node((1000, 1000), storage_only=True) == "only"
 
     def test_exact_location(self):
         topo = make_chain()
-        assert find_closest(topo, (10, 0)) == "x"
+        assert topo.nearest_node((10, 0), storage_only=True) == "x"
 
     def test_line_of_nodes(self):
         nodes = [FogNode(f"n{i}", (10.0 * i, 0.0), f"g{i}") for i in range(5)]
         links = [Link(f"n{i}", f"n{i + 1}", 1.0) for i in range(4)]
         topo = Topology(nodes, links)
-        assert find_closest(topo, (12.0, 0.0)) == "n1"
-        assert find_closest(topo, (12.0, 0.0)) == brute_force_closest(topo, (12.0, 0.0))
+        closest = topo.nearest_node((12.0, 0.0), storage_only=True)
+        assert closest == "n1"
+        assert closest == brute_force_closest(topo, (12.0, 0.0))
 
     def test_tie_breaks_lexicographically(self):
         nodes = [FogNode("b", (1, 0), "g1"), FogNode("a", (-1, 0), "g2")]
         topo = Topology(nodes, [Link("a", "b", 1.0)])
-        assert find_closest(topo, (0, 0)) == "a"
+        assert topo.nearest_node((0, 0), storage_only=True) == "a"
 
     def test_matches_brute_force_on_random_topologies(self):
         rng = random.Random(99)
         for seed in range(60):
             topo = random_topology(seed)
             location = (rng.uniform(0, 1000), rng.uniform(0, 1000))
-            assert find_closest(topo, location) == brute_force_closest(topo, location)
+            closest = topo.nearest_node(location, storage_only=True)
+            assert closest == brute_force_closest(topo, location)
 
     def test_deterministic(self):
         topo = random_topology(3)
-        assert find_closest(topo, (500, 500)) == find_closest(topo, (500, 500))
+        first = topo.nearest_node((500, 500), storage_only=True)
+        assert first == topo.nearest_node((500, 500), storage_only=True)
 
     def test_no_storage_nodes(self):
         topo = Topology(
@@ -141,7 +142,7 @@ class TestFindClosest:
             [Link("a", "b", 1.0)],
         )
         with pytest.raises(NoStorageNodesError):
-            find_closest(topo, (0, 0))
+            topo.nearest_node((0, 0), storage_only=True)
 
 
 class TestFailureGroups:
