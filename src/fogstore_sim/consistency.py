@@ -50,6 +50,15 @@ class LevelInfeasibleError(Exception):
         )
 
 
+# Acknowledgements each level needs, as a function of the replication factor.
+_ACKS: dict[ConsistencyLevel, Callable[[int], int]] = {
+    ConsistencyLevel.ONE: lambda rf: 1,
+    ConsistencyLevel.TWO: lambda rf: 2,
+    ConsistencyLevel.QUORUM: lambda rf: rf // 2 + 1,
+    ConsistencyLevel.ALL: lambda rf: rf,
+}
+
+
 def required_acks(level: ConsistencyLevel, replication_factor: int) -> int:
     """Acknowledgements needed before an operation reports complete.
 
@@ -59,18 +68,13 @@ def required_acks(level: ConsistencyLevel, replication_factor: int) -> int:
     """
     if replication_factor < 1:
         raise ValueError("replication_factor must be >= 1")
-    acks = {
-        ConsistencyLevel.ONE: 1,
-        ConsistencyLevel.TWO: 2,
-        ConsistencyLevel.QUORUM: replication_factor // 2 + 1,
-        ConsistencyLevel.ALL: replication_factor,
-    }[level]
+    acks = _ACKS[level](replication_factor)
     if acks > replication_factor:
         raise LevelInfeasibleError(level, replication_factor)
     return acks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClientContext:
     """Where (and who) a query comes from; extension tags are opaque."""
 
@@ -79,7 +83,7 @@ class ClientContext:
     tags: Mapping[str, str] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataContext:
     """Location of the source of a key's data."""
 

@@ -138,7 +138,12 @@ def run_queries(
 
         for i, query in enumerate(queries):
             cluster.sim.set_timer(None, i * open_loop_interval_ms, Arrival(query, collect))
-    cluster.sim.run_until_quiescent(budget_ms)
+    try:
+        cluster.sim.run_until_quiescent(budget_ms)
+    finally:
+        # ``advance`` refers to itself: clear it, or the closure and the queries
+        # and cluster it holds live on as garbage until a cyclic collection.
+        advance = None
     return results
 
 
@@ -240,17 +245,17 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
                     fixed_write_level=level if direction == "write" else ConsistencyLevel.ONE,
                 )
                 try:
-                    output = run_single(
+                    # Only the row outlives the run, so one cell is alive at a time.
+                    summary = run_single(
                         topology,
                         cell_workload,
                         replication_factor=plan.replication_factor,
                         timeout_ms=plan.timeout_ms,
                         budget_ms=plan.budget_ms,
-                    )
+                    ).stats.summary(direction)
                 except BudgetExceededError as exc:
                     failures.append(f"{setting_name}/{level.value}/{direction}: {exc}")
                     continue
-                summary = output.stats.summary(direction)
                 lines.append(format_stats_row(setting_name, level.value, direction, summary))
     return SweepResult("\n".join(lines) + "\n", failures)
 

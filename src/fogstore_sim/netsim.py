@@ -25,9 +25,9 @@ later, which is the order a test author expects.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -56,7 +56,7 @@ class BudgetExceededError(Exception):
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class SimEvent:
     """One scheduled occurrence; total order is (deliver_at_ms, seq)."""
 
@@ -138,6 +138,7 @@ class Simulator:
         self._partitions: list[tuple[frozenset[str], frozenset[str]]] = []
         self._jitter_ms = jitter_ms
         self._jitter_rng = random.Random(jitter_seed)
+        self._service_ms = {nid: node.service_ms for nid, node in topology.nodes.items()}
         self.report = SimReport()
         check_fault_nodes(fault_script, topology, "<fault script>")
         for action in fault_script:
@@ -164,7 +165,7 @@ class Simulator:
     def _push(self, at_ms: float, kind: str, src: str | None, dst: str | None, payload: object) -> SimEvent:
         event = SimEvent(at_ms, self._seq, kind, src, dst, payload)
         self._seq += 1
-        heapq.heappush(self._queue, (at_ms, event.seq, event))
+        heappush(self._queue, (at_ms, event.seq, event))
         return event
 
     def schedule_message(self, src: str, dst: str, payload: object) -> None:
@@ -172,15 +173,21 @@ class Simulator:
 
         Silently drops the message when either endpoint is crashed or a
         partition separates them; drops are semantics here, not errors.
+        With no node crashed and no partition active, nothing can block it.
         """
-        if not self.is_up(src) or not self.is_up(dst) or not self.can_communicate(src, dst):
+        if (self._crashed or self._partitions) and (
+            not self.is_up(src) or not self.is_up(dst) or not self.can_communicate(src, dst)
+        ):
             self._drop(src, dst, payload, "blocked at send")
             return
         delay = self.topology.latency_ms(src, dst)
         if self._jitter_ms > 0.0:
             delay = max(0.0, delay + self._jitter_rng.uniform(-self._jitter_ms, self._jitter_ms))
-        delay += self.topology.node(dst).service_ms
-        self._push(self._now + delay, KIND_MESSAGE, src, dst, payload)
+        delay += self._service_ms[dst]
+        at_ms = self._now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._queue, (at_ms, seq, SimEvent(at_ms, seq, KIND_MESSAGE, src, dst, payload)))
 
     def set_timer(self, node_id: str | None, delay_ms: float, payload: object) -> Timer:
         """Schedule a timer payload for ``node_id`` after ``delay_ms``.
@@ -218,35 +225,39 @@ class Simulator:
         ``max_ms`` (cancelled timers are discarded without advancing the
         clock, so they never burn budget).
         """
-        while self._queue:
-            at_ms, _, event = heapq.heappop(self._queue)
+        # Faults mutate these containers in place, so the locals see live state.
+        queue, report, crashed, partitions = self._queue, self.report, self._crashed, self._partitions
+        handler, trace = self.handler, self._trace
+        while queue:
+            at_ms, _, event = heappop(queue)
             if event.cancelled:
                 continue
             if max_ms is not None and at_ms > max_ms:
-                raise BudgetExceededError(max_ms, at_ms, len(self._queue) + 1)
+                raise BudgetExceededError(max_ms, at_ms, len(queue) + 1)
             self._now = at_ms
-            self.report.events_processed += 1
-            if event.kind == KIND_FAULT:
-                self.apply_fault(event.payload, seq=event.seq)  # type: ignore[arg-type]
-                continue
-            if event.kind == KIND_MESSAGE:
-                if (
-                    not self.is_up(event.dst)
-                    or not self.can_communicate(event.src, event.dst)
+            report.events_processed += 1
+            kind = event.kind
+            if kind is KIND_MESSAGE:
+                if (crashed or partitions) and (
+                    event.dst in crashed or not self.can_communicate(event.src, event.dst)
                 ):
                     self._drop(event.src, event.dst, event.payload, "blocked at delivery", event.seq)
                     continue
-                self.report.messages_delivered += 1
-            else:  # timer
-                if event.dst is not None and not self.is_up(event.dst):
+                report.messages_delivered += 1
+            elif kind is KIND_TIMER:
+                if crashed and event.dst in crashed:
                     self._drop(event.src, event.dst, event.payload, "timer at crashed node", event.seq)
                     continue
-                self.report.timers_fired += 1
-            self._emit_trace(event.kind, event.src, event.dst, event.payload, event.seq)
-            if self.handler is not None:
-                self.handler(self, event)
-        self.report.end_ms = self._now
-        return self.report
+                report.timers_fired += 1
+            else:
+                self.apply_fault(event.payload, seq=event.seq)  # type: ignore[arg-type]
+                continue
+            if trace is not None:
+                self._emit_trace(kind, event.src, event.dst, event.payload, event.seq)
+            if handler is not None:
+                handler(self, event)
+        report.end_ms = self._now
+        return report
 
     def apply_fault(self, action: FaultAction, seq: int | None = None) -> None:
         """Apply a fault action immediately (scripted faults arrive here too)."""

@@ -60,8 +60,7 @@ def place_replicas(
 
     chosen = [anchor]
     used_groups = {topology.node(anchor).failure_group_id}
-    remaining = [nid for nid in topology.storage_ids if nid != anchor]
-    remaining.sort(key=lambda nid: (topology.latency_ms(anchor, nid), nid))
+    remaining = list(topology.storage_by_latency(anchor))
 
     degraded = False
     while len(chosen) < target:

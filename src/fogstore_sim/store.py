@@ -72,6 +72,11 @@ __all__ = [
     "Arrival",
 ]
 
+# Most distinct latency values one cluster shares between its results. A run
+# repeats a few path latencies, so results holding equal latencies share one
+# float object; past the cap each result keeps its own.
+SHARED_LATENCY_CAP = 1024
+
 
 class QueryKind(Enum):
     CREATE = "create"
@@ -103,7 +108,7 @@ class Version(NamedTuple):
         return f"{self.counter}@{self.writer}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VersionedRecord:
     """What a replica stores for one key. ``value=None`` marks a tombstone."""
 
@@ -116,7 +121,7 @@ class VersionedRecord:
         return self.value is None
 
 
-@dataclass
+@dataclass(slots=True)
 class Query:
     """One client operation with its originating context."""
 
@@ -133,7 +138,7 @@ class Query:
             raise ValueError("create query needs a data context")
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryResult:
     """Outcome reported to the client, including the level actually used."""
 
@@ -148,7 +153,7 @@ class QueryResult:
 # -- wire messages ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryReq:
     op_id: int
     query: Query
@@ -159,7 +164,7 @@ class QueryReq:
         return f"QueryReq op={self.op_id} {self.query.kind.value} key={self.query.key}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryResp:
     op_id: int
     result: QueryResult
@@ -168,7 +173,7 @@ class QueryResp:
         return f"QueryResp op={self.op_id} status={self.result.status}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteReq:
     op_id: int
     record: VersionedRecord
@@ -178,7 +183,7 @@ class WriteReq:
         return f"WriteReq key={r.key} value={r.value!r} version={r.version}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteAck:
     op_id: int
     key: str
@@ -188,7 +193,7 @@ class WriteAck:
         return f"WriteAck key={self.key} version={self.version}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadReq:
     op_id: int
     key: str
@@ -197,7 +202,7 @@ class ReadReq:
         return f"ReadReq key={self.key}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadResp:
     op_id: int
     key: str
@@ -211,7 +216,7 @@ class ReadResp:
 # -- timers ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpTimeout:
     """Coordinator deadline: the op fails if its replies have not arrived."""
 
@@ -221,7 +226,7 @@ class OpTimeout:
         return f"OpTimeout op={self.op_id}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClientTimeout:
     """Client deadline: the callback fires even if the coordinator is gone."""
 
@@ -231,7 +236,7 @@ class ClientTimeout:
         return f"ClientTimeout op={self.op_id}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrival:
     """Harness timer that submits ``query`` when it fires (open-loop runs)."""
 
@@ -297,7 +302,7 @@ class _ReplicaStore:
             self.records[record.key] = record
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingOp:
     """A query in flight at its coordinator: replies count toward ``required``.
 
@@ -312,7 +317,7 @@ class _PendingOp:
     replies: list[VersionedRecord | None] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class _ClientOp:
     query: Query
     callback: Callable[[Query, QueryResult], None]
@@ -358,6 +363,7 @@ class Cluster:
         self._op_ids = itertools.count(1)
         self._pending: dict[int, _PendingOp] = {}
         self._client_ops: dict[int, _ClientOp] = {}
+        self._latencies: dict[float, float] = {}
         self._handlers: dict[type, Callable[..., None]] = {
             QueryReq: self._on_query_req,
             WriteReq: self._on_write_req,
@@ -548,13 +554,19 @@ class Cluster:
         if cop is None:
             return  # client already gave up on this operation
         cop.timer.cancel()
-        msg.result.latency_ms = self.sim.now - cop.issued_ms
+        msg.result.latency_ms = self._elapsed_ms(cop)
         cop.callback(cop.query, msg.result)
 
     def _on_client_timeout(self, node: None, src: None, msg: ClientTimeout) -> None:
         cop = self._client_ops.pop(msg.op_id, None)
         if cop is None:
             return
-        result = QueryResult(status="error", error="timeout",
-                             latency_ms=self.sim.now - cop.issued_ms)
+        result = QueryResult(status="error", error="timeout", latency_ms=self._elapsed_ms(cop))
         cop.callback(cop.query, result)
+
+    def _elapsed_ms(self, cop: _ClientOp) -> float:
+        """The op's latency so far, as the float object shared by equal latencies."""
+        latency = self.sim.now - cop.issued_ms
+        if len(self._latencies) < SHARED_LATENCY_CAP:
+            return self._latencies.setdefault(latency, latency)
+        return self._latencies.get(latency, latency)

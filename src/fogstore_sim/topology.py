@@ -25,6 +25,10 @@ from .errors import ConfigError, element, expect, load_json
 
 Coord = tuple[float, float]
 
+# Most distinct locations one topology memoizes in ``nearest_node``; lookups
+# past the cap are computed without being stored, so memory stays bounded.
+NEAREST_MEMO_CAP = 4096
+
 
 class TopologyError(Exception):
     """Structurally invalid topology or bad node reference."""
@@ -79,6 +83,9 @@ class Link:
 
 class Topology:
     """Immutable node/link graph with precomputed shortest-path latencies.
+
+    Because nothing changes after construction, ``nearest_node`` and
+    ``storage_by_latency`` memoize their answers per instance.
 
     Raises :class:`TopologyError` subclasses on construction when ids are
     duplicated, links dangle, latencies are nonpositive, or the graph is
@@ -146,6 +153,9 @@ class Topology:
         self.storage_ids: tuple[str, ...] = tuple(
             sorted(nid for nid, n in self.nodes.items() if n.is_storage)
         )
+        self._node_ids: tuple[str, ...] = tuple(sorted(self.nodes))
+        self._nearest: dict[tuple[float, float, bool], str] = {}
+        self._by_latency: dict[str, tuple[str, ...]] = {}
 
     def node(self, node_id: str) -> FogNode:
         try:
@@ -164,10 +174,28 @@ class Topology:
 
     def nearest_node(self, location: Coord, storage_only: bool = False) -> str:
         """Node id geographically closest to ``location``; ties break on id."""
-        candidates = self.storage_ids if storage_only else sorted(self.nodes)
-        if not candidates:
-            raise NoStorageNodesError("topology has no storage nodes")
-        return min(candidates, key=lambda nid: (geo_distance(self.nodes[nid].geo, location), nid))
+        # Keyed on the coordinates, so a list location finds a tuple's entry.
+        key = (location[0], location[1], storage_only)
+        nearest = self._nearest.get(key)
+        if nearest is None:
+            candidates = self.storage_ids if storage_only else self._node_ids
+            if not candidates:
+                raise NoStorageNodesError("topology has no storage nodes")
+            nearest = min(candidates,
+                          key=lambda nid: (geo_distance(self.nodes[nid].geo, location), nid))
+            if len(self._nearest) < NEAREST_MEMO_CAP:
+                self._nearest[key] = nearest
+        return nearest
+
+    def storage_by_latency(self, anchor: str) -> tuple[str, ...]:
+        """Storage ids other than ``anchor``, lowest latency from it first; ties on id."""
+        order = self._by_latency.get(anchor)
+        if order is None:
+            self.node(anchor)  # an unknown anchor raises UnknownNodeError
+            order = tuple(sorted((nid for nid in self.storage_ids if nid != anchor),
+                                 key=lambda nid: (self.latency_ms(anchor, nid), nid)))
+            self._by_latency[anchor] = order
+        return order
 
     def to_dict(self) -> dict:
         return {

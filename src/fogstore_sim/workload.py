@@ -98,14 +98,14 @@ def _geometric(rng: random.Random, p: float) -> int:
 def generate_ops(spec: WorkloadSpec) -> list[Query]:
     """Deterministic operation sequence for one workload run."""
     rng = random.Random(spec.seed)
-    clients = list(spec.clients)
-    weights = [c.weight for c in clients]
+    # One shared context per client entry; pairs keep entries with equal ids apart.
+    entries = [(c, ClientContext(c.client_id, c.geo)) for c in spec.clients]
+    weights = [c.weight for c in spec.clients]
     ops: list[Query] = []
     newest = 0
     for _ in range(spec.op_count):
         is_read = rng.random() < spec.read_fraction
-        client = rng.choices(clients, weights)[0]
-        ctx = ClientContext(client.client_id, client.geo)
+        client, ctx = rng.choices(entries, weights)[0]
         if is_read and newest > 0:
             back = min(_geometric(rng, spec.recency_skew), newest - 1)
             ops.append(Query(QueryKind.READ, f"{spec.key_prefix}{newest - back}", ctx))

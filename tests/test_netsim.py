@@ -173,6 +173,46 @@ class TestFaults:
         sim.run_until_quiescent()
         assert [payload for *_, payload in log] == ["z"]
 
+    @pytest.mark.parametrize("fault, undo", [
+        (dict(action="crash", node="b"), dict(action="recover", node="b")),
+        (dict(action="partition", group_a=frozenset({"a"}), group_b=frozenset({"b"})),
+         dict(action="heal")),
+    ], ids=["crash", "partition"])
+    def test_blocking_resumes_after_the_fault_state_empties(self, fault, undo):
+        # Fault at 10, undone at 20, again at 30; a -> b takes 5 ms. A send
+        # just before each fault dies at delivery, one just after dies at send.
+        script = [FaultAction(at_ms=10.0, **fault), FaultAction(at_ms=20.0, **undo),
+                  FaultAction(at_ms=30.0, **fault)]
+        log, trace = [], []
+
+        def handler(sim, event):
+            if event.kind == "timer":
+                sim.schedule_message("a", "b", event.payload)
+            else:
+                log.append((sim.now, event.payload))
+
+        sim = Simulator(pair_topology(), handler=handler, fault_script=script,
+                        trace=trace.append)
+        for at_ms, name in [(0, "m0"), (8, "m1"), (12, "m2"), (21, "m3"), (27, "m4"), (31, "m5")]:
+            sim.set_timer(None, at_ms, name)
+        sim.run_until_quiescent()
+        assert log == [(5.0, "m0"), (26.0, "m3")]
+        drops = [line.split(",", 5)[5] for line in trace if line.split(",")[2] == "drop"]
+        assert drops == ["blocked at send: m2", "blocked at delivery: m1",
+                         "blocked at send: m5", "blocked at delivery: m4"]
+
+    def test_node_timer_dropped_again_after_recovery(self):
+        script = [FaultAction(at_ms=10.0, action="crash", node="b"),
+                  FaultAction(at_ms=20.0, action="recover", node="b"),
+                  FaultAction(at_ms=30.0, action="crash", node="b")]
+        log = []
+        sim = Simulator(pair_topology(), handler=recording_handler(log), fault_script=script)
+        for at_ms in (5.0, 15.0, 25.0, 35.0):
+            sim.set_timer("b", at_ms, at_ms)
+        sim.run_until_quiescent()
+        assert [payload for *_, payload in log] == [5.0, 25.0]
+        assert sim.report.messages_dropped == 2
+
     def test_unknown_node_in_script_rejected(self):
         with pytest.raises(ConfigError, match="ghost"):
             Simulator(pair_topology(), fault_script=[FaultAction(0.0, "crash", node="ghost")])

@@ -110,6 +110,17 @@ class TestPlacementProperties:
             assert rmap.replica_ids[1] == best
 
 
+class TestAnchorOrder:
+    def test_storage_by_latency_matches_a_fresh_sort(self):
+        for seed in range(150):
+            topo = random_topology(seed, max_nodes=20)
+            for anchor in sorted(topo.nodes):
+                fresh = sorted((nid for nid in topo.storage_ids if nid != anchor),
+                               key=lambda nid: (topo.latency_ms(anchor, nid), nid))
+                assert topo.storage_by_latency(anchor) == tuple(fresh)
+                assert topo.storage_by_latency(anchor) == tuple(fresh)  # from the memo
+
+
 class TestPlacementCsv:
     def test_rows(self):
         topo = make_two_group_star()

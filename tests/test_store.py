@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from collections import Counter
@@ -15,19 +16,32 @@ from fogstore_sim.consistency import (
     RegionSet,
 )
 from fogstore_sim.experiment import build_star_topology, run_queries, run_single
-from fogstore_sim.netsim import FaultAction, Simulator
+from fogstore_sim.netsim import FaultAction, SimEvent, Simulator
 from fogstore_sim.placement import place_replicas
 from fogstore_sim.store import (
+    SHARED_LATENCY_CAP,
+    Arrival,
+    ClientTimeout,
     Cluster,
+    OpTimeout,
     Query,
     QueryKind,
+    QueryReq,
+    QueryResp,
+    QueryResult,
+    ReadReq,
+    ReadResp,
     Version,
     VersionedRecord,
+    WriteAck,
+    WriteReq,
     required_acks,
+    _ClientOp,
+    _PendingOp,
     _ReplicaStore,
 )
 from fogstore_sim.topology import Topology
-from fogstore_sim.workload import WorkloadClient, WorkloadSpec
+from fogstore_sim.workload import WorkloadClient, WorkloadSpec, generate_ops
 
 from conftest import (
     ALL_LEVELS,
@@ -409,6 +423,32 @@ class TestClosedLoopDriver:
         assert [q.kind for q, _ in results] == [QueryKind.CREATE, QueryKind.READ, QueryKind.READ]
         assert all(r.latency_ms == 10.0 for _, r in results)
 
+    def test_finished_run_leaves_no_cyclic_garbage(self):
+        # Reference counting alone must free a finished run's queries and
+        # results; the cluster stays alive, as a caller holding it would keep it.
+        cluster = star_cluster(fixed_read_level=ONE, fixed_write_level=ONE)
+        workload = WorkloadSpec(op_count=200, clients=(WorkloadClient("c1", STAR_CLIENT),),
+                                seed=5)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            queries = generate_ops(workload)
+            results = run_queries(cluster, queries)
+            assert len(results) == 200
+            del results, queries
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_equal_latencies_share_one_float(self):
+        cluster = star_cluster(fixed_read_level=ONE, fixed_write_level=ONE)
+        workload = WorkloadSpec(op_count=200, clients=(WorkloadClient("c1", STAR_CLIENT),),
+                                seed=5)
+        latencies = [r.latency_ms for _, r in run_queries(cluster, generate_ops(workload))]
+        assert len({id(x) for x in latencies}) == len(set(latencies)) < 200
+
 
 class TestOpenLoopDriver:
     def test_overlapping_arrivals_complete_independently(self):
@@ -446,6 +486,16 @@ class TestOpenLoopDriver:
         assert len({id(query) for query, _ in output.results}) == 400
         assert output.error_counts["timeout"] == fired["OpTimeout"] + fired["ClientTimeout"]
 
+    def test_shared_latencies_stop_at_the_cap(self):
+        topo = build_star_topology((4, 5, 6, 7, 8))
+        cluster = Cluster(topo, Simulator(topo, jitter_ms=1.0, jitter_seed=1),
+                          fixed_read_level=QUORUM, fixed_write_level=QUORUM)
+        workload = WorkloadSpec(op_count=SHARED_LATENCY_CAP + 500, seed=2,
+                                clients=(WorkloadClient("c1", STAR_CLIENT),))
+        results = run_queries(cluster, generate_ops(workload), open_loop_interval_ms=1.0)
+        assert len({r.latency_ms for _, r in results}) > SHARED_LATENCY_CAP
+        assert len(cluster._latencies) == SHARED_LATENCY_CAP
+
     def test_open_loop_trace_is_deterministic(self):
         def one_trace():
             trace = []
@@ -460,3 +510,23 @@ class TestOpenLoopDriver:
             return trace
 
         assert one_trace() == one_trace()
+
+
+def test_per_op_objects_have_no_instance_dict():
+    # Millions of these are made per sweep; slots keep each one small.
+    ctx = ClientContext("c1", STAR_CLIENT)
+    query = Query(QueryKind.READ, "k", ctx)
+    record = VersionedRecord("k", "v", Version(1, "fog-1"))
+    result = QueryResult()
+    req = QueryReq(1, query, "client")
+    timer = Simulator(build_star_topology((4, 5, 6, 7, 8))).set_timer(None, 1.0, OpTimeout(1))
+    objects = [
+        SimEvent(0.0, 0, "timer", None, None, None),
+        req, QueryResp(1, result), WriteReq(1, record), WriteAck(1, "k", record.version),
+        ReadReq(1, "k"), ReadResp(1, "k", record),
+        OpTimeout(1), ClientTimeout(1), Arrival(query, print),
+        query, result, record,
+        _PendingOp(req, "fog-1", ONE, 1, timer), _ClientOp(query, print, 0.0, timer),
+        ctx, DataContext(STAR_CLIENT),
+    ]
+    assert [type(obj).__name__ for obj in objects if hasattr(obj, "__dict__")] == []

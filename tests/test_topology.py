@@ -13,6 +13,7 @@ import fogstore_sim
 from fogstore_sim.errors import ConfigError
 from fogstore_sim.experiment import PAPER_LATENCY_SETTINGS, build_star_topology
 from fogstore_sim.topology import (
+    NEAREST_MEMO_CAP,
     FogNode,
     Link,
     NoStorageNodesError,
@@ -97,6 +98,10 @@ class TestNetworkLatency:
         with pytest.raises(UnknownNodeError):
             topo.latency_ms("a", "nope")
 
+    def test_storage_by_latency_unknown_anchor(self):
+        with pytest.raises(UnknownNodeError):
+            make_chain().storage_by_latency("nope")
+
 
 class TestFindClosest:
     def test_single_storage_node(self):
@@ -143,6 +148,61 @@ class TestFindClosest:
         )
         with pytest.raises(NoStorageNodesError):
             topo.nearest_node((0, 0), storage_only=True)
+
+
+def scan_nearest(topo: Topology, location, storage_only: bool) -> str:
+    """The uncached lookup: every candidate's distance, ties on id."""
+    ids = topo.storage_ids if storage_only else topo.nodes
+    return min(sorted(ids), key=lambda n: (geo_distance(topo.nodes[n].geo, location), n))
+
+
+class TestNearestNodeMemo:
+    def test_matches_the_scan_on_random_topologies(self):
+        rng = random.Random(1709)
+        for seed in range(150):
+            topo = random_topology(seed)
+            points = [(rng.uniform(-200, 1200), rng.uniform(-200, 1200)) for _ in range(12)]
+            points += [topo.nodes[nid].geo for nid in rng.sample(sorted(topo.nodes), 2)]
+            points += [list(points[0]), list(points[-1])]
+            for point in points + points:  # the second pass is answered from the memo
+                for storage_only in (False, True):
+                    assert (topo.nearest_node(point, storage_only)
+                            == scan_nearest(topo, point, storage_only)), (seed, point)
+
+    def test_equidistant_points_break_ties_on_id(self):
+        # Declared out of id order; "relay" is not a storage node.
+        nodes = [FogNode("d", (10, 10), "g1"), FogNode("b", (10, 0), "g2"),
+                 FogNode("c", (0, 10), "g3"), FogNode("relay", (0, 0), "g4", is_storage=False),
+                 FogNode("e", (-10, 0), "g5")]
+        links = [Link("relay", nid, 1.0) for nid in ("b", "c", "d", "e")]
+        topo = Topology(nodes, links)
+        for point, storage_only, want in [
+            ((5, 5), False, "b"),  # equidistant from all four corners
+            ((5, 5), True, "b"),
+            ((0, 5), False, "c"),  # c and relay
+            ((-5, 0), False, "e"),  # e and relay
+            ((-5, 0), True, "e"),
+            ([5, 5], True, "b"),
+            ((5.0, 5.0), False, "b"),
+        ]:
+            for _ in range(2):
+                assert topo.nearest_node(point, storage_only) == want
+                assert scan_nearest(topo, point, storage_only) == want
+
+    def test_list_and_tuple_locations_share_an_entry(self):
+        topo = random_topology(11)
+        first = topo.nearest_node([123.0, 456.0], storage_only=True)
+        assert topo.nearest_node((123.0, 456.0), storage_only=True) == first
+        assert len([k for k in topo._nearest if k[:2] == (123.0, 456.0)]) == 1
+
+    def test_lookups_past_the_cap_are_exact_and_not_stored(self):
+        topo = random_topology(5, max_nodes=30)
+        rng = random.Random(5)
+        points = [(rng.uniform(0, 1000), rng.uniform(0, 1000))
+                  for _ in range(NEAREST_MEMO_CAP + 300)]
+        for point in points + points[-300:]:
+            assert topo.nearest_node(point, storage_only=True) == scan_nearest(topo, point, True)
+        assert len(topo._nearest) == NEAREST_MEMO_CAP
 
 
 class TestFailureGroups:
