@@ -32,7 +32,6 @@ from .experiment import (
     run_queries,
     run_single,
     run_sweep,
-    scale_topology,
 )
 from .netsim import (
     BudgetExceededError,
@@ -54,7 +53,6 @@ from .store import (
     VersionedRecord,
 )
 from .topology import (
-    FailureGroup,
     FogNode,
     Link,
     NoStorageNodesError,

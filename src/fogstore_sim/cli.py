@@ -16,7 +16,7 @@ import contextlib
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import ContextManager, TextIO
+from typing import Callable, ContextManager, TextIO
 
 from .consistency import load_regions
 from .errors import ConfigError
@@ -31,7 +31,7 @@ from .experiment import (
 from .netsim import BudgetExceededError, check_fault_nodes, load_fault_script
 from .placement import place_replicas, placement_csv_rows
 from .topology import load_topology
-from .workload import STATS_CSV_HEADER, format_stats_row, load_workload
+from .workload import STATS_CSV_HEADER, _finite_positive, format_stats_row, load_workload
 
 SAMPLE_WORKLOAD = """\
 {
@@ -59,6 +59,23 @@ SAMPLE_SWEEP = """\
   "replication_factor": 5
 }
 """
+
+
+def _positive(parse: Callable[[str], float]) -> Callable[[str], float]:
+    """An argparse type: ``parse`` the text, then accept only finite values > 0."""
+
+    def check(text: str) -> float:
+        value = parse(text)
+        if not _finite_positive(value):
+            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+        return value
+
+    check.__name__ = parse.__name__  # argparse names the type in "invalid int value"
+    return check
+
+
+_positive_int = _positive(int)
+_positive_float = _positive(float)
 
 
 def _open_output(path: str | None) -> ContextManager[TextIO]:
@@ -209,11 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workload", required=True)
     run.add_argument("--regions", help="consistency regions file (omit to use fixed levels)")
     run.add_argument("--faults", help="fault script file")
-    run.add_argument("--rf", type=int, default=5, help="replication factor (default 5)")
+    run.add_argument("--rf", type=_positive_int, default=5, help="replication factor (default 5)")
     run.add_argument("--seed", type=int, help="override the workload seed")
-    run.add_argument("--ops", type=int, help="override the workload op count")
-    run.add_argument("--timeout-ms", type=float, default=10_000.0)
-    run.add_argument("--budget-ms", type=float, help="abort if the sim clock passes this")
+    run.add_argument("--ops", type=_positive_int, help="override the workload op count")
+    run.add_argument("--timeout-ms", type=_positive_float, default=10_000.0)
+    run.add_argument("--budget-ms", type=_positive_float, help="abort if the sim clock passes this")
     run.add_argument("--setting-name", help="setting label for CSV rows (default: topology stem)")
     run.add_argument("--out", help="CSV output path (default stdout)")
     run.add_argument("--trace", help="write an event trace to this path")
@@ -222,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a settings x levels x directions sweep")
     sweep.add_argument("--config", required=True, help="sweep plan JSON file")
     sweep.add_argument("--seed", type=int, help="override the workload seed")
-    sweep.add_argument("--ops", type=int, help="override the workload op count")
-    sweep.add_argument("--budget-ms", type=float, help="per-cell simulated-time budget")
+    sweep.add_argument("--ops", type=_positive_int, help="override the workload op count")
+    sweep.add_argument("--budget-ms", type=_positive_float, help="per-cell simulated-time budget")
     sweep.add_argument("--out", help="CSV output path (default stdout)")
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -234,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     place = sub.add_parser("place", help="dump replica placements as CSV")
     place.add_argument("--topology", required=True)
-    place.add_argument("--rf", type=int, default=5)
+    place.add_argument("--rf", type=_positive_int, default=5)
     place.add_argument("--at", required=True, help="data location as X,Y meters")
     place.add_argument("--out", help="output path (default stdout)")
     place.add_argument("keys", nargs="+", help="keys to place")

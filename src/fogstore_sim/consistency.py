@@ -16,10 +16,10 @@ resolved against and when region mapping applies at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Literal, Mapping, Sequence
+from typing import Callable, Literal, Sequence
 
 from .errors import ConfigError, expect, load_json
 from .topology import Coord, geo_distance
@@ -76,11 +76,10 @@ def required_acks(level: ConsistencyLevel, replication_factor: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class ClientContext:
-    """Where (and who) a query comes from; extension tags are opaque."""
+    """Where (and who) a query comes from."""
 
     client_id: str
     client_geo: Coord
-    tags: Mapping[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,25 +128,10 @@ class ConsistencyRegionSpec:
         raise AssertionError("unreachable: last band has infinite radius")
 
 
-# Application-specific context hook: receives the geo-resolved band and may
-# substitute another (e.g. upgrade the level for clients carrying some tag).
-BandHook = Callable[[str, ClientContext, DataContext, Band], Band]
-
-
 class RegionSet:
-    """All loaded region specs plus the mandatory default.
+    """All loaded region specs plus the mandatory default."""
 
-    ``band_hook``, when given, post-processes the band chosen by distance,
-    which is the extension point for non-geographic context predicates.
-    :func:`get_region` itself only evaluates client-to-data distance.
-    """
-
-    def __init__(
-        self,
-        specs: Sequence[ConsistencyRegionSpec],
-        default: ConsistencyRegionSpec,
-        band_hook: BandHook | None = None,
-    ):
+    def __init__(self, specs: Sequence[ConsistencyRegionSpec], default: ConsistencyRegionSpec):
         seen = set()
         for spec in specs:
             if spec.keyspace in seen:
@@ -155,7 +139,6 @@ class RegionSet:
             seen.add(spec.keyspace)
         self.specs = tuple(specs)
         self.default = default
-        self.band_hook = band_hook
 
     def match_spec(self, key: str) -> ConsistencyRegionSpec:
         """Exact key match, else longest matching prefix, else the default."""
@@ -177,11 +160,7 @@ def get_region(
 ) -> Band:
     """Band containing the client's distance from the data location."""
     spec = spec_set.match_spec(key)
-    distance = geo_distance(client_ctx.client_geo, data_ctx.data_geo)
-    band = spec.band_for_distance(distance)
-    if spec_set.band_hook is not None:
-        band = spec_set.band_hook(key, client_ctx, data_ctx, band)
-    return band
+    return spec.band_for_distance(geo_distance(client_ctx.client_geo, data_ctx.data_geo))
 
 
 def _parse_level(raw: object, source: str, where: str) -> ConsistencyLevel:

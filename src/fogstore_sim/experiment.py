@@ -1,9 +1,9 @@
 """Experiment assembly: build a simulation, drive a workload, report stats.
 
-Runs are closed-loop: one logical client issues the next operation the
-moment the previous result arrives. Latency samples therefore measure pure
-request paths with no queueing, which is what the star-topology latency
-studies expect.
+Runs are closed-loop by default: one logical client issues the next
+operation the moment the previous result arrives, so latency samples
+measure pure request paths with no queueing. A workload that sets
+``open_loop_interval_ms`` issues operations at that fixed interval instead.
 
 ``make_paper_topologies`` generates the three canonical star networks
 (one switch hub, five storage nodes each in its own failure group, one
@@ -29,6 +29,7 @@ from .workload import (
     STATS_CSV_HEADER,
     LatencyStats,
     WorkloadSpec,
+    _finite_positive,
     format_stats_row,
     generate_ops,
     load_workload,
@@ -81,17 +82,6 @@ def make_paper_topologies(out_dir: str | Path) -> dict[str, Path]:
         path.write_text(json.dumps(topo.to_dict(), indent=2) + "\n")
         paths[name] = path
     return paths
-
-
-def scale_topology(topology: Topology, multiplier: float) -> Topology:
-    """Copy of the topology with every link latency multiplied."""
-    if multiplier <= 0:
-        raise ValueError("multiplier must be > 0")
-    links = [
-        Link(l.endpoint_a, l.endpoint_b, l.latency_ms * multiplier)
-        for l in topology.links
-    ]
-    return Topology(topology.nodes.values(), links)
 
 
 @dataclass
@@ -213,9 +203,17 @@ class SweepPlan:
             raise ValueError("sweep needs at least one setting")
         if not self.levels:
             raise ValueError("sweep needs at least one level")
+        if not self.directions:
+            raise ValueError("directions: must name at least one of read, write")
         for direction in self.directions:
             if direction not in ("read", "write"):
                 raise ValueError(f"unknown direction {direction!r}")
+        if self.replication_factor < 1:
+            raise ValueError(f"replication_factor: must be >= 1 (got {self.replication_factor})")
+        for name in ("timeout_ms", "budget_ms"):
+            value = getattr(self, name)
+            if value is not None and not _finite_positive(value):
+                raise ValueError(f"{name}: must be finite and > 0 (got {value})")
 
 
 @dataclass
@@ -276,10 +274,6 @@ def load_sweep_plan(path: str | Path) -> SweepPlan:
         raise ConfigError(str(path), "workload: a workload file is required")
     workload = load_workload(resolve(str(data["workload"])))
 
-    base_topology: Topology | None = None
-    if data.get("base_topology"):
-        base_topology = load_topology(resolve(str(data["base_topology"])))
-
     settings: list[tuple[str, Topology]] = []
     for i, raw in enumerate(expect(data.get("settings", []), list, str(path), "settings")):
         where = f"settings[{i}]"
@@ -287,19 +281,9 @@ def load_sweep_plan(path: str | Path) -> SweepPlan:
         name = raw.get("name")
         if not name:
             raise ConfigError(str(path), f"{where}: missing field 'name'")
-        if raw.get("topology"):
-            settings.append((str(name), load_topology(resolve(str(raw["topology"])))))
-        elif raw.get("multiplier") is not None:
-            if base_topology is None:
-                raise ConfigError(
-                    str(path), f"{where}: multiplier needs a base_topology at the top level")
-            try:
-                scaled = scale_topology(base_topology, float(raw["multiplier"]))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(str(path), f"{where}.multiplier: {exc}") from None
-            settings.append((str(name), scaled))
-        else:
-            raise ConfigError(str(path), f"{where}: needs 'topology' or 'multiplier'")
+        if not raw.get("topology"):
+            raise ConfigError(str(path), f"{where}: missing field 'topology'")
+        settings.append((str(name), load_topology(resolve(str(raw["topology"])))))
 
     levels = [_parse_level(raw, str(path), f"levels[{i}]")
               for i, raw in enumerate(expect(data.get("levels", []), list, str(path), "levels"))]

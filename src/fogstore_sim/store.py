@@ -35,6 +35,7 @@ any write; tombstones are never garbage collected since runs are finite.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -77,20 +78,15 @@ __all__ = [
 # float object; past the cap each result keeps its own.
 SHARED_LATENCY_CAP = 1024
 
+# How long past the coordinator's deadline a client waits for its reply.
+CLIENT_TIMEOUT_SLACK_MS = 1_000.0
+
 
 class QueryKind(Enum):
     CREATE = "create"
     READ = "read"
     UPDATE = "update"
     DELETE = "delete"
-    TX_BEGIN = "tx_begin"
-    TX_COMMIT = "tx_commit"
-    TX_ABORT = "tx_abort"
-    TX_ROLLBACK = "tx_rollback"
-
-    @property
-    def is_transactional(self) -> bool:
-        return self.value.startswith("tx_")
 
     @property
     def direction(self) -> str:
@@ -343,10 +339,11 @@ class Cluster:
         fixed_read_level: ConsistencyLevel | None = None,
         fixed_write_level: ConsistencyLevel | None = None,
         timeout_ms: float = 10_000.0,
-        client_timeout_slack_ms: float = 1_000.0,
     ):
         if replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
+        if not (math.isfinite(timeout_ms) and timeout_ms > 0):
+            raise ValueError(f"timeout_ms must be finite and > 0 (got {timeout_ms})")
         if not topology.storage_ids:
             raise ValueError("topology has no storage nodes")
         self.topology = topology
@@ -357,7 +354,7 @@ class Cluster:
         self.fixed_read_level = fixed_read_level
         self.fixed_write_level = fixed_write_level
         self.timeout_ms = timeout_ms
-        self.client_timeout_ms = timeout_ms + client_timeout_slack_ms
+        self.client_timeout_ms = timeout_ms + CLIENT_TIMEOUT_SLACK_MS
         self.control = ControlPlane()
         self._replicas = {nid: _ReplicaStore() for nid in topology.storage_ids}
         self._op_ids = itertools.count(1)
@@ -439,11 +436,7 @@ class Cluster:
 
     def _on_query_req(self, node: str, src: str, req: QueryReq) -> None:
         query = req.query
-        if query.kind.is_transactional:
-            self._reply(node, req, QueryResult(status="error", error="unsupported_operation"))
-            return
         direction = query.kind.direction
-
         rmap = self.control.replica_map(query.key)
         if query.kind is QueryKind.CREATE:
             if self.control.is_live(query.key):
@@ -561,6 +554,9 @@ class Cluster:
         cop = self._client_ops.pop(msg.op_id, None)
         if cop is None:
             return
+        pend = self._pending.pop(msg.op_id, None)  # its OpTimeout died with a crashed coordinator
+        if pend is not None:
+            pend.timer.cancel()
         result = QueryResult(status="error", error="timeout", latency_ms=self._elapsed_ms(cop))
         cop.callback(cop.query, result)
 

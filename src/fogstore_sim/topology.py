@@ -65,14 +65,6 @@ class FogNode:
 
 
 @dataclass(frozen=True)
-class FailureGroup:
-    """Nodes expected to fail together for one shared technical cause."""
-
-    group_id: str
-    member_ids: frozenset[str]
-
-
-@dataclass(frozen=True)
 class Link:
     """Symmetric network link; ``latency_ms`` is the one-way delay."""
 
@@ -133,15 +125,6 @@ class Topology:
             missing = sorted(nid for nid in adjacency if nid not in self._latency[first])
             raise UnreachableError(
                 f"topology is disconnected: nodes {missing} cannot be reached from {first!r}")
-
-        # Failure groups are derived from node membership, so the partition
-        # invariant (every node in exactly one group) holds by construction.
-        members: dict[str, set[str]] = {}
-        for node in self.nodes.values():
-            members.setdefault(node.failure_group_id, set()).add(node.node_id)
-        self.groups: dict[str, FailureGroup] = {
-            gid: FailureGroup(gid, frozenset(ids)) for gid, ids in sorted(members.items())
-        }
 
         # Summation order varies with the Dijkstra source, which can skew the
         # two directions by float epsilons; mirror one triangle so the metric

@@ -82,10 +82,6 @@ class WorkloadSpec:
         if interval is not None and not _finite_positive(interval):
             raise ValueError(f"open_loop_interval_ms: must be finite and > 0 (got {interval})")
 
-    @property
-    def insert_fraction(self) -> float:
-        return 1.0 - self.read_fraction
-
 
 def _geometric(rng: random.Random, p: float) -> int:
     """Failures before first success; p >= 1 degenerates to always 0."""

@@ -9,7 +9,6 @@ from fogstore_sim.experiment import (
     build_star_topology,
     load_sweep_plan,
     make_paper_topologies,
-    scale_topology,
 )
 from fogstore_sim.topology import load_topology
 
@@ -151,25 +150,6 @@ class TestSweep:
         assert len(lines) == 13  # header + 4 levels x 3 settings
         assert all(",read," in l for l in lines[1:])
 
-    def test_multiplier_settings(self, paper_dir, tmp_path):
-        base = load_topology(paper_dir / "star6-low.json")
-        doubled = scale_topology(base, 2.0)
-        assert doubled.latency_ms("client", "fog-1") == 10.0
-
-        write_workload(tmp_path / "wl.json", op_count=20)
-        config = tmp_path / "sweep.json"
-        config.write_text(json.dumps({
-            "workload": "wl.json",
-            "base_topology": str(paper_dir / "star6-low.json"),
-            "settings": [{"name": "x2", "multiplier": 2.0}],
-            "levels": ["ONE"],
-            "directions": ["read"],
-        }))
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
-        row = out.read_text().splitlines()[1]
-        assert row.split(",")[5] == "20"  # 2 x (2 + 8) ms
-
     def test_budget_exceeded_reported_per_cell(self, paper_dir, tmp_path, capsys):
         write_workload(tmp_path / "wl.json", op_count=100)
         config = tmp_path / "sweep.json"
@@ -237,6 +217,33 @@ def test_unwritable_output_fails_before_running(command, flag, paper_dir, tmp_pa
     bad = tmp_path / "missing-dir" / "out"
     assert main([command, *inputs, flag, str(bad)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: cannot write file: ")
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("run", "--timeout-ms", "nan"), ("run", "--timeout-ms", "-1"), ("run", "--rf", "0"),
+    ("run", "--ops", "0"), ("run", "--budget-ms", "nan"), ("sweep", "--ops", "0"),
+    ("sweep", "--budget-ms", "inf"), ("place", "--rf", "0"),
+])
+def test_bad_numbers_exit_2_before_any_output(command, flag, value, paper_dir, tmp_path, capsys):
+    write_workload(tmp_path / "wl.json")
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "workload": "wl.json",
+        "settings": [{"name": "low", "topology": str(paper_dir / "star6-low.json")}],
+        "levels": ["ONE"],
+    }))
+    topology = str(paper_dir / "star6-low.json")
+    inputs = {
+        "run": ["--topology", topology, "--workload", str(tmp_path / "wl.json")],
+        "sweep": ["--config", str(config)],
+        "place": ["--topology", topology, "--at", "0,0", "k"],
+    }[command]
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exited:
+        main([command, *inputs, flag, value, "--out", str(out)])
+    assert exited.value.code == 2
+    assert f"argument {flag}: must be finite and > 0, got '{value}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_paper_configs_under_a_file_fails_cleanly(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from fogstore_sim.consistency import (
     Band,
-    ClientContext,
     ConsistencyLevel,
     ConsistencyRegionSpec,
     DataContext,
@@ -144,23 +143,6 @@ class TestRegionSetMatching:
             RegionSet([traffic_spec("x"), traffic_spec("x")], default=traffic_spec(""))
 
 
-class TestBandHook:
-    def test_tag_predicate_can_upgrade_the_band(self):
-        strong = Band(math.inf, read_level=ALL, write_level=ONE)
-
-        def upgrade_emergency(key, client, data, band):
-            return strong if client.tags.get("role") == "emergency" else band
-
-        spec_set = RegionSet([traffic_spec()], default=traffic_spec(""),
-                             band_hook=upgrade_emergency)
-        far_geo = (5000.0, 0.0)
-        data = DataContext((0.0, 0.0))
-        plain = ClientContext("car", far_geo)
-        urgent = ClientContext("ambulance", far_geo, tags={"role": "emergency"})
-        assert get_region(spec_set, "tl-1", plain, data).read_level is ONE
-        assert get_region(spec_set, "tl-1", urgent, data).read_level is ALL
-
-
 class TestLevelMonotonicity:
     def test_inner_band_requires_at_least_as_many_acks(self):
         spec_set = traffic_regions()
@@ -221,16 +203,6 @@ class TestMapAndExecute:
                        data_ctx=DataContext((0.0, 0.0)))
         assert cluster.apply_crud(create).status == "ok"
         return cluster
-
-    def test_tx_queries_are_stubs(self):
-        cluster = region_cluster(traffic_regions())
-        for kind in (QueryKind.TX_BEGIN, QueryKind.TX_COMMIT, QueryKind.TX_ABORT, QueryKind.TX_ROLLBACK):
-            delivered = cluster.sim.report.messages_delivered
-            result = cluster.apply_crud(Query(kind, "k", client_ctx()))
-            assert result.status == "error"
-            assert result.error == "unsupported_operation"
-            # only the client's request and the coordinator's reply: nothing executed
-            assert cluster.sim.report.messages_delivered - delivered == 2
 
     def test_unknown_key_not_found(self):
         cluster = region_cluster(traffic_regions())

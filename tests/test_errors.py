@@ -37,10 +37,6 @@ MALFORMED = [
     (load_sweep_plan, {"settings": 5}, "settings"),
     (load_sweep_plan, {"levels": 5}, "levels"),
     (load_sweep_plan, {"directions": 5}, "directions"),
-    (load_sweep_plan, {"base_topology": "t.json", "settings": [{"name": "x", "multiplier": "x"}]},
-     "settings[0].multiplier"),
-    (load_sweep_plan, {"base_topology": "t.json", "settings": [{"name": "x", "multiplier": 0}]},
-     "settings[0].multiplier"),
     (load_regions, {"default": 3}, "default"),
     (load_regions, {"default": GOOD_DEFAULT, "specs": [1]}, "specs[0]"),
     (load_regions, {"default": GOOD_DEFAULT, "specs": 5}, "specs"),
@@ -86,11 +82,28 @@ NON_FINITE = [
 ]
 
 
+def _sweep(**fields):
+    return {"settings": [{"name": "x", "topology": "t.json"}], "levels": ["ONE"], **fields}
+
+
+# Sweep plans a run cannot use: a setting without a topology, and numbers or
+# lists out of range (NaN would otherwise turn a budget off or empty a sample).
+BAD_SWEEP_PLAN = [
+    (load_sweep_plan, {"settings": [{"name": "x"}]}, "settings[0]", "no-topology"),
+    (load_sweep_plan, _sweep(timeout_ms=NAN), "timeout_ms", "nan"),
+    (load_sweep_plan, _sweep(timeout_ms=-1), "timeout_ms", "negative"),
+    (load_sweep_plan, _sweep(budget_ms=NAN), "budget_ms", "nan"),
+    (load_sweep_plan, _sweep(budget_ms=INF), "budget_ms", "inf"),
+    (load_sweep_plan, _sweep(replication_factor=0), "replication_factor", "zero"),
+    (load_sweep_plan, _sweep(directions=[]), "directions", "empty"),
+]
+
+
 @pytest.mark.parametrize(
     "loader,doc,where",
-    MALFORMED + [row[:3] for row in NON_FINITE],
+    MALFORMED + [row[:3] for row in NON_FINITE + BAD_SWEEP_PLAN],
     ids=[f"{loader.__name__}-{where}" for loader, _, where in MALFORMED]
-    + [f"{loader.__name__}-{where}-{tag}" for loader, _, where, tag in NON_FINITE],
+    + [f"{loader.__name__}-{where}-{tag}" for loader, _, where, tag in NON_FINITE + BAD_SWEEP_PLAN],
 )
 def test_malformed_element_names_file_and_path(loader, doc, where, tmp_path):
     workload = {"op_count": 1, "clients": [{"id": "c", "geo": [0, 0]}]}

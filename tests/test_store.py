@@ -155,12 +155,6 @@ class TestCrudPaths:
         result = read(cluster, "k1", ALL)
         assert (result.status, result.value) == ("ok", "v2")
 
-    def test_tx_operations_are_stubs(self):
-        cluster = star_cluster()
-        for kind in (QueryKind.TX_BEGIN, QueryKind.TX_COMMIT, QueryKind.TX_ABORT, QueryKind.TX_ROLLBACK):
-            result = cluster.apply_crud(Query(kind, "k", client_ctx(STAR_CLIENT)))
-            assert (result.status, result.error) == ("error", "unsupported_operation")
-
     def test_level_infeasible_via_map_size(self):
         cluster = star_cluster(replication_factor=1)
         create(cluster)  # single replica
@@ -354,6 +348,7 @@ class TestFaultInteraction:
         cluster.sim.run_until_quiescent()  # create finishes before the crash lands
         result = read(cluster, "k1", QUORUM)
         assert (result.status, result.error) == ("error", "timeout")
+        assert cluster._pending == {}
 
 
 class TestDataContextUpdates:
@@ -401,6 +396,11 @@ class TestQueryValidation:
     def test_update_needs_value(self):
         with pytest.raises(ValueError):
             Query(QueryKind.UPDATE, "k", client_ctx())
+
+    @pytest.mark.parametrize("timeout_ms", [0.0, -1.0, math.nan, math.inf])
+    def test_cluster_rejects_an_unusable_timeout(self, timeout_ms):
+        with pytest.raises(ValueError, match="timeout_ms"):
+            star_cluster(timeout_ms=timeout_ms)
 
 
 class TestQuorumIntersection:
@@ -485,6 +485,7 @@ class TestOpenLoopDriver:
         assert len(output.results) == 400
         assert len({id(query) for query, _ in output.results}) == 400
         assert output.error_counts["timeout"] == fired["OpTimeout"] + fired["ClientTimeout"]
+        assert output.cluster._pending == {}
 
     def test_shared_latencies_stop_at_the_cap(self):
         topo = build_star_topology((4, 5, 6, 7, 8))

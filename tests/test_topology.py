@@ -205,18 +205,6 @@ class TestNearestNodeMemo:
         assert len(topo._nearest) == NEAREST_MEMO_CAP
 
 
-class TestFailureGroups:
-    def test_groups_partition_nodes(self):
-        for seed in range(30):
-            topo = random_topology(seed)
-            members = [nid for g in topo.groups.values() for nid in g.member_ids]
-            assert sorted(members) == sorted(topo.nodes)  # union = node set, no overlap
-
-    def test_singleton_group_is_legal(self):
-        topo = make_chain()
-        assert all(len(g.member_ids) == 1 for g in topo.groups.values())
-
-
 class TestConstruction:
     def test_duplicate_node_id(self):
         with pytest.raises(TopologyError, match="duplicate"):

@@ -111,9 +111,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             spec(clients=())
 
-    def test_insert_fraction_complements(self):
-        assert spec(read_fraction=0.95).insert_fraction == pytest.approx(0.05)
-
 
 class TestPercentile:
     def test_singleton(self):
