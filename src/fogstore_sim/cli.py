@@ -31,7 +31,8 @@ from .experiment import (
 from .netsim import BudgetExceededError, check_fault_nodes, load_fault_script
 from .placement import place_replicas, placement_csv_rows
 from .topology import load_topology
-from .workload import STATS_CSV_HEADER, _finite_positive, format_stats_row, load_workload
+from .workload import (STATS_CSV_HEADER, WorkloadSpec, _finite_positive, format_stats_row,
+                       load_workload)
 
 SAMPLE_WORKLOAD = """\
 {
@@ -92,6 +93,15 @@ def _open_output(path: str | None) -> ContextManager[TextIO]:
         raise ConfigError(path, f"cannot write file: {exc.strerror}") from None
 
 
+def _check_level_source(workload: WorkloadSpec, workload_path: str,
+                        regions_path: str | None) -> None:
+    """Levels come from exactly one source: the workload's fixed levels or a regions file."""
+    fixed = workload.fixed_read_level is not None  # a workload sets both or neither
+    if fixed == bool(regions_path):
+        raise ConfigError(workload_path, "fixed_read_level/fixed_write_level: give these or a "
+                          f"regions file, not {'both' if fixed else 'neither'}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     topology = load_topology(args.topology)
     workload = load_workload(args.workload)
@@ -99,12 +109,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         workload = replace(workload, seed=args.seed)
     if args.ops is not None:
         workload = replace(workload, op_count=args.ops)
+    _check_level_source(workload, args.workload, args.regions)
     region_set = load_regions(args.regions) if args.regions else None
-    if region_set is None and workload.fixed_read_level is None and workload.fixed_write_level is None:
-        raise ConfigError(
-            args.workload,
-            "fixed_read_level/fixed_write_level: required when no regions file is given",
-        )
     fault_script = load_fault_script(args.faults) if args.faults else ()
     check_fault_nodes(fault_script, topology, args.faults)
 
@@ -128,12 +134,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for kind in ("read", "write"):
             if output.stats.count(kind) == 0:
                 continue
-            if region_set is not None:
-                level_label = "region"
-            else:
-                level = workload.fixed_read_level if kind == "read" else workload.fixed_write_level
-                level_label = level.value if level else "-"
-            lines.append(format_stats_row(setting, level_label, kind, output.stats.summary(kind)))
+            level = workload.fixed_read_level if kind == "read" else workload.fixed_write_level
+            lines.append(format_stats_row(setting, level.value if level else "region", kind,
+                                          output.stats.summary(kind)))
         out.write("\n".join(lines) + "\n")
     for label, count in sorted(output.error_counts.items()):
         print(f"note: {count} operations failed with {label}", file=sys.stderr)
@@ -205,6 +208,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             loaded = loader(path)
             if label == "topology":
                 topology = loaded
+            elif label == "workload" and args.regions:
+                _check_level_source(loaded, path, args.regions)
             elif label == "faults" and topology is not None:
                 check_fault_nodes(loaded, topology, path)
             print(f"ok: {path}")

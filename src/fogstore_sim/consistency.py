@@ -10,7 +10,7 @@ Key matching prefers an exact key, then the longest declared prefix, then
 the mandatory default spec. The spec set is immutable after load; a band
 lookup touches no shared mutable state. This module only answers "which
 band"; the store's coordinator decides which data location a query is
-resolved against and when region mapping applies at all.
+resolved against. A uniform level is a set with one infinite band.
 """
 
 from __future__ import annotations
@@ -139,6 +139,11 @@ class RegionSet:
             seen.add(spec.keyspace)
         self.specs = tuple(specs)
         self.default = default
+
+    @classmethod
+    def uniform(cls, read: ConsistencyLevel, write: ConsistencyLevel) -> RegionSet:
+        """The same levels for every key and every distance: one infinite band."""
+        return cls((), ConsistencyRegionSpec("", (Band(math.inf, read, write),)))
 
     def match_spec(self, key: str) -> ConsistencyRegionSpec:
         """Exact key match, else longest matching prefix, else the default."""

@@ -25,6 +25,7 @@ later, which is the order a test author expects.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -225,6 +226,8 @@ class Simulator:
         ``max_ms`` (cancelled timers are discarded without advancing the
         clock, so they never burn budget).
         """
+        if max_ms is not None and math.isnan(max_ms):
+            raise ValueError("max_ms must be a number, not NaN")  # NaN compares false: no budget
         # Faults mutate these containers in place, so the locals see live state.
         queue, report, crashed, partitions = self._queue, self.report, self._crashed, self._partitions
         handler, trace = self.handler, self._trace

@@ -2,10 +2,10 @@
 
 Every storage node can act as a coordinator. A client's query travels from
 its attach point to the storage node geographically closest to the client.
-That coordinator is the only place a query's consistency level is decided
-(precedence in :class:`Cluster`). Region bands are looked up against the
-data location the query names, else the key's current location in the
-control plane. The coordinator then fans out to the key's replicas:
+That coordinator alone decides a query's consistency level: a per-query
+override, else the band of the cluster's region set found by the data
+location the query names, else the key's current location in the control
+plane. The coordinator then fans out to the key's replicas:
 
 * writes are sent to every replica immediately; the client is acknowledged
   as soon as the level's required acknowledgement count is reached, and the
@@ -324,10 +324,10 @@ class _ClientOp:
 class Cluster:
     """All storage-node state machines plus the client gateway, on one simulator.
 
-    Level sources, in precedence order: an explicit per-query override,
-    the fixed read/write level configured for the run, else the region
-    spec set. Every mutation happens inside simulator event handlers, so
-    the whole cluster is single-threaded and deterministic.
+    A query runs at its per-query override, else at its band's level in the
+    region set, where fixed read/write levels make a one-band set. Every
+    mutation happens inside simulator event handlers, so the whole cluster
+    is single-threaded and deterministic.
     """
 
     def __init__(
@@ -346,13 +346,15 @@ class Cluster:
             raise ValueError(f"timeout_ms must be finite and > 0 (got {timeout_ms})")
         if not topology.storage_ids:
             raise ValueError("topology has no storage nodes")
+        if region_set is None and None not in (fixed_read_level, fixed_write_level):
+            region_set = RegionSet.uniform(fixed_read_level, fixed_write_level)
+        elif region_set is None or fixed_read_level or fixed_write_level:
+            raise ValueError("give either a region set or both fixed levels")
         self.topology = topology
         self.sim = simulator
         simulator.handler = self._dispatch
         self.replication_factor = replication_factor
         self.region_set = region_set
-        self.fixed_read_level = fixed_read_level
-        self.fixed_write_level = fixed_write_level
         self.timeout_ms = timeout_ms
         self.client_timeout_ms = timeout_ms + CLIENT_TIMEOUT_SLACK_MS
         self.control = ControlPlane()
@@ -448,16 +450,10 @@ class Cluster:
             self._reply(node, req, QueryResult(status="not_found"))
             return
 
-        level = req.level_override
-        if level is None:
-            level = self.fixed_read_level if direction == "read" else self.fixed_write_level
-        if level is None:
-            if self.region_set is None:
-                self._reply(node, req, QueryResult(status="error", error="no_level_configured"))
-                return
-            band = get_region(self.region_set, query.key, query.client_ctx,
-                              query.data_ctx or self.control.locations[query.key])
-            level = band.level_for(direction)  # type: ignore[arg-type]
+        level = req.level_override or get_region(
+            self.region_set, query.key, query.client_ctx,
+            query.data_ctx or self.control.locations[query.key],
+        ).level_for(direction)  # type: ignore[arg-type]
         try:
             required = required_acks(level, rmap.effective_rf)
         except LevelInfeasibleError:

@@ -78,6 +78,8 @@ class WorkloadSpec:
                 raise ValueError(f"clients[{i}].geo: must be finite (got {client.geo})")
         if self.data_geo is not None and not all(math.isfinite(c) for c in self.data_geo):
             raise ValueError(f"data_geo: must be finite (got {self.data_geo})")
+        if (self.fixed_read_level is None) != (self.fixed_write_level is None):
+            raise ValueError("fixed_read_level/fixed_write_level: give both or neither")
         interval = self.open_loop_interval_ms
         if interval is not None and not _finite_positive(interval):
             raise ValueError(f"open_loop_interval_ms: must be finite and > 0 (got {interval})")

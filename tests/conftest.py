@@ -150,7 +150,9 @@ def quorum_violations_for_seed(seed: int) -> list[tuple]:
     rng = random.Random(seed)
     topo = random_topology(seed, max_nodes=8, min_storage=3)
     rf = rng.choice([3, 5])
-    cluster = Cluster(topo, Simulator(topo), replication_factor=rf)
+    one = ConsistencyLevel.ONE  # every op overrides it
+    cluster = Cluster(topo, Simulator(topo), replication_factor=rf,
+                      fixed_read_level=one, fixed_write_level=one)
     keys = [f"k{i}" for i in range(rng.randint(1, 3))]
     created = set()
     ops = []

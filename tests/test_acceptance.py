@@ -127,7 +127,8 @@ def test_criterion_3_latency_sensitivity(sweep_csv):
 
 def test_criterion_4_closed_form_spot_checks():
     topo = build_star_topology(PAPER_LATENCY_SETTINGS["low"])
-    cluster = Cluster(topo, Simulator(topo), replication_factor=5)
+    cluster = Cluster(topo, Simulator(topo), replication_factor=5,
+                      fixed_read_level=ONE, fixed_write_level=ONE)
     created = cluster.apply_crud(
         Query(QueryKind.CREATE, "k1", client_ctx(), value="v1",
               data_ctx=DataContext(STAR_CLIENT)),

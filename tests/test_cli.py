@@ -29,6 +29,13 @@ def write_workload(path, **overrides):
     return path
 
 
+def write_regions(path, level):
+    """A regions file with one band: ``level`` for reads and writes at any distance."""
+    path.write_text(json.dumps(
+        {"default": {"bands": [{"radius_m": None, "read": level, "write": level}]}}))
+    return path
+
+
 @pytest.fixture
 def paper_dir(tmp_path):
     make_paper_topologies(tmp_path)
@@ -103,6 +110,43 @@ class TestRun:
                      "--workload", str(workload)])
         assert code == 2
         assert "fixed_read_level" in capsys.readouterr().err
+
+    def test_regions_set_the_levels_of_a_workload_without_fixed_levels(self, paper_dir, tmp_path):
+        workload = write_workload(tmp_path / "wl.json",
+                                  fixed_read_level=None, fixed_write_level=None)
+        out = tmp_path / "out.csv"
+        code = main(["run", "--topology", str(paper_dir / "star6-low.json"),
+                     "--workload", str(workload), "--regions",
+                     str(write_regions(tmp_path / "r.json", "ALL")), "--out", str(out)])
+        assert code == 0
+        read_row = next(l for l in out.read_text().splitlines() if ",read," in l)
+        assert read_row.split(",")[:3] == ["star6-low", "region", "read"]
+        assert read_row.split(",")[5] == "34"  # p50 of an ALL read
+
+    def test_regions_with_fixed_levels_is_config_error(self, tmp_path, capsys):
+        # The sample workload fixes ONE/ONE, which used to override the ALL band
+        # silently: rows labelled "region" showed ONE latencies.
+        main(["gen-paper-configs", "--out-dir", str(tmp_path)])
+        workload = tmp_path / "star6-workload.json"
+        out = tmp_path / "out.csv"
+        code = main(["run", "--topology", str(tmp_path / "star6-low.json"),
+                     "--workload", str(workload), "--regions",
+                     str(write_regions(tmp_path / "r.json", "ALL")), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {workload}: fixed_read_level")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("unset", ["fixed_read_level", "fixed_write_level"])
+    def test_half_configured_workload_is_config_error(self, paper_dir, tmp_path, capsys, unset):
+        # Used to run and fail every op of the unconfigured direction, exiting 0.
+        workload = write_workload(tmp_path / "wl.json", **{unset: None})
+        code = main(["run", "--topology", str(paper_dir / "star6-low.json"),
+                     "--workload", str(workload)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {workload}: fixed_read_level/fixed_write_level: give both or neither\n")
+        assert main(["validate", "--workload", str(workload)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {workload}: fixed_read_level")
 
     def test_unknown_fault_node_names_the_fault_script(self, paper_dir, tmp_path, capsys):
         faults = tmp_path / "faults.json"
@@ -270,7 +314,8 @@ class TestPlace:
 
 class TestValidate:
     def test_all_good(self, paper_dir, tmp_path, capsys):
-        workload = write_workload(tmp_path / "wl.json")
+        workload = write_workload(tmp_path / "wl.json",
+                                  fixed_read_level=None, fixed_write_level=None)
         regions = tmp_path / "regions.json"
         regions.write_text(json.dumps({
             "specs": [],
@@ -285,6 +330,18 @@ class TestValidate:
                      "--faults", str(faults)])
         assert code == 0
         assert capsys.readouterr().out.count("ok:") == 4
+
+    def test_regions_and_fixed_levels_conflict_as_in_run(self, paper_dir, tmp_path, capsys):
+        workload = write_workload(tmp_path / "wl.json")
+        regions = write_regions(tmp_path / "r.json", "ONE")
+        assert main(["run", "--topology", str(paper_dir / "star6-low.json"),
+                     "--workload", str(workload), "--regions", str(regions)]) == 2
+        run_error = capsys.readouterr().err
+        assert main(["validate", "--workload", str(workload), "--regions", str(regions)]) == 1
+        out, err = capsys.readouterr()
+        assert err == run_error
+        assert err.startswith(f"error: {workload}: fixed_read_level/fixed_write_level: ")
+        assert out == f"ok: {regions}\n"
 
     def test_bad_file_fails_with_diagnostic(self, paper_dir, tmp_path, capsys):
         bad = tmp_path / "bad-topo.json"

@@ -142,6 +142,14 @@ class TestRegionSetMatching:
         with pytest.raises(ValueError, match="duplicate"):
             RegionSet([traffic_spec("x"), traffic_spec("x")], default=traffic_spec(""))
 
+    def test_uniform_set_gives_its_levels_at_every_distance_and_key(self):
+        spec_set = RegionSet.uniform(QUORUM, TWO)
+        data = DataContext((0.0, 0.0))
+        for key in ("tl-1", "", "other"):
+            for distance in (0.0, 500.0, 1e6):
+                band = get_region(spec_set, key, client_ctx((distance, 0.0)), data)
+                assert (band.level_for("read"), band.level_for("write")) == (QUORUM, TWO)
+
 
 class TestLevelMonotonicity:
     def test_inner_band_requires_at_least_as_many_acks(self):

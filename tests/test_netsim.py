@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from fogstore_sim.consistency import ConsistencyLevel
 from fogstore_sim.errors import ConfigError
-from fogstore_sim.experiment import build_star_topology
+from fogstore_sim.experiment import build_star_topology, run_single
 from fogstore_sim.netsim import (
     BudgetExceededError,
     FaultAction,
@@ -13,6 +14,7 @@ from fogstore_sim.netsim import (
     load_fault_script,
 )
 from fogstore_sim.topology import FogNode, Link, Topology
+from fogstore_sim.workload import WorkloadClient, WorkloadSpec
 
 from conftest import random_topology
 
@@ -79,6 +81,15 @@ class TestDelivery:
         sim.schedule_message("a", "b", "late")
         with pytest.raises(BudgetExceededError):
             sim.run_until_quiescent(max_ms=1.0)
+
+    def test_nan_budget_rejected_before_any_event(self):
+        # NaN compares false with every time, so it would silently mean "no budget"
+        topo = build_star_topology((4, 5, 6, 7, 8))
+        workload = WorkloadSpec(op_count=5, clients=(WorkloadClient("c", (-100.0, 0.0)),),
+                                fixed_read_level=ConsistencyLevel.ONE,
+                                fixed_write_level=ConsistencyLevel.ONE)
+        with pytest.raises(ValueError, match="NaN"):
+            run_single(topo, workload, budget_ms=float("nan"))
 
     def test_service_time_applies_at_destination(self):
         nodes = [FogNode("a", (0, 0), "ga"), FogNode("b", (1, 0), "gb", service_ms=2.5)]

@@ -59,8 +59,11 @@ ALL = ConsistencyLevel.ALL
 
 
 def star_cluster(fault_script=(), **kwargs):
+    """The low star at rf 5, with fixed ONE levels unless ``kwargs`` names a region set."""
     topo = build_star_topology((4, 5, 6, 7, 8))
     sim = Simulator(topo, fault_script=fault_script)
+    if "region_set" not in kwargs:
+        kwargs = {"fixed_read_level": ONE, "fixed_write_level": ONE, **kwargs}
     return Cluster(topo, sim, replication_factor=kwargs.pop("replication_factor", 5), **kwargs)
 
 
@@ -161,19 +164,23 @@ class TestCrudPaths:
         result = read(cluster, "k1", TWO)
         assert (result.status, result.error) == ("error", "level_infeasible")
 
-    def test_no_level_source_is_an_error(self):
-        cluster = star_cluster()  # no fixed levels, no regions
-        result = cluster.apply_crud(
-            Query(QueryKind.CREATE, "k", client_ctx(STAR_CLIENT), value="v",
-                  data_ctx=DataContext(STAR_CLIENT)))
-        assert (result.status, result.error) == ("error", "no_level_configured")
+    @pytest.mark.parametrize("sources", [
+        {},
+        {"fixed_read_level": ONE},
+        {"fixed_write_level": ONE},
+        {"region_set": RegionSet.uniform(ONE, ONE), "fixed_read_level": ONE},
+        {"region_set": RegionSet.uniform(ONE, ONE), "fixed_read_level": ONE,
+         "fixed_write_level": ONE},
+    ], ids=["neither", "read-only", "write-only", "regions-and-read", "regions-and-both"])
+    def test_cluster_needs_exactly_one_level_source(self, sources):
+        topo = build_star_topology((4, 5, 6, 7, 8))
+        with pytest.raises(ValueError, match="either a region set or both fixed levels"):
+            Cluster(topo, Simulator(topo), **sources)
 
-    @pytest.mark.parametrize("level, error", [(TWO, "level_infeasible"),
-                                              (None, "no_level_configured")])
-    def test_rejected_create_leaves_the_key_unregistered(self, level, error):
-        cluster = star_cluster(replication_factor=1)  # no fixed levels, no regions
-        rejected = create(cluster, level=level)
-        assert (rejected.status, rejected.error) == ("error", error)
+    def test_rejected_create_leaves_the_key_unregistered(self):
+        cluster = star_cluster(replication_factor=1)
+        rejected = create(cluster, level=TWO)
+        assert (rejected.status, rejected.error) == ("error", "level_infeasible")
         assert cluster.control.replica_map("k1") is None
         assert create(cluster, level=ONE).status == "ok"
         result = read(cluster, "k1", ONE)
@@ -243,7 +250,8 @@ class TestLatencyOracle:
             ctx = ClientContext("c", (rng.uniform(0, 1000), rng.uniform(0, 1000)))
             data_geo = (rng.uniform(0, 1000), rng.uniform(0, 1000))
             for rf in (1, 3, 5):
-                cluster = Cluster(topo, Simulator(topo), replication_factor=rf)
+                cluster = Cluster(topo, Simulator(topo), replication_factor=rf,
+                                  fixed_read_level=ONE, fixed_write_level=ONE)
                 for level in ALL_LEVELS:
                     key = f"k-{level.value}"
                     replica_ids = place_replicas(key, data_geo, topo, rf).replica_ids

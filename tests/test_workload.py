@@ -179,6 +179,7 @@ class TestWorkloadLoader:
             "recency_skew": 0.4,
             "clients": [{"id": "ycsb", "geo": [-100.0, 0.0], "weight": 1.0}],
             "fixed_read_level": "QUORUM",
+            "fixed_write_level": "ONE",
             "seed": 42,
         }
 
@@ -189,7 +190,7 @@ class TestWorkloadLoader:
         assert loaded.op_count == 50
         assert loaded.key_prefix == "tl-"
         assert loaded.fixed_read_level is ConsistencyLevel.QUORUM
-        assert loaded.fixed_write_level is None
+        assert loaded.fixed_write_level is ConsistencyLevel.ONE
         assert loaded.clients[0].client_id == "ycsb"
 
     def test_bad_level_named(self):
@@ -197,6 +198,15 @@ class TestWorkloadLoader:
         doc["fixed_read_level"] = "SOME"
         with pytest.raises(ConfigError, match="fixed_read_level"):
             workload_from_dict(doc)
+
+    @pytest.mark.parametrize("missing", ["fixed_read_level", "fixed_write_level"])
+    def test_one_fixed_level_without_the_other_names_the_file(self, tmp_path, missing):
+        doc = self.good_doc()
+        del doc[missing]
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="half.json.*give both or neither"):
+            load_workload(path)
 
     def test_no_clients_rejected(self):
         doc = self.good_doc()
