@@ -3,9 +3,9 @@
 Every storage node can act as a coordinator. A client's query travels from
 its attach point to the storage node geographically closest to the client.
 That coordinator alone decides a query's consistency level: a per-query
-override, else the band of the cluster's region set found by the data
-location the query names, else the key's current location in the control
-plane. The coordinator then fans out to the key's replicas:
+override, else its band in the cluster's region set, measured from the data
+location the query names or else the key's location in the control plane.
+The coordinator then fans out to the key's replicas:
 
 * writes are sent to every replica immediately; the client is acknowledged
   as soon as the level's required acknowledgement count is reached, and the
