@@ -86,7 +86,10 @@ def make_paper_topologies(out_dir: str | Path) -> dict[str, Path]:
 
 @dataclass
 class RunOutput:
-    """Everything a single run produces."""
+    """Everything a single run produces.
+
+    ``cluster`` is for inspection: the run detached it from its simulator.
+    """
 
     stats: LatencyStats
     results: list[tuple[Query, QueryResult]]
@@ -106,7 +109,7 @@ def run_queries(
     Closed loop (default): the next operation is issued the instant the
     previous result arrives. Open loop: operation ``i`` is issued at
     ``i * open_loop_interval_ms`` regardless of completion, so operations
-    may overlap in flight.
+    may overlap in flight. In either loop a query runs at the level it pins.
     """
     results: list[tuple[Query, QueryResult]] = []
 
@@ -167,8 +170,11 @@ def run_single(
         timeout_ms=timeout_ms,
     )
     queries = generate_ops(workload)
-    results = run_queries(cluster, queries, budget_ms=budget_ms,
-                          open_loop_interval_ms=workload.open_loop_interval_ms)
+    try:
+        results = run_queries(cluster, queries, budget_ms=budget_ms,
+                              open_loop_interval_ms=workload.open_loop_interval_ms)
+    finally:
+        sim.handler = None  # the handler refers back to the cluster
     stats = LatencyStats()
     error_counts: dict[str, int] = {}
     for query, result in results:

@@ -197,8 +197,8 @@ class Simulator:
         fires. ``node_id=None`` makes a harness timer that always fires
         (used by drivers that live outside the fault domain).
         """
-        if delay_ms < 0:
-            raise ValueError("delay_ms must be >= 0")
+        if not delay_ms >= 0:  # also rejects NaN
+            raise ValueError(f"delay_ms must be >= 0 (got {delay_ms})")
         event = self._push(self._now + delay_ms, KIND_TIMER, None, node_id, payload)
         return Timer(event)
 
@@ -299,6 +299,8 @@ def fault_script_from_dict(data: dict, source: str = "<dict>") -> list[FaultActi
         with element(source, where):
             at_ms = float(raw["at_ms"])
             kind = str(raw["action"])
+        if not (math.isfinite(at_ms) and at_ms >= 0):
+            raise ConfigError(source, f"{where}.at_ms: must be finite and >= 0")
         if at_ms < last_at:
             raise ConfigError(source, f"{where}.at_ms: times must be non-decreasing")
         last_at = at_ms

@@ -60,23 +60,19 @@ def place_replicas(
 
     chosen = [anchor]
     used_groups = {topology.node(anchor).failure_group_id}
-    remaining = list(topology.storage_by_latency(anchor))
+    set_aside: list[str] = []
+    for nid in topology.storage_by_latency(anchor):
+        if len(chosen) == target:
+            break
+        group = topology.node(nid).failure_group_id
+        if group in used_groups:
+            set_aside.append(nid)
+        else:
+            chosen.append(nid)
+            used_groups.add(group)
 
-    degraded = False
-    while len(chosen) < target:
-        pick = None
-        if not degraded:
-            for nid in remaining:
-                if topology.node(nid).failure_group_id not in used_groups:
-                    pick = nid
-                    break
-            if pick is None:
-                degraded = True
-        if degraded:
-            pick = remaining[0]
-        chosen.append(pick)
-        used_groups.add(topology.node(pick).failure_group_id)
-        remaining.remove(pick)
+    degraded = len(chosen) < target
+    chosen.extend(set_aside[:target - len(chosen)])
 
     return ReplicaMap(
         key=key,

@@ -2,8 +2,8 @@
 
 Every storage node can act as a coordinator. A client's query travels from
 its attach point to the storage node geographically closest to the client.
-That coordinator alone decides a query's consistency level: a per-query
-override, else its band in the cluster's region set, measured from the data
+That coordinator alone decides a query's consistency level: the level the
+query pins, else its band in the cluster's region set, measured from the data
 location the query names or else the key's location in the control plane.
 The coordinator then fans out to the key's replicas:
 
@@ -14,11 +14,11 @@ The coordinator then fans out to the key's replicas:
   the record with the highest version among them; level ONE with a local
   replica short-circuits without any replica fan-out.
 
-Clients enter through :meth:`Cluster.submit` (asynchronous, callback on
-completion) or :meth:`Cluster.apply_crud` (submit one query and run the
-simulation to quiescence). Every simulator event reaches the cluster through
-one table keyed by payload type: the wire messages below and three typed
-timers (:class:`OpTimeout`, :class:`ClientTimeout`, :class:`Arrival`).
+Clients enter through :meth:`Cluster.submit` alone (asynchronous, callback
+on completion); the drivers that issue queries and run the simulator live in
+:mod:`fogstore_sim.experiment`. Every simulator event reaches the cluster
+through one table keyed by payload type: the wire messages below and three
+typed timers (:class:`OpTimeout`, :class:`ClientTimeout`, :class:`Arrival`).
 
 Versions are (counter, writer) pairs. Counters per key are issued by the
 control plane, a zero-latency global registry that also holds each key's
@@ -112,20 +112,21 @@ class VersionedRecord:
     value: str | None
     version: Version
 
-    @property
-    def is_tombstone(self) -> bool:
-        return self.value is None
-
 
 @dataclass(slots=True)
 class Query:
-    """One client operation with its originating context."""
+    """One client operation with its originating context.
+
+    ``level`` pins the consistency level the coordinator runs it at; left
+    ``None``, the cluster's region set picks the level from the context.
+    """
 
     kind: QueryKind
     key: str
     client_ctx: ClientContext
     value: str | None = None
     data_ctx: DataContext | None = None
+    level: ConsistencyLevel | None = None
 
     def __post_init__(self) -> None:
         if self.kind in (QueryKind.CREATE, QueryKind.UPDATE) and self.value is None:
@@ -154,7 +155,6 @@ class QueryReq:
     op_id: int
     query: Query
     reply_to: str
-    level_override: ConsistencyLevel | None = None
 
     def __str__(self) -> str:
         return f"QueryReq op={self.op_id} {self.query.kind.value} key={self.query.key}"
@@ -324,7 +324,7 @@ class _ClientOp:
 class Cluster:
     """All storage-node state machines plus the client gateway, on one simulator.
 
-    A query runs at its per-query override, else at its band's level in the
+    A query runs at the level it pins, else at its band's level in the
     region set, where fixed read/write levels make a one-band set. Every
     mutation happens inside simulator event handlers, so the whole cluster
     is single-threaded and deterministic.
@@ -363,26 +363,10 @@ class Cluster:
         self._pending: dict[int, _PendingOp] = {}
         self._client_ops: dict[int, _ClientOp] = {}
         self._latencies: dict[float, float] = {}
-        self._handlers: dict[type, Callable[..., None]] = {
-            QueryReq: self._on_query_req,
-            WriteReq: self._on_write_req,
-            ReadReq: self._on_read_req,
-            WriteAck: self._on_replica_reply,
-            ReadResp: self._on_replica_reply,
-            QueryResp: self._on_query_resp,
-            OpTimeout: self._on_op_timeout,
-            ClientTimeout: self._on_client_timeout,
-            Arrival: self._on_arrival,
-        }
 
     # -- client gateway ---------------------------------------------------
 
-    def submit(
-        self,
-        query: Query,
-        callback: Callable[[Query, QueryResult], None],
-        level_override: ConsistencyLevel | None = None,
-    ) -> int:
+    def submit(self, query: Query, callback: Callable[[Query, QueryResult], None]) -> int:
         """Issue a query from its client's location; callback fires on completion.
 
         The query originates at the topology node nearest the client and is
@@ -395,15 +379,8 @@ class Cluster:
         coordinator = self.topology.nearest_node(query.client_ctx.client_geo, storage_only=True)
         timer = self.sim.set_timer(None, self.client_timeout_ms, ClientTimeout(op_id))
         self._client_ops[op_id] = _ClientOp(query, callback, self.sim.now, timer)
-        self.sim.schedule_message(attach, coordinator, QueryReq(op_id, query, attach, level_override))
+        self.sim.schedule_message(attach, coordinator, QueryReq(op_id, query, attach))
         return op_id
-
-    def apply_crud(self, query: Query, level: ConsistencyLevel | None = None) -> QueryResult:
-        """Submit one query and run the simulation until fully quiescent."""
-        box: list[QueryResult] = []
-        self.submit(query, lambda _q, r: box.append(r), level_override=level)
-        self.sim.run_until_quiescent()
-        return box[0]
 
     # -- introspection ------------------------------------------------------
 
@@ -429,7 +406,7 @@ class Cluster:
     # -- event dispatch -----------------------------------------------------
 
     def _dispatch(self, sim: Simulator, event: SimEvent) -> None:
-        self._handlers[type(event.payload)](event.dst, event.src, event.payload)
+        _HANDLERS[type(event.payload)](self, event.dst, event.src, event.payload)
 
     def _on_arrival(self, node: None, src: None, msg: Arrival) -> None:
         self.submit(msg.query, msg.callback)
@@ -450,7 +427,7 @@ class Cluster:
             self._reply(node, req, QueryResult(status="not_found"))
             return
 
-        level = req.level_override or get_region(
+        level = query.level or get_region(
             self.region_set, query.key, query.client_ctx,
             query.data_ctx or self.control.locations[query.key],
         ).level_for(direction)  # type: ignore[arg-type]
@@ -562,3 +539,18 @@ class Cluster:
         if len(self._latencies) < SHARED_LATENCY_CAP:
             return self._latencies.setdefault(latency, latency)
         return self._latencies.get(latency, latency)
+
+
+# Plain functions, called as ``handler(cluster, dst, src, payload)``: a table
+# of bound methods would make every cluster refer to itself.
+_HANDLERS: dict[type, Callable[..., None]] = {
+    QueryReq: Cluster._on_query_req,
+    WriteReq: Cluster._on_write_req,
+    ReadReq: Cluster._on_read_req,
+    WriteAck: Cluster._on_replica_reply,
+    ReadResp: Cluster._on_replica_reply,
+    QueryResp: Cluster._on_query_resp,
+    OpTimeout: Cluster._on_op_timeout,
+    ClientTimeout: Cluster._on_client_timeout,
+    Arrival: Cluster._on_arrival,
+}

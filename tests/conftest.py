@@ -9,7 +9,7 @@ import random
 import pytest
 
 from fogstore_sim.consistency import ClientContext, ConsistencyLevel
-from fogstore_sim.experiment import PAPER_LATENCY_SETTINGS, build_star_topology
+from fogstore_sim.experiment import PAPER_LATENCY_SETTINGS, build_star_topology, run_queries
 from fogstore_sim.store import Cluster, Query, QueryResult
 from fogstore_sim.topology import FogNode, Link, Topology
 
@@ -111,21 +111,10 @@ def disjoint_selection_exists(topology: Topology, anchor: str, size: int) -> boo
     return False
 
 
-def run_schedule(cluster: Cluster, ops) -> list[tuple[Query, QueryResult]]:
-    """Closed-loop replay of (query, level) pairs; returns completion order."""
-    results: list[tuple[Query, QueryResult]] = []
-    pending = iter(ops)
-
-    def advance(prev_q=None, prev_r=None):
-        if prev_q is not None:
-            results.append((prev_q, prev_r))
-        nxt = next(pending, None)
-        if nxt is not None:
-            cluster.submit(nxt[0], advance, level_override=nxt[1])
-
-    advance()
-    cluster.sim.run_until_quiescent()
-    return results
+def run_one(cluster: Cluster, query: Query) -> QueryResult:
+    """Run one query through the experiment driver until the cluster is quiescent."""
+    [(_, result)] = run_queries(cluster, [query])
+    return result
 
 
 ALL_LEVELS = (
@@ -150,12 +139,12 @@ def quorum_violations_for_seed(seed: int) -> list[tuple]:
     rng = random.Random(seed)
     topo = random_topology(seed, max_nodes=8, min_storage=3)
     rf = rng.choice([3, 5])
-    one = ConsistencyLevel.ONE  # every op overrides it
+    one = ConsistencyLevel.ONE  # every op pins its own level
     cluster = Cluster(topo, Simulator(topo), replication_factor=rf,
                       fixed_read_level=one, fixed_write_level=one)
     keys = [f"k{i}" for i in range(rng.randint(1, 3))]
     created = set()
-    ops = []
+    queries = []
     write_seq = 0
     for _ in range(rng.randint(10, 25)):
         key = rng.choice(keys)
@@ -165,14 +154,14 @@ def quorum_violations_for_seed(seed: int) -> list[tuple]:
         if key not in created:
             created.add(key)
             write_seq += 1
-            ops.append((Query(QueryKind.CREATE, key, ctx, value=f"w{write_seq}",
-                              data_ctx=DataContext(geo)), level))
+            queries.append(Query(QueryKind.CREATE, key, ctx, value=f"w{write_seq}",
+                                 data_ctx=DataContext(geo), level=level))
         elif rng.random() < 0.5:
             write_seq += 1
-            ops.append((Query(QueryKind.UPDATE, key, ctx, value=f"w{write_seq}"), level))
+            queries.append(Query(QueryKind.UPDATE, key, ctx, value=f"w{write_seq}", level=level))
         else:
-            ops.append((Query(QueryKind.READ, key, ctx), level))
-    results = run_schedule(cluster, ops)
+            queries.append(Query(QueryKind.READ, key, ctx, level=level))
+    results = run_queries(cluster, queries)
 
     completed: dict[str, list[tuple[int, int]]] = {}
     violations = []

@@ -38,6 +38,7 @@ from conftest import (
     disjoint_selection_exists,
     quorum_violations_for_seed,
     random_topology,
+    run_one,
 )
 
 ONE = ConsistencyLevel.ONE
@@ -129,13 +130,10 @@ def test_criterion_4_closed_form_spot_checks():
     topo = build_star_topology(PAPER_LATENCY_SETTINGS["low"])
     cluster = Cluster(topo, Simulator(topo), replication_factor=5,
                       fixed_read_level=ONE, fixed_write_level=ONE)
-    created = cluster.apply_crud(
-        Query(QueryKind.CREATE, "k1", client_ctx(), value="v1",
-              data_ctx=DataContext(STAR_CLIENT)),
-        level=ONE,
-    )
-    read_one = cluster.apply_crud(Query(QueryKind.READ, "k1", client_ctx()), level=ONE)
-    read_all = cluster.apply_crud(Query(QueryKind.READ, "k1", client_ctx()), level=ALL)
+    created = run_one(cluster, Query(QueryKind.CREATE, "k1", client_ctx(), value="v1",
+                                     data_ctx=DataContext(STAR_CLIENT), level=ONE))
+    read_one = run_one(cluster, Query(QueryKind.READ, "k1", client_ctx(), level=ONE))
+    read_all = run_one(cluster, Query(QueryKind.READ, "k1", client_ctx(), level=ALL))
     ok = (
         created.status == "ok"
         and read_one.latency_ms == 10.0  # bit-exact: 2 x (1 + 4)

@@ -20,7 +20,7 @@ from fogstore_sim.experiment import build_star_topology
 from fogstore_sim.netsim import Simulator
 from fogstore_sim.store import Cluster, Query, QueryKind
 
-from conftest import STAR_CLIENT, client_ctx
+from conftest import STAR_CLIENT, client_ctx, run_one
 
 ONE = ConsistencyLevel.ONE
 TWO = ConsistencyLevel.TWO
@@ -176,9 +176,9 @@ class TestCoordinatorLevelResolution:
         cluster = region_cluster(RegionSet([], default=inner_two), replication_factor=1)
         create = Query(QueryKind.CREATE, "k", client_ctx(), value="v",
                        data_ctx=DataContext(STAR_CLIENT))
-        assert cluster.apply_crud(create).status == "ok"
+        assert run_one(cluster, create).status == "ok"
         delivered = cluster.sim.report.messages_delivered
-        result = cluster.apply_crud(Query(QueryKind.READ, "k", client_ctx()))
+        result = run_one(cluster, Query(QueryKind.READ, "k", client_ctx()))
         assert result.status == "error"
         assert result.error == "level_infeasible"
         # only the client's request and the coordinator's reply: no replica traffic
@@ -191,11 +191,11 @@ class TestCoordinatorLevelResolution:
         far = DataContext((100000.0, 0.0))
 
         def create(key, data_ctx):
-            return cluster.apply_crud(Query(QueryKind.CREATE, key, client_ctx(), value="v",
-                                            data_ctx=data_ctx))
+            return run_one(cluster, Query(QueryKind.CREATE, key, client_ctx(), value="v",
+                                          data_ctx=data_ctx))
 
         assert create("k", DataContext(STAR_CLIENT)).level_used is ALL
-        assert cluster.apply_crud(Query(QueryKind.DELETE, "k", client_ctx())).status == "ok"
+        assert run_one(cluster, Query(QueryKind.DELETE, "k", client_ctx())).status == "ok"
         recreated = create("k", far)
         fresh = create("fresh", far)
         assert (fresh.level_used, fresh.latency_ms) == (ONE, 10.0)
@@ -209,18 +209,18 @@ class TestMapAndExecute:
         cluster = region_cluster(traffic_regions())
         create = Query(QueryKind.CREATE, key, client_ctx((0.0, 0.0)), value="v",
                        data_ctx=DataContext((0.0, 0.0)))
-        assert cluster.apply_crud(create).status == "ok"
+        assert run_one(cluster, create).status == "ok"
         return cluster
 
     def test_unknown_key_not_found(self):
         cluster = region_cluster(traffic_regions())
-        result = cluster.apply_crud(Query(QueryKind.READ, "k", client_ctx()))
+        result = run_one(cluster, Query(QueryKind.READ, "k", client_ctx()))
         assert result.status == "not_found"
 
     def test_close_client_reads_at_all(self):
         cluster = self.created_cluster()
         query = Query(QueryKind.READ, "tl-17", client_ctx((300.0, 0.0)))
-        result = cluster.apply_crud(query)
+        result = run_one(cluster, query)
         assert result.status == "ok"
         assert result.level_used is ALL
         assert result.acks_received == required_acks(ALL, 5)
@@ -228,7 +228,7 @@ class TestMapAndExecute:
     def test_far_client_reads_at_one(self):
         cluster = self.created_cluster()
         query = Query(QueryKind.READ, "tl-17", client_ctx((800.0, 0.0)))
-        result = cluster.apply_crud(query)
+        result = run_one(cluster, query)
         assert result.level_used is ONE
 
     def test_end_to_end_against_cluster(self):
@@ -237,12 +237,12 @@ class TestMapAndExecute:
 
         create = Query(QueryKind.CREATE, "tl-1", client_ctx(STAR_CLIENT), value="red",
                        data_ctx=DataContext(data_geo))
-        assert cluster.apply_crud(create).status == "ok"
+        assert run_one(cluster, create).status == "ok"
 
         near = Query(QueryKind.READ, "tl-1", client_ctx((-400.0, 0.0), "near"))
         far = Query(QueryKind.READ, "tl-1", client_ctx((-900.0, 0.0), "far"))
-        near_result = cluster.apply_crud(near)
-        far_result = cluster.apply_crud(far)
+        near_result = run_one(cluster, near)
+        far_result = run_one(cluster, far)
         assert near_result.level_used is ALL
         assert far_result.level_used is ONE
         assert near_result.value == far_result.value == "red"

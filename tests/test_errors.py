@@ -79,6 +79,12 @@ NON_FINITE = [
     (load_workload, _workload(geo=(NAN, 0)), "clients[0].geo", "nan"),
     (load_workload, {**_workload(), "data_geo": [INF, 0]}, "data_geo", "inf"),
     (load_regions, {"default": {"bands": [{**BAND, "radius_m": NAN}, BAND]}}, "default", "nan"),
+    (load_fault_script, {"events": [{"at_ms": NAN, "action": "crash", "node": "fog-1"}]},
+     "events[0].at_ms", "nan"),
+    (load_fault_script, {"events": [{"at_ms": INF, "action": "crash", "node": "fog-1"}]},
+     "events[0].at_ms", "inf"),
+    (load_fault_script, {"events": [{"at_ms": -5, "action": "crash", "node": "fog-1"}]},
+     "events[0].at_ms", "negative"),
 ]
 
 

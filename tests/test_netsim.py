@@ -135,6 +135,12 @@ class TestTimers:
         sim.run_until_quiescent()
         assert [(t, k) for t, k, *_ in log] == [(5.0, "timer")]
 
+    def test_nan_delay_rejected(self):
+        # NaN passes a "< 0" check; a timer due at NaN ms has no place in the event order.
+        sim = Simulator(pair_topology())
+        with pytest.raises(ValueError, match="delay_ms"):
+            sim.set_timer(None, float("nan"), "tick")
+
 
 class TestFaults:
     def test_send_to_crashed_node_never_delivered(self):

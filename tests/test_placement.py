@@ -109,6 +109,31 @@ class TestPlacementProperties:
             best = min(eligible, key=lambda nid: (topo.latency_ms(anchor, nid), nid))
             assert rmap.replica_ids[1] == best
 
+    def test_every_replica_follows_latency_order_over_unused_groups(self):
+        # Each replica after the anchor is the nearest (by latency, then id)
+        # storage node of an unused group; once none is left, the nearest unchosen.
+        rng = random.Random(77)
+        for seed in range(100):
+            for max_nodes in (8, 12, 30):
+                topo = random_topology(seed, max_nodes=max_nodes)
+                location = (rng.uniform(0, 1000), rng.uniform(0, 1000))
+                rmap = place_replicas("k", location, topo, rng.randint(1, 8))
+                anchor = rmap.replica_ids[0]
+                order = sorted((nid for nid in topo.storage_ids if nid != anchor),
+                               key=lambda nid: (topo.latency_ms(anchor, nid), nid))
+                chosen = [anchor]
+                used = {topo.node(anchor).failure_group_id}
+                relaxed = False
+                for actual in rmap.replica_ids[1:]:
+                    unchosen = [nid for nid in order if nid not in chosen]
+                    eligible = [nid for nid in unchosen
+                                if topo.node(nid).failure_group_id not in used]
+                    relaxed = relaxed or not eligible
+                    assert actual == (eligible or unchosen)[0], (seed, max_nodes)
+                    chosen.append(actual)
+                    used.add(topo.node(actual).failure_group_id)
+                assert rmap.degraded == relaxed
+
 
 class TestAnchorOrder:
     def test_storage_by_latency_matches_a_fresh_sort(self):

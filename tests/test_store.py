@@ -49,7 +49,7 @@ from conftest import (
     client_ctx,
     quorum_violations_for_seed,
     random_topology,
-    run_schedule,
+    run_one,
 )
 
 ONE = ConsistencyLevel.ONE
@@ -69,16 +69,16 @@ def star_cluster(fault_script=(), **kwargs):
 
 def create(cluster, key="k1", value="v1", geo=STAR_CLIENT, data_geo=None, level=ONE):
     query = Query(QueryKind.CREATE, key, client_ctx(geo), value=value,
-                  data_ctx=DataContext(data_geo or geo))
-    return cluster.apply_crud(query, level=level)
+                  data_ctx=DataContext(data_geo or geo), level=level)
+    return run_one(cluster, query)
 
 
 def read(cluster, key, level):
-    return cluster.apply_crud(Query(QueryKind.READ, key, client_ctx()), level=level)
+    return run_one(cluster, Query(QueryKind.READ, key, client_ctx(), level=level))
 
 
 def update(cluster, key, value, level):
-    return cluster.apply_crud(Query(QueryKind.UPDATE, key, client_ctx(), value=value), level=level)
+    return run_one(cluster, Query(QueryKind.UPDATE, key, client_ctx(), value=value, level=level))
 
 
 class TestRequiredAcksSurface:
@@ -143,8 +143,7 @@ class TestCrudPaths:
     def test_delete_then_read_all_is_not_found(self):
         cluster = star_cluster()
         create(cluster)
-        gone = cluster.apply_crud(
-            Query(QueryKind.DELETE, "k1", client_ctx(STAR_CLIENT)), level=QUORUM)
+        gone = run_one(cluster, Query(QueryKind.DELETE, "k1", client_ctx(STAR_CLIENT), level=QUORUM))
         assert gone.status == "ok"
         result = read(cluster, "k1", ALL)
         assert result.status == "not_found"  # tombstone dominates by version
@@ -152,7 +151,7 @@ class TestCrudPaths:
     def test_recreate_after_delete(self):
         cluster = star_cluster()
         create(cluster)
-        cluster.apply_crud(Query(QueryKind.DELETE, "k1", client_ctx(STAR_CLIENT)), level=ONE)
+        run_one(cluster, Query(QueryKind.DELETE, "k1", client_ctx(STAR_CLIENT), level=ONE))
         fresh = create(cluster, value="v2")
         assert fresh.status == "ok"
         result = read(cluster, "k1", ALL)
@@ -260,10 +259,10 @@ class TestLatencyOracle:
                     except LevelInfeasibleError:
                         continue
                     for query in (Query(QueryKind.CREATE, key, ctx, value="v",
-                                        data_ctx=DataContext(data_geo)),
-                                  Query(QueryKind.READ, key, ctx)):
+                                        data_ctx=DataContext(data_geo), level=level),
+                                  Query(QueryKind.READ, key, ctx, level=level)):
                         issued_ms = cluster.sim.now
-                        result = cluster.apply_crud(query, level)
+                        result = run_one(cluster, query)
                         expected = closed_form_latency(topo, issued_ms, ctx.client_geo,
                                                        replica_ids, required)
                         checked += 1
@@ -287,19 +286,20 @@ class TestConvergence:
     def test_random_workload_converges(self):
         rng = random.Random(1)
         cluster = star_cluster()
-        ops = []
+        queries = []
         keys = ["a", "b", "c"]
         for key in keys:
-            ops.append((Query(QueryKind.CREATE, key, client_ctx(), value=f"{key}0",
-                              data_ctx=DataContext(STAR_CLIENT)), rng.choice(ALL_LEVELS)))
+            queries.append(Query(QueryKind.CREATE, key, client_ctx(), value=f"{key}0",
+                                 data_ctx=DataContext(STAR_CLIENT), level=rng.choice(ALL_LEVELS)))
         for i in range(60):
             key = rng.choice(keys)
             if rng.random() < 0.5:
-                ops.append((Query(QueryKind.UPDATE, key, client_ctx(), value=f"{key}{i + 1}"),
-                            rng.choice(ALL_LEVELS)))
+                queries.append(Query(QueryKind.UPDATE, key, client_ctx(), value=f"{key}{i + 1}",
+                                     level=rng.choice(ALL_LEVELS)))
             else:
-                ops.append((Query(QueryKind.READ, key, client_ctx()), rng.choice(ALL_LEVELS)))
-        results = run_schedule(cluster, ops)
+                queries.append(Query(QueryKind.READ, key, client_ctx(),
+                                     level=rng.choice(ALL_LEVELS)))
+        results = run_queries(cluster, queries)
         assert all(r.status in ("ok", "not_found") for _, r in results)
         assert cluster.convergence_violations() == []
 
@@ -368,16 +368,16 @@ class TestDataContextUpdates:
     def test_data_context_update_moves_the_region_anchor(self):
         cluster = star_cluster(region_set=self.regions())
         client = ClientContext("car", (-400.0, 0.0))  # 300 m from (-100, 0)
-        cluster.apply_crud(Query(QueryKind.CREATE, "tl-1", client, value="red",
-                                 data_ctx=DataContext((-100.0, 0.0))))
-        before = cluster.apply_crud(Query(QueryKind.READ, "tl-1", client))
+        run_one(cluster, Query(QueryKind.CREATE, "tl-1", client, value="red",
+                               data_ctx=DataContext((-100.0, 0.0))))
+        before = run_one(cluster, Query(QueryKind.READ, "tl-1", client))
         assert before.level_used is ALL  # inside the 500 m band
 
         # the data source moves 10 km away; same client is now far outside
-        moved = cluster.apply_crud(Query(QueryKind.UPDATE, "tl-1", client, value="green",
-                                         data_ctx=DataContext((10_000.0, 0.0))))
+        moved = run_one(cluster, Query(QueryKind.UPDATE, "tl-1", client, value="green",
+                                       data_ctx=DataContext((10_000.0, 0.0))))
         assert moved.status == "ok"
-        after = cluster.apply_crud(Query(QueryKind.READ, "tl-1", client))
+        after = run_one(cluster, Query(QueryKind.READ, "tl-1", client))
         assert after.level_used is ONE
         assert after.value == "green"
 
@@ -386,10 +386,10 @@ class TestDataContextUpdates:
         cluster = star_cluster(region_set=self.regions(), replication_factor=1)
         assert create(cluster, "tl-1", "red", data_geo=(800.0, 0.0)).status == "ok"
         assert cluster.control.replica_map("tl-1").replica_ids == ("fog-5",)
-        moved = cluster.apply_crud(Query(QueryKind.UPDATE, "tl-1", client_ctx(), value="green",
-                                         data_ctx=DataContext(STAR_CLIENT)))
+        moved = run_one(cluster, Query(QueryKind.UPDATE, "tl-1", client_ctx(), value="green",
+                                       data_ctx=DataContext(STAR_CLIENT)))
         assert moved.status == "ok"
-        after = cluster.apply_crud(Query(QueryKind.READ, "tl-1", client_ctx()))
+        after = run_one(cluster, Query(QueryKind.READ, "tl-1", client_ctx()))
         assert after.level_used is ALL  # the client sits on the data's new location
         assert after.value == "green"
 
@@ -450,6 +450,24 @@ class TestClosedLoopDriver:
             if enabled:
                 gc.enable()
 
+    def test_dropped_run_output_leaves_no_cyclic_garbage(self):
+        # Reference counting alone must free a whole run, its cluster and
+        # simulator included, once the caller drops the output.
+        topo = build_star_topology((4, 5, 6, 7, 8))
+        workload = WorkloadSpec(op_count=200, clients=(WorkloadClient("c1", STAR_CLIENT),),
+                                fixed_read_level=ONE, fixed_write_level=ONE, seed=5)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            output = run_single(topo, workload)
+            assert len(output.results) == 200
+            del output
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_equal_latencies_share_one_float(self):
         cluster = star_cluster(fixed_read_level=ONE, fixed_write_level=ONE)
         workload = WorkloadSpec(op_count=200, clients=(WorkloadClient("c1", STAR_CLIENT),),
@@ -470,6 +488,19 @@ class TestOpenLoopDriver:
         reads = [r for q, r in results if q.kind is QueryKind.READ]
         assert {r.status for r in reads} == {"ok"}
         assert {r.latency_ms for r in reads} == {34.0}
+
+    def test_overlapping_queries_run_at_the_levels_they_pin(self):
+        cluster = star_cluster()  # the region set alone would give ONE everywhere
+        queries = [Query(QueryKind.CREATE, "a", client_ctx(), value="1",
+                         data_ctx=DataContext(STAR_CLIENT))]
+        queries += [Query(QueryKind.READ, "a", client_ctx(), level=ALL if i % 2 else ONE)
+                    for i in range(1, 7)]
+        results = run_queries(cluster, queries, open_loop_interval_ms=1.0)
+        reads = [(q, r) for q, r in results if q.kind is QueryKind.READ]
+        assert len(reads) == 6
+        assert all(r.status == "ok" and r.level_used is q.level for q, r in reads)
+        # the closed-form paths: ALL waits for fog-5, ONE answers at fog-1
+        assert {(q.level, r.latency_ms) for q, r in reads} == {(ALL, 34.0), (ONE, 10.0)}
 
     def test_every_op_gets_exactly_one_callback_under_faults(self):
         # The partition cuts the coordinator fog-1 off its peers, so QUORUM ops
