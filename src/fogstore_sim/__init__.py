@@ -49,7 +49,6 @@ from .store import (
     Query,
     QueryKind,
     QueryResult,
-    Version,
     VersionedRecord,
 )
 from .topology import (

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -182,8 +183,10 @@ def _cmd_place(args: argparse.Namespace) -> int:
     try:
         x_str, y_str = args.at.split(",")
         location = (float(x_str), float(y_str))
+        if not all(map(math.isfinite, location)):
+            raise ValueError
     except ValueError:
-        raise ConfigError("--at", f"expected X,Y coordinates, got {args.at!r}") from None
+        raise ConfigError("--at", f"expected finite X,Y coordinates, got {args.at!r}") from None
     maps = [place_replicas(key, location, topology, args.rf) for key in args.keys]
     with _open_output(args.out) as out:
         out.write("\n".join(placement_csv_rows(maps)) + "\n")

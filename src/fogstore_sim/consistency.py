@@ -6,11 +6,12 @@ clients inside that band. Band matching is half-open: a client at distance
 ``d`` gets the first band with ``d <= max_radius_m``, so a client exactly on
 a boundary still receives the stronger (inner) level.
 
-Key matching prefers an exact key, then the longest declared prefix, then
-the mandatory default spec. The spec set is immutable after load; a band
-lookup touches no shared mutable state. This module only answers "which
-band"; the store's coordinator decides which data location a query is
-resolved against. A uniform level is a set with one infinite band.
+Key matching picks the longest declared keyspace that prefixes the key (an
+exact key is its own longest prefix), else the mandatory default spec. The
+spec set is immutable after load; a band lookup touches no shared mutable
+state. This module only answers "which band"; the store's coordinator
+decides which data location a query is resolved against. A uniform level is
+a set with one infinite band.
 """
 
 from __future__ import annotations
@@ -146,15 +147,12 @@ class RegionSet:
         return cls((), ConsistencyRegionSpec("", (Band(math.inf, read, write),)))
 
     def match_spec(self, key: str) -> ConsistencyRegionSpec:
-        """Exact key match, else longest matching prefix, else the default."""
-        best: ConsistencyRegionSpec | None = None
-        for spec in self.specs:
-            if spec.keyspace == key:
-                return spec
-            if key.startswith(spec.keyspace):
-                if best is None or len(spec.keyspace) > len(best.keyspace):
-                    best = spec
-        return best if best is not None else self.default
+        """Longest keyspace that prefixes ``key``, else the default.
+
+        Keyspaces are unique, so an exact key is the longest prefix it has.
+        """
+        return max((spec for spec in self.specs if key.startswith(spec.keyspace)),
+                   key=lambda spec: len(spec.keyspace), default=self.default)
 
 
 def get_region(

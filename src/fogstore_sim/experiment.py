@@ -52,21 +52,14 @@ def build_star_topology(
 ) -> Topology:
     """Star network: central switch, one storage node per spoke, one client node."""
     nodes = [
-        FogNode("switch", (0.0, 0.0), "fg-switch", tier=2, is_storage=False),
-        FogNode(
-            "client",
-            (-GEO_METERS_PER_MS * client_latency_ms, 0.0),
-            "fg-client",
-            tier=0,
-            is_storage=False,
-        ),
+        FogNode("switch", (0.0, 0.0), "fg-switch", is_storage=False),
+        FogNode("client", (-GEO_METERS_PER_MS * client_latency_ms, 0.0), "fg-client",
+                is_storage=False),
     ]
     links = [Link("client", "switch", client_latency_ms)]
     for i, latency in enumerate(storage_latencies_ms, start=1):
         node_id = f"fog-{i}"
-        nodes.append(
-            FogNode(node_id, (GEO_METERS_PER_MS * latency, 0.0), f"fg-{i}", tier=1)
-        )
+        nodes.append(FogNode(node_id, (GEO_METERS_PER_MS * latency, 0.0), f"fg-{i}"))
         links.append(Link("switch", node_id, float(latency)))
     return Topology(nodes, links)
 
@@ -134,9 +127,11 @@ def run_queries(
     try:
         cluster.sim.run_until_quiescent(budget_ms)
     finally:
-        # ``advance`` refers to itself: clear it, or the closure and the queries
-        # and cluster it holds live on as garbage until a cyclic collection.
-        advance = None
+        # ``advance`` refers to itself, and the ops a failed run leaves in
+        # flight hold it as their callback: clear both closure cells, or the
+        # closure and the queries and cluster it holds live on as garbage
+        # until a cyclic collection.
+        advance = cluster = None
     return results
 
 

@@ -1,6 +1,6 @@
 """Deterministic discrete-event network simulator.
 
-Events are processed in strict ``(deliver_at_ms, seq)`` order, where ``seq``
+Events are processed in strict ``(at_ms, seq)`` order, where ``seq``
 is a monotone counter assigned at scheduling time. Identical inputs therefore
 produce bit-identical event sequences; there is no wall-clock or thread
 nondeterminism anywhere in the loop.
@@ -59,9 +59,8 @@ class BudgetExceededError(Exception):
 
 @dataclass(slots=True)
 class SimEvent:
-    """One scheduled occurrence; total order is (deliver_at_ms, seq)."""
+    """One scheduled occurrence; its heap entry ``(at_ms, seq, event)`` orders it."""
 
-    deliver_at_ms: float
     seq: int
     kind: str
     src: str | None
@@ -164,7 +163,7 @@ class Simulator:
     # -- scheduling -----------------------------------------------------
 
     def _push(self, at_ms: float, kind: str, src: str | None, dst: str | None, payload: object) -> SimEvent:
-        event = SimEvent(at_ms, self._seq, kind, src, dst, payload)
+        event = SimEvent(self._seq, kind, src, dst, payload)
         self._seq += 1
         heappush(self._queue, (at_ms, event.seq, event))
         return event
@@ -188,7 +187,7 @@ class Simulator:
         at_ms = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (at_ms, seq, SimEvent(at_ms, seq, KIND_MESSAGE, src, dst, payload)))
+        heappush(self._queue, (at_ms, seq, SimEvent(seq, KIND_MESSAGE, src, dst, payload)))
 
     def set_timer(self, node_id: str | None, delay_ms: float, payload: object) -> Timer:
         """Schedule a timer payload for ``node_id`` after ``delay_ms``.

@@ -31,12 +31,9 @@ class ReplicaMap:
 
     key: str
     replica_ids: tuple[str, ...]
-    replication_factor: int
     degraded: bool = False
 
     def __post_init__(self) -> None:
-        if self.replication_factor < 1:
-            raise ValueError("replication_factor must be >= 1")
         if len(set(self.replica_ids)) != len(self.replica_ids):
             raise ValueError("replica_ids must be distinct")
 
@@ -74,12 +71,7 @@ def place_replicas(
     degraded = len(chosen) < target
     chosen.extend(set_aside[:target - len(chosen)])
 
-    return ReplicaMap(
-        key=key,
-        replica_ids=tuple(chosen),
-        replication_factor=replication_factor,
-        degraded=degraded,
-    )
+    return ReplicaMap(key, tuple(chosen), degraded)
 
 
 def placement_csv_rows(maps: list[ReplicaMap]) -> list[str]:

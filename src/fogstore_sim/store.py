@@ -20,13 +20,13 @@ on completion); the drivers that issue queries and run the simulator live in
 through one table keyed by payload type: the wire messages below and three
 typed timers (:class:`OpTimeout`, :class:`ClientTimeout`, :class:`Arrival`).
 
-Versions are (counter, writer) pairs. Counters per key are issued by the
-control plane, a zero-latency global registry that also holds each key's
-replica map and current data location; replica records carry only a value
-and a version. Real deployments would gossip or use synchronized clocks
-here; a shared registry keeps version order aligned with operation order,
-which makes last-write-wins resolution deterministic and exact at
-simulation scale.
+A version is a per-key counter issued by the control plane, a
+zero-latency global registry that also holds each key's replica map and
+current data location; replica records carry only a value and a version.
+One counter per key means no two writes of a key share a version. Real
+deployments would gossip or use synchronized clocks here; a shared registry
+keeps version order aligned with operation order, which makes last-write-wins
+resolution deterministic and exact at simulation scale.
 
 Deletes replicate a tombstone record (no value) that wins by version like
 any write; tombstones are never garbage collected since runs are finite.
@@ -38,7 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .consistency import (
     ClientContext,
@@ -55,7 +55,6 @@ from .topology import Topology
 
 __all__ = [
     "QueryKind",
-    "Version",
     "VersionedRecord",
     "Query",
     "QueryResult",
@@ -94,23 +93,16 @@ class QueryKind(Enum):
         return "read" if self is QueryKind.READ else "write"
 
 
-class Version(NamedTuple):
-    """Per-key logical timestamp; tuple order gives the total write order."""
-
-    counter: int
-    writer: str
-
-    def __str__(self) -> str:
-        return f"{self.counter}@{self.writer}"
-
-
 @dataclass(frozen=True, slots=True)
 class VersionedRecord:
-    """What a replica stores for one key. ``value=None`` marks a tombstone."""
+    """What a replica stores for one key. ``value=None`` marks a tombstone.
+
+    ``version`` is the key's write counter; a higher one wins.
+    """
 
     key: str
     value: str | None
-    version: Version
+    version: int
 
 
 @dataclass(slots=True)
@@ -182,11 +174,9 @@ class WriteReq:
 @dataclass(frozen=True, slots=True)
 class WriteAck:
     op_id: int
-    key: str
-    version: Version
 
     def __str__(self) -> str:
-        return f"WriteAck key={self.key} version={self.version}"
+        return f"WriteAck op={self.op_id}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,12 +191,11 @@ class ReadReq:
 @dataclass(frozen=True, slots=True)
 class ReadResp:
     op_id: int
-    key: str
     record: VersionedRecord | None
 
     def __str__(self) -> str:
-        rec = f"{self.record.version}" if self.record else "absent"
-        return f"ReadResp key={self.key} record={rec}"
+        rec = self.record.version if self.record else "absent"
+        return f"ReadResp op={self.op_id} record={rec}"
 
 
 # -- timers ------------------------------------------------------------------
@@ -269,10 +258,10 @@ class ControlPlane:
         self.maps[key] = rmap
         self._deleted.discard(key)
 
-    def next_version(self, key: str, writer: str) -> Version:
-        counter = self._counters.get(key, 0) + 1
-        self._counters[key] = counter
-        return Version(counter, writer)
+    def next_version(self, key: str) -> int:
+        version = self._counters.get(key, 0) + 1
+        self._counters[key] = version
+        return version
 
     def note_completed_write(self, key: str, deleted: bool) -> None:
         if deleted:
@@ -344,8 +333,6 @@ class Cluster:
             raise ValueError("replication_factor must be >= 1")
         if not (math.isfinite(timeout_ms) and timeout_ms > 0):
             raise ValueError(f"timeout_ms must be finite and > 0 (got {timeout_ms})")
-        if not topology.storage_ids:
-            raise ValueError("topology has no storage nodes")
         if region_set is None and None not in (fixed_read_level, fixed_write_level):
             region_set = RegionSet.uniform(fixed_read_level, fixed_write_level)
         elif region_set is None or fixed_read_level or fixed_write_level:
@@ -451,8 +438,7 @@ class Cluster:
                 self.control.register(query.key, rmap)
             if query.data_ctx is not None:
                 self.control.locations[query.key] = query.data_ctx
-            version = self.control.next_version(query.key, node)
-            record = VersionedRecord(query.key, value, version)
+            record = VersionedRecord(query.key, value, self.control.next_version(query.key))
             msg = WriteReq(req.op_id, record)
             if is_replica:
                 self._replicas[node].apply(record)
@@ -507,11 +493,11 @@ class Cluster:
 
     def _on_write_req(self, node: str, src: str, msg: WriteReq) -> None:
         self._replicas[node].apply(msg.record)
-        self.sim.schedule_message(node, src, WriteAck(msg.op_id, msg.record.key, msg.record.version))
+        self.sim.schedule_message(node, src, WriteAck(msg.op_id))
 
     def _on_read_req(self, node: str, src: str, msg: ReadReq) -> None:
         record = self._replicas[node].get(msg.key)
-        self.sim.schedule_message(node, src, ReadResp(msg.op_id, msg.key, record))
+        self.sim.schedule_message(node, src, ReadResp(msg.op_id, record))
 
     # -- client side ------------------------------------------------------------
 

@@ -50,7 +50,6 @@ class NoStorageNodesError(TopologyError):
 class FogNode:
     """A host in the fog continuum.
 
-    ``tier`` 0 is the network edge; higher tiers sit toward the cloud.
     ``service_ms`` is an optional per-node processing delay added to every
     message delivered to this node (default 0: latency is attributed to
     the network only).
@@ -59,7 +58,6 @@ class FogNode:
     node_id: str
     geo: Coord
     failure_group_id: str
-    tier: int = 0
     is_storage: bool = True
     service_ms: float = 0.0
 
@@ -80,8 +78,8 @@ class Topology:
     ``storage_by_latency`` memoize their answers per instance.
 
     Raises :class:`TopologyError` subclasses on construction when ids are
-    duplicated, links dangle, latencies are nonpositive, or the graph is
-    disconnected.
+    duplicated, links dangle, latencies are nonpositive, the graph is
+    disconnected, or no node can store data.
     """
 
     def __init__(self, nodes: Iterable[FogNode], links: Iterable[Link]):
@@ -136,6 +134,8 @@ class Topology:
         self.storage_ids: tuple[str, ...] = tuple(
             sorted(nid for nid, n in self.nodes.items() if n.is_storage)
         )
+        if not self.storage_ids:
+            raise NoStorageNodesError("topology has no storage nodes")
         self._node_ids: tuple[str, ...] = tuple(sorted(self.nodes))
         self._nearest: dict[tuple[float, float, bool], str] = {}
         self._by_latency: dict[str, tuple[str, ...]] = {}
@@ -162,8 +162,6 @@ class Topology:
         nearest = self._nearest.get(key)
         if nearest is None:
             candidates = self.storage_ids if storage_only else self._node_ids
-            if not candidates:
-                raise NoStorageNodesError("topology has no storage nodes")
             nearest = min(candidates,
                           key=lambda nid: (geo_distance(self.nodes[nid].geo, location), nid))
             if len(self._nearest) < NEAREST_MEMO_CAP:
@@ -187,7 +185,6 @@ class Topology:
                     "id": n.node_id,
                     "geo": list(n.geo),
                     "failure_group": n.failure_group_id,
-                    "tier": n.tier,
                     "is_storage": n.is_storage,
                     **({"service_ms": n.service_ms} if n.service_ms else {}),
                 }
@@ -230,7 +227,10 @@ def geo_distance(a: Coord, b: Coord) -> float:
 
 
 def topology_from_dict(data: dict, source: str = "<dict>") -> Topology:
-    """Build a topology from the JSON document structure, validating fields."""
+    """Build a topology from the JSON document structure, validating fields.
+
+    Fields it does not know are ignored, so documents may carry extra ones.
+    """
     if not isinstance(data, dict):
         raise ConfigError(source, "topology document must be a JSON object")
     nodes = []
@@ -245,7 +245,6 @@ def topology_from_dict(data: dict, source: str = "<dict>") -> Topology:
                     node_id=str(raw["id"]),
                     geo=(float(geo[0]), float(geo[1])),
                     failure_group_id=str(raw["failure_group"]),
-                    tier=int(raw.get("tier", 0)),
                     is_storage=bool(raw.get("is_storage", True)),
                     service_ms=float(raw.get("service_ms", 0.0)),
                 )

@@ -41,10 +41,10 @@ def random_topology(seed: int, max_nodes: int = 12, min_storage: int = 1) -> Top
                 nid,
                 (round(rng.uniform(0, 1000), 1), round(rng.uniform(0, 1000), 1)),
                 f"g{rng.randint(1, n_groups)}",
-                tier=rng.randint(0, 2),
                 is_storage=is_storage,
             )
         )
+        rng.randint(0, 2)  # an unused draw, kept so every seed keeps its topology
     links = []
     seen = set()
     for i in range(1, n):

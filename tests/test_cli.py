@@ -312,6 +312,36 @@ class TestPlace:
         assert "X,Y" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("at", ["nan,0", "inf,0", "0,-inf"])
+    def test_non_finite_location(self, at, paper_dir, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = main(["place", "--topology", str(paper_dir / "star6-low.json"),
+                     f"--at={at}", "--out", str(out), "k1"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --at: expected finite X,Y coordinates, got {at!r}\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command,code", [("validate", 1), ("run", 2), ("place", 2)])
+def test_topology_without_storage_nodes_is_config_error(command, code, tmp_path, capsys):
+    topology = tmp_path / "relays.json"
+    topology.write_text(json.dumps({
+        "nodes": [{"id": "a", "geo": [0, 0], "failure_group": "g", "is_storage": False},
+                  {"id": "b", "geo": [1, 1], "failure_group": "g", "is_storage": False}],
+        "links": [{"a": "a", "b": "b", "latency_ms": 1.0}],
+    }))
+    out = tmp_path / "out.csv"
+    inputs = {
+        "validate": [],
+        "run": ["--workload", str(write_workload(tmp_path / "wl.json")), "--out", str(out)],
+        "place": ["--at", "0,0", "--out", str(out), "k1"],
+    }[command]
+    assert main([command, "--topology", str(topology), *inputs]) == code
+    out_text, err = capsys.readouterr()
+    assert (out_text, err) == ("", f"error: {topology}: topology has no storage nodes\n")
+    assert not out.exists()
+
+
 class TestValidate:
     def test_all_good(self, paper_dir, tmp_path, capsys):
         workload = write_workload(tmp_path / "wl.json",

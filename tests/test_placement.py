@@ -63,7 +63,7 @@ class TestPlaceReplicas:
 
     def test_replica_map_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            ReplicaMap("k", ("a", "a"), 2)
+            ReplicaMap("k", ("a", "a"))
 
 
 class TestPlacementProperties:

@@ -16,7 +16,7 @@ from fogstore_sim.consistency import (
     RegionSet,
 )
 from fogstore_sim.experiment import build_star_topology, run_queries, run_single
-from fogstore_sim.netsim import FaultAction, SimEvent, Simulator
+from fogstore_sim.netsim import BudgetExceededError, FaultAction, SimEvent, Simulator
 from fogstore_sim.placement import place_replicas
 from fogstore_sim.store import (
     SHARED_LATENCY_CAP,
@@ -31,7 +31,6 @@ from fogstore_sim.store import (
     QueryResult,
     ReadReq,
     ReadResp,
-    Version,
     VersionedRecord,
     WriteAck,
     WriteReq,
@@ -90,31 +89,23 @@ class TestRequiredAcksSurface:
 
 
 class TestVersions:
-    def test_total_order(self):
-        assert Version(2, "a") > Version(1, "z")
-        assert Version(1, "b") > Version(1, "a")
-        assert sorted([Version(2, "a"), Version(1, "b")]) == [Version(1, "b"), Version(2, "a")]
-
     def test_replica_never_downgrades(self):
         store = _ReplicaStore()
-        newer = VersionedRecord("k", "new", Version(2, "a"))
-        older = VersionedRecord("k", "old", Version(1, "b"))
+        newer = VersionedRecord("k", "new", 2)
+        older = VersionedRecord("k", "old", 1)
         store.apply(newer)
         store.apply(older)
         assert store.get("k").value == "new"
 
     def test_last_write_wins_is_order_independent(self):
-        records = [
-            VersionedRecord("k", f"v{i}", Version(i, w))
-            for i, w in [(1, "a"), (3, "b"), (2, "c")]
-        ]
+        records = [VersionedRecord("k", f"v{i}", i) for i in (1, 3, 2)]
         outcomes = set()
         for order in ([0, 1, 2], [2, 1, 0], [1, 0, 2]):
             store = _ReplicaStore()
             for idx in order:
                 store.apply(records[idx])
             outcomes.add(store.get("k").version)
-        assert outcomes == {Version(3, "b")}
+        assert outcomes == {3}
 
 
 class TestCrudPaths:
@@ -468,6 +459,23 @@ class TestClosedLoopDriver:
             if enabled:
                 gc.enable()
 
+    def test_budget_failed_run_leaves_no_cyclic_garbage(self):
+        # The ops still in flight when the budget runs out hold the driver's
+        # callback; the failed run must still be freed by reference counting.
+        topo = build_star_topology((4, 5, 6, 7, 8))
+        workload = WorkloadSpec(op_count=200, clients=(WorkloadClient("c1", STAR_CLIENT),),
+                                fixed_read_level=ALL, fixed_write_level=ONE, seed=5)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with pytest.raises(BudgetExceededError):
+                run_single(topo, workload, budget_ms=100.0)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_equal_latencies_share_one_float(self):
         cluster = star_cluster(fixed_read_level=ONE, fixed_write_level=ONE)
         workload = WorkloadSpec(op_count=200, clients=(WorkloadClient("c1", STAR_CLIENT),),
@@ -536,6 +544,22 @@ class TestOpenLoopDriver:
         assert len({r.latency_ms for _, r in results}) > SHARED_LATENCY_CAP
         assert len(cluster._latencies) == SHARED_LATENCY_CAP
 
+    def test_replica_message_summaries(self):
+        trace = []
+        topo = build_star_topology((4, 5, 6, 7, 8))
+        cluster = Cluster(topo, Simulator(topo, trace=trace.append),
+                          fixed_read_level=ALL, fixed_write_level=ALL)
+        run_queries(cluster, [
+            Query(QueryKind.CREATE, "a", client_ctx(), value="1", data_ctx=DataContext(STAR_CLIENT)),
+            Query(QueryKind.READ, "a", client_ctx()),
+        ])
+        messages = {tuple(line.split(",", 5)[3:]) for line in trace if ",message," in line}
+        assert {("fog-1", "fog-2", "WriteReq key=a value='1' version=1"),
+                ("fog-2", "fog-1", "WriteAck op=1"),
+                ("fog-1", "fog-2", "ReadReq key=a"),
+                ("fog-2", "fog-1", "ReadResp op=2 record=1")} <= messages
+        assert str(ReadResp(3, None)) == "ReadResp op=3 record=absent"
+
     def test_open_loop_trace_is_deterministic(self):
         def one_trace():
             trace = []
@@ -556,14 +580,14 @@ def test_per_op_objects_have_no_instance_dict():
     # Millions of these are made per sweep; slots keep each one small.
     ctx = ClientContext("c1", STAR_CLIENT)
     query = Query(QueryKind.READ, "k", ctx)
-    record = VersionedRecord("k", "v", Version(1, "fog-1"))
+    record = VersionedRecord("k", "v", 1)
     result = QueryResult()
     req = QueryReq(1, query, "client")
     timer = Simulator(build_star_topology((4, 5, 6, 7, 8))).set_timer(None, 1.0, OpTimeout(1))
     objects = [
-        SimEvent(0.0, 0, "timer", None, None, None),
-        req, QueryResp(1, result), WriteReq(1, record), WriteAck(1, "k", record.version),
-        ReadReq(1, "k"), ReadResp(1, "k", record),
+        SimEvent(0, "timer", None, None, None),
+        req, QueryResp(1, result), WriteReq(1, record), WriteAck(1),
+        ReadReq(1, "k"), ReadResp(1, record),
         OpTimeout(1), ClientTimeout(1), Arrival(query, print),
         query, result, record,
         _PendingOp(req, "fog-1", ONE, 1, timer), _ClientOp(query, print, 0.0, timer),

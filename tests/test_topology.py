@@ -11,7 +11,8 @@ import pytest
 
 import fogstore_sim
 from fogstore_sim.errors import ConfigError
-from fogstore_sim.experiment import PAPER_LATENCY_SETTINGS, build_star_topology
+from fogstore_sim.experiment import (PAPER_LATENCY_SETTINGS, build_star_topology,
+                                     make_paper_topologies)
 from fogstore_sim.topology import (
     NEAREST_MEMO_CAP,
     FogNode,
@@ -142,12 +143,10 @@ class TestFindClosest:
         assert first == topo.nearest_node((500, 500), storage_only=True)
 
     def test_no_storage_nodes(self):
-        topo = Topology(
-            [FogNode("a", (0, 0), "g", is_storage=False), FogNode("b", (1, 1), "g", is_storage=False)],
-            [Link("a", "b", 1.0)],
-        )
         with pytest.raises(NoStorageNodesError):
-            topo.nearest_node((0, 0), storage_only=True)
+            Topology([FogNode("a", (0, 0), "g", is_storage=False),
+                      FogNode("b", (1, 1), "g", is_storage=False)],
+                     [Link("a", "b", 1.0)])
 
 
 def scan_nearest(topo: Topology, location, storage_only: bool) -> str:
@@ -250,6 +249,32 @@ class TestLoader:
         assert topo.node("b").is_storage is False
         reparsed = topology_from_dict(topo.to_dict())
         assert reparsed.to_dict() == topo.to_dict()
+
+    def test_tier_keys_load_and_are_not_written_back(self, tmp_path):
+        # Generated fog continua label each node with a tier that nothing reads.
+        nodes = [
+            {"id": "cloud", "geo": [0.0, 0.0], "failure_group": "fg-cloud",
+             "tier": 3, "is_storage": True},
+            {"id": "region-0", "geo": [20000.0, 0.0], "failure_group": "fg-region-0",
+             "tier": 2, "is_storage": False},
+            {"id": "switch-0-0", "geo": [22000.0, 0.0], "failure_group": "fg-site-0-0",
+             "tier": 1, "is_storage": False},
+            {"id": "edge-0-0", "geo": [22400.0, 0.0], "failure_group": "fg-site-0-0",
+             "tier": 0, "is_storage": False},
+            {"id": "fog-0-0-0", "geo": [22100.0, 50.0], "failure_group": "fg-site-0-0",
+             "tier": 1, "is_storage": True},
+        ]
+        links = [{"a": "cloud", "b": "region-0", "latency_ms": 20.0},
+                 {"a": "region-0", "b": "switch-0-0", "latency_ms": 4.0},
+                 {"a": "switch-0-0", "b": "edge-0-0", "latency_ms": 1.0},
+                 {"a": "switch-0-0", "b": "fog-0-0-0", "latency_ms": 0.5}]
+        topo = topology_from_dict({"nodes": nodes, "links": links})
+        assert topo.storage_ids == ("cloud", "fog-0-0-0")
+        without_tier = [{k: v for k, v in n.items() if k != "tier"} for n in nodes]
+        assert topo.to_dict() == {"nodes": sorted(without_tier, key=lambda n: n["id"]),
+                                  "links": links}
+        for path in make_paper_topologies(tmp_path).values():
+            assert all("tier" not in n for n in json.loads(path.read_text())["nodes"])
 
     def test_missing_file_names_path(self, tmp_path):
         missing = tmp_path / "nope.json"
