@@ -39,7 +39,6 @@ from .netsim import (
     SimEvent,
     SimReport,
     Simulator,
-    Timer,
     load_fault_script,
 )
 from .placement import ReplicaMap, place_replicas

@@ -151,6 +151,8 @@ class RegionSet:
 
         Keyspaces are unique, so an exact key is the longest prefix it has.
         """
+        if not self.specs:
+            return self.default
         return max((spec for spec in self.specs if key.startswith(spec.keyspace)),
                    key=lambda spec: len(spec.keyspace), default=self.default)
 
@@ -163,6 +165,8 @@ def get_region(
 ) -> Band:
     """Band containing the client's distance from the data location."""
     spec = spec_set.match_spec(key)
+    if len(spec.bands) == 1:  # its radius is infinite: every distance is inside
+        return spec.bands[0]
     return spec.band_for_distance(geo_distance(client_ctx.client_geo, data_ctx.data_geo))
 
 

@@ -21,14 +21,34 @@ Faults come from a script of timestamped actions (crash, recover,
 partition, heal). Fault events are enqueued when the script is attached,
 so at equal timestamps they apply before message deliveries scheduled
 later, which is the order a test author expects.
+
+Timers wait in FIFO lanes, one per payload type. A timer whose due time is
+not below its lane's tail joins the lane, and only each lane's head sits in
+the heap; a timer set out of order goes to the heap directly. The heap
+therefore always holds the least ``(at_ms, seq)`` of every lane, and events
+still run in exactly the ``(at_ms, seq)`` order above. A store's deadline
+timers have one constant delay per type, so each type forms one lane, and
+so do open-loop arrivals, which are all set in order at t=0. Deadlines are
+nearly always cancelled long before they are due: the cancelled ones behind
+a lane's head are dropped when the next timer joins the lane or the head is
+popped, so they cost no heap push or pop, and the heap that every message
+passes through holds little more than the messages in flight.
+:meth:`Simulator.set_timer` returns the timer's :class:`SimEvent`, whose
+:meth:`~SimEvent.cancel` discards it in O(1).
+
+Message delays come from a per-simulator ``(src, dst) -> latency + service``
+table, filled on a pair's first message; the sum is the one the topology
+and the destination's service time give, so delivery times are unchanged.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import defaultdict, deque
+from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -45,7 +65,11 @@ KIND_DROP = "drop"
 
 
 class BudgetExceededError(Exception):
-    """The clock passed the run budget with events still pending."""
+    """The clock passed the run budget with events still pending.
+
+    ``pending`` counts the events still due to run, the first one past the
+    budget included; cancelled timers are not counted.
+    """
 
     def __init__(self, budget_ms: float, next_event_ms: float, pending: int):
         self.budget_ms = budget_ms
@@ -67,6 +91,10 @@ class SimEvent:
     dst: str | None
     payload: object
     cancelled: bool = False
+
+    def cancel(self) -> None:
+        """Discard a pending timer; it never fires and never advances the clock."""
+        self.cancelled = True
 
 
 @dataclass(frozen=True)
@@ -99,18 +127,6 @@ class SimReport:
     faults_applied: int = 0
 
 
-class Timer:
-    """Handle for a scheduled timer; cancelling it is O(1)."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: SimEvent):
-        self._event = event
-
-    def cancel(self) -> None:
-        self._event.cancelled = True
-
-
 class Simulator:
     """Single-threaded event loop over a fixed topology.
 
@@ -134,15 +150,19 @@ class Simulator:
         self._now = 0.0
         self._seq = 0
         self._queue: list[tuple[float, int, SimEvent]] = []
+        # Timer lanes by payload type; a non-empty lane's head is also in the heap.
+        self._lanes: defaultdict[type, deque[tuple[float, int, SimEvent]]] = defaultdict(deque)
         self._crashed: set[str] = set()
         self._partitions: list[tuple[frozenset[str], frozenset[str]]] = []
         self._jitter_ms = jitter_ms
         self._jitter_rng = random.Random(jitter_seed)
         self._service_ms = {nid: node.service_ms for nid, node in topology.nodes.items()}
+        self._delay_ms: dict[tuple[str, str], float] = {}  # (src, dst) -> latency + service
         self.report = SimReport()
         check_fault_nodes(fault_script, topology, "<fault script>")
-        for action in fault_script:
-            self._push(action.at_ms, KIND_FAULT, None, None, action)
+        for seq, action in enumerate(fault_script):
+            heappush(self._queue, (action.at_ms, seq, SimEvent(seq, KIND_FAULT, None, None, action)))
+        self._seq = len(fault_script)
 
     @property
     def now(self) -> float:
@@ -162,12 +182,6 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------
 
-    def _push(self, at_ms: float, kind: str, src: str | None, dst: str | None, payload: object) -> SimEvent:
-        event = SimEvent(self._seq, kind, src, dst, payload)
-        self._seq += 1
-        heappush(self._queue, (at_ms, event.seq, event))
-        return event
-
     def schedule_message(self, src: str, dst: str, payload: object) -> None:
         """Enqueue delivery of ``payload`` at now + latency(src, dst).
 
@@ -180,17 +194,23 @@ class Simulator:
         ):
             self._drop(src, dst, payload, "blocked at send")
             return
-        delay = self.topology.latency_ms(src, dst)
         if self._jitter_ms > 0.0:
-            delay = max(0.0, delay + self._jitter_rng.uniform(-self._jitter_ms, self._jitter_ms))
-        delay += self._service_ms[dst]
+            delay = max(0.0, self.topology.latency_ms(src, dst)
+                        + self._jitter_rng.uniform(-self._jitter_ms, self._jitter_ms))
+            delay += self._service_ms[dst]
+        else:
+            try:
+                delay = self._delay_ms[src, dst]
+            except KeyError:  # first message on this pair; an unknown node raises here
+                delay = self._delay_ms[src, dst] = (self.topology.latency_ms(src, dst)
+                                                    + self._service_ms[dst])
         at_ms = self._now + delay
         seq = self._seq
         self._seq = seq + 1
         heappush(self._queue, (at_ms, seq, SimEvent(seq, KIND_MESSAGE, src, dst, payload)))
 
-    def set_timer(self, node_id: str | None, delay_ms: float, payload: object) -> Timer:
-        """Schedule a timer payload for ``node_id`` after ``delay_ms``.
+    def set_timer(self, node_id: str | None, delay_ms: float, payload: object) -> SimEvent:
+        """Schedule a timer payload for ``node_id`` after ``delay_ms``; return its event.
 
         A timer bound to a node is dropped if the node is down when it
         fires. ``node_id=None`` makes a harness timer that always fires
@@ -198,8 +218,24 @@ class Simulator:
         """
         if not delay_ms >= 0:  # also rejects NaN
             raise ValueError(f"delay_ms must be >= 0 (got {delay_ms})")
-        event = self._push(self._now + delay_ms, KIND_TIMER, None, node_id, payload)
-        return Timer(event)
+        at_ms = self._now + delay_ms
+        seq = self._seq
+        self._seq = seq + 1
+        event = SimEvent(seq, KIND_TIMER, None, node_id, payload)
+        entry = (at_ms, seq, event)
+        lane = self._lanes[type(payload)]
+        if not lane:
+            lane.append(entry)
+            heappush(self._queue, entry)
+        elif lane[-1][0] <= at_ms:  # seq only grows, so the lane stays ordered
+            if len(lane) > 1 and lane[1][2].cancelled:  # free the dead timers behind the head
+                head = lane.popleft()
+                _drop_cancelled(lane)
+                lane.appendleft(head)
+            lane.append(entry)
+        else:
+            heappush(self._queue, entry)
+        return event
 
     def _drop(self, src: str | None, dst: str | None, payload: object, reason: str,
               seq: int | None = None) -> None:
@@ -229,16 +265,24 @@ class Simulator:
             raise ValueError("max_ms must be a number, not NaN")  # NaN compares false: no budget
         # Faults mutate these containers in place, so the locals see live state.
         queue, report, crashed, partitions = self._queue, self.report, self._crashed, self._partitions
-        handler, trace = self.handler, self._trace
+        handler, trace, lanes = self.handler, self._trace, self._lanes
         while queue:
-            at_ms, _, event = heappop(queue)
-            if event.cancelled:
-                continue
+            entry = heappop(queue)
+            at_ms, _, event = entry
+            kind = event.kind
+            if kind is KIND_TIMER:
+                lane = lanes.get(type(event.payload))
+                if lane and lane[0] is entry:  # a lane's head: put the next live one in the heap
+                    lane.popleft()
+                    _drop_cancelled(lane)
+                    if lane:
+                        heappush(queue, lane[0])
+                if event.cancelled:
+                    continue
             if max_ms is not None and at_ms > max_ms:
-                raise BudgetExceededError(max_ms, at_ms, len(queue) + 1)
+                raise BudgetExceededError(max_ms, at_ms, 1 + self._live_events())
             self._now = at_ms
             report.events_processed += 1
-            kind = event.kind
             if kind is KIND_MESSAGE:
                 if (crashed or partitions) and (
                     event.dst in crashed or not self.can_communicate(event.src, event.dst)
@@ -261,6 +305,13 @@ class Simulator:
         report.end_ms = self._now
         return report
 
+    def _live_events(self) -> int:
+        """Events still due to run: the heap's, then each lane's behind its head."""
+        live = sum(not event.cancelled for _, _, event in self._queue)
+        for lane in self._lanes.values():
+            live += sum(not event.cancelled for _, _, event in islice(lane, 1, None))
+        return live
+
     def apply_fault(self, action: FaultAction, seq: int | None = None) -> None:
         """Apply a fault action immediately (scripted faults arrive here too)."""
         if action.action == "crash":
@@ -275,6 +326,12 @@ class Simulator:
             raise ValueError(f"unknown fault action {action.action!r}")
         self.report.faults_applied += 1
         self._emit_trace(KIND_FAULT, None, None, action.describe(), seq)
+
+
+def _drop_cancelled(lane: deque[tuple[float, int, SimEvent]]) -> None:
+    """Pop the cancelled timers at the front of a lane."""
+    while lane and lane[0][2].cancelled:
+        lane.popleft()
 
 
 def check_fault_nodes(fault_script: Sequence[FaultAction], topology: Topology,

@@ -49,7 +49,7 @@ from .consistency import (
     get_region,
     required_acks,
 )
-from .netsim import SimEvent, Simulator, Timer
+from .netsim import SimEvent, Simulator
 from .placement import ReplicaMap, place_replicas
 from .topology import Topology
 
@@ -140,9 +140,12 @@ class QueryResult:
 
 
 # -- wire messages ---------------------------------------------------------
+# Messages and timer payloads are built several times per op and never
+# changed after, so they skip ``frozen``: its checked ``__init__`` costs more
+# than twice a plain one.
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class QueryReq:
     op_id: int
     query: Query
@@ -152,7 +155,7 @@ class QueryReq:
         return f"QueryReq op={self.op_id} {self.query.kind.value} key={self.query.key}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class QueryResp:
     op_id: int
     result: QueryResult
@@ -161,7 +164,7 @@ class QueryResp:
         return f"QueryResp op={self.op_id} status={self.result.status}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class WriteReq:
     op_id: int
     record: VersionedRecord
@@ -171,7 +174,7 @@ class WriteReq:
         return f"WriteReq key={r.key} value={r.value!r} version={r.version}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class WriteAck:
     op_id: int
 
@@ -179,7 +182,7 @@ class WriteAck:
         return f"WriteAck op={self.op_id}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ReadReq:
     op_id: int
     key: str
@@ -188,7 +191,7 @@ class ReadReq:
         return f"ReadReq key={self.key}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ReadResp:
     op_id: int
     record: VersionedRecord | None
@@ -201,7 +204,7 @@ class ReadResp:
 # -- timers ------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class OpTimeout:
     """Coordinator deadline: the op fails if its replies have not arrived."""
 
@@ -211,7 +214,7 @@ class OpTimeout:
         return f"OpTimeout op={self.op_id}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ClientTimeout:
     """Client deadline: the callback fires even if the coordinator is gone."""
 
@@ -221,7 +224,7 @@ class ClientTimeout:
         return f"ClientTimeout op={self.op_id}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Arrival:
     """Harness timer that submits ``query`` when it fires (open-loop runs)."""
 
@@ -298,7 +301,7 @@ class _PendingOp:
     coordinator: str
     level: ConsistencyLevel
     required: int
-    timer: Timer
+    timer: SimEvent
     replies: list[VersionedRecord | None] = field(default_factory=list)
 
 
@@ -307,7 +310,7 @@ class _ClientOp:
     query: Query
     callback: Callable[[Query, QueryResult], None]
     issued_ms: float
-    timer: Timer
+    timer: SimEvent
 
 
 class Cluster:
@@ -402,9 +405,9 @@ class Cluster:
 
     def _on_query_req(self, node: str, src: str, req: QueryReq) -> None:
         query = req.query
-        direction = query.kind.direction
-        rmap = self.control.replica_map(query.key)
-        if query.kind is QueryKind.CREATE:
+        kind = query.kind
+        rmap = self.control.maps.get(query.key)
+        if kind is QueryKind.CREATE:
             if self.control.is_live(query.key):
                 self._reply(node, req, QueryResult(status="error", error="duplicate_key"))
                 return
@@ -414,10 +417,11 @@ class Cluster:
             self._reply(node, req, QueryResult(status="not_found"))
             return
 
+        is_read = kind is QueryKind.READ
         level = query.level or get_region(
             self.region_set, query.key, query.client_ctx,
             query.data_ctx or self.control.locations[query.key],
-        ).level_for(direction)  # type: ignore[arg-type]
+        ).level_for("read" if is_read else "write")
         try:
             required = required_acks(level, rmap.effective_rf)
         except LevelInfeasibleError:
@@ -428,13 +432,13 @@ class Cluster:
         timer = self.sim.set_timer(node, self.timeout_ms, OpTimeout(req.op_id))
         pend = self._pending[req.op_id] = _PendingOp(req, node, level, required, timer)
         is_replica = node in rmap.replica_ids
-        if direction == "read":
+        if is_read:
             msg: ReadReq | WriteReq = ReadReq(req.op_id, query.key)
             if is_replica:
-                pend.replies.append(self._replicas[node].get(query.key))
+                pend.replies.append(self._replicas[node].records.get(query.key))
         else:
-            value = None if query.kind is QueryKind.DELETE else query.value
-            if query.kind is QueryKind.CREATE:
+            value = None if kind is QueryKind.DELETE else query.value
+            if kind is QueryKind.CREATE:
                 self.control.register(query.key, rmap)
             if query.data_ctx is not None:
                 self.control.locations[query.key] = query.data_ctx
@@ -444,7 +448,7 @@ class Cluster:
                 self._replicas[node].apply(record)
                 pend.replies.append(None)
         answered = len(pend.replies) >= required
-        if not (answered and direction == "read"):  # a local answer needs no fan-out
+        if not (answered and is_read):  # a local answer needs no fan-out
             for replica_id in rmap.replica_ids:
                 if replica_id != node:
                     self.sim.schedule_message(node, replica_id, msg)
@@ -455,21 +459,23 @@ class Cluster:
         pend = self._pending.get(msg.op_id)
         if pend is None:
             return  # operation already completed or timed out
-        pend.replies.append(getattr(msg, "record", None))  # a WriteAck carries no record
+        pend.replies.append(msg.record if type(msg) is ReadResp else None)  # an ack has no record
         if len(pend.replies) >= pend.required:
             self._finish(pend)
 
     def _finish(self, pend: _PendingOp) -> None:
         query = pend.req.query
         value = None
-        if query.kind.direction == "write":
-            self.control.note_completed_write(query.key, deleted=query.kind is QueryKind.DELETE)
-            status = "ok"
-        else:
-            freshest = max((r for r in pend.replies if r is not None),
-                           key=lambda r: r.version, default=None)
+        if query.kind is QueryKind.READ:
+            freshest = None
+            for record in pend.replies:
+                if record is not None and (freshest is None or record.version > freshest.version):
+                    freshest = record
             value = freshest.value if freshest is not None else None  # None: absent or tombstone
             status = "ok" if value is not None else "not_found"
+        else:
+            self.control.note_completed_write(query.key, deleted=query.kind is QueryKind.DELETE)
+            status = "ok"
         self._reply_pending(pend, QueryResult(status=status, value=value, level_used=pend.level,
                                               acks_received=len(pend.replies)))
 
@@ -496,7 +502,7 @@ class Cluster:
         self.sim.schedule_message(node, src, WriteAck(msg.op_id))
 
     def _on_read_req(self, node: str, src: str, msg: ReadReq) -> None:
-        record = self._replicas[node].get(msg.key)
+        record = self._replicas[node].records.get(msg.key)
         self.sim.schedule_message(node, src, ReadResp(msg.op_id, record))
 
     # -- client side ------------------------------------------------------------

@@ -100,19 +100,20 @@ def generate_ops(spec: WorkloadSpec) -> list[Query]:
     entries = [(c, ClientContext(c.client_id, c.geo)) for c in spec.clients]
     weights = [c.weight for c in spec.clients]
     ops: list[Query] = []
-    newest = 0
+    keys: list[str] = []  # keys[n - 1] is key n; a read shares its CREATE's string
     for _ in range(spec.op_count):
         is_read = rng.random() < spec.read_fraction
         client, ctx = rng.choices(entries, weights)[0]
-        if is_read and newest > 0:
-            back = min(_geometric(rng, spec.recency_skew), newest - 1)
-            ops.append(Query(QueryKind.READ, f"{spec.key_prefix}{newest - back}", ctx))
+        if is_read and keys:
+            back = min(_geometric(rng, spec.recency_skew), len(keys) - 1)
+            ops.append(Query(QueryKind.READ, keys[-1 - back], ctx))
         else:
-            newest += 1
+            newest = len(keys) + 1
+            keys.append(f"{spec.key_prefix}{newest}")
             data_geo = spec.data_geo if spec.data_geo is not None else client.geo
             ops.append(Query(
                 QueryKind.CREATE,
-                f"{spec.key_prefix}{newest}",
+                keys[-1],
                 ctx,
                 value=f"v{newest}",
                 data_ctx=DataContext(data_geo),

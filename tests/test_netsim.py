@@ -1,8 +1,11 @@
+import heapq
 import json
 import random
+from dataclasses import dataclass
 
 import pytest
 
+from fogstore_sim import netsim
 from fogstore_sim.consistency import ConsistencyLevel
 from fogstore_sim.errors import ConfigError
 from fogstore_sim.experiment import build_star_topology, run_single
@@ -13,7 +16,7 @@ from fogstore_sim.netsim import (
     fault_script_from_dict,
     load_fault_script,
 )
-from fogstore_sim.topology import FogNode, Link, Topology
+from fogstore_sim.topology import FogNode, Link, Topology, UnknownNodeError
 from fogstore_sim.workload import WorkloadClient, WorkloadSpec
 
 from conftest import random_topology
@@ -91,6 +94,25 @@ class TestDelivery:
         with pytest.raises(ValueError, match="NaN"):
             run_single(topo, workload, budget_ms=float("nan"))
 
+    @pytest.mark.parametrize("jitter_ms", [0.0, 1.0])
+    @pytest.mark.parametrize("src, dst", [("fog-1", "nope"), ("nope", "fog-1")])
+    def test_unknown_endpoint_raises_unknown_node_error(self, src, dst, jitter_ms):
+        sim = Simulator(build_star_topology((4, 5, 6, 7, 8)), jitter_ms=jitter_ms)
+        sim.schedule_message("fog-1", "fog-2", "known pair first")
+        with pytest.raises(UnknownNodeError, match="unknown node 'nope'"):
+            sim.schedule_message(src, dst, "x")
+
+    def test_budget_error_counts_only_live_events(self):
+        # 200 ALL-read ops at 100 ms: 6 events are still due (the next one
+        # included); as many cancelled deadline timers wait beside them.
+        workload = WorkloadSpec(op_count=200, clients=(WorkloadClient("c", (-100.0, 0.0)),),
+                                fixed_read_level=ConsistencyLevel.ALL,
+                                fixed_write_level=ConsistencyLevel.ONE, seed=5)
+        with pytest.raises(BudgetExceededError) as info:
+            run_single(build_star_topology((4, 5, 6, 7, 8)), workload, budget_ms=100.0)
+        assert (info.value.next_event_ms, info.value.pending) == (101.0, 6)
+        assert str(info.value).endswith("next event at 101.0 ms, 6 pending")
+
     def test_service_time_applies_at_destination(self):
         nodes = [FogNode("a", (0, 0), "ga"), FogNode("b", (1, 0), "gb", service_ms=2.5)]
         topo = Topology(nodes, [Link("a", "b", 5.0)])
@@ -113,6 +135,7 @@ class TestTimers:
         log = []
         sim = Simulator(pair_topology(), handler=recording_handler(log))
         timer = sim.set_timer("a", 1000.0, "tick")
+        assert (timer.kind, timer.dst, timer.payload) == ("timer", "a", "tick")  # the event itself
         timer.cancel()
         report = sim.run_until_quiescent()
         assert log == []
@@ -264,6 +287,189 @@ class TestDeterminism:
         trace_b, _ = self.run_once(jitter_ms=0.5)
         assert trace_a == trace_b
         assert trace_a != self.run_once(jitter_ms=0.0)[0]
+
+
+@dataclass(frozen=True)
+class Payload:
+    n: int
+
+
+class Msg(Payload):
+    pass
+
+
+class TickA(Payload):  # constant delay: always set in order
+    pass
+
+
+class TickB(Payload):  # random delay: often set out of order
+    pass
+
+
+class TickC(Payload):  # mostly constant, sometimes not
+    pass
+
+
+ORACLE_NODES = ("a", "b", "c", "d")
+ORACLE_CRASHABLE = ("c", "d")
+
+
+def oracle_topology():
+    nodes = [FogNode("a", (0, 0), "ga"), FogNode("b", (1, 0), "gb"),
+             FogNode("c", (2, 0), "gc", service_ms=0.5), FogNode("d", (3, 0), "gd", service_ms=0.25)]
+    links = [Link("a", "b", 1.0), Link("b", "c", 0.5), Link("c", "d", 1.5), Link("a", "d", 2.0)]
+    return Topology(nodes, links)
+
+
+def random_schedule(rng):
+    """A fault script, the actions issued before the run, and each payload's reactions.
+
+    An action is ``("msg", src, dst, payload)``, ``("timer", node, delay, payload)``
+    or ``("cancel", n)``, which cancels the timer whose payload is ``n`` (a no-op
+    if that timer was never set or has fired).
+    """
+    faults = []
+    for node in ORACLE_CRASHABLE:
+        if rng.random() < 0.6:
+            crash = rng.choice([0.0, 1.0, 2.5, 4.0, 6.0])
+            faults.append(FaultAction(crash, "crash", node=node))
+            if rng.random() < 0.7:
+                faults.append(FaultAction(crash + rng.choice([0.5, 2.0, 4.0]), "recover", node=node))
+    faults.sort(key=lambda f: f.at_ms)
+    timers: list[int] = []
+    count = 0
+
+    def actions(k):
+        nonlocal count
+        out = []
+        for _ in range(k):
+            count += 1
+            roll = rng.random()
+            if roll < 0.4:
+                out.append(("msg", rng.choice(ORACLE_NODES), rng.choice(ORACLE_NODES), Msg(count)))
+                continue
+            if roll < 0.85:
+                kind = rng.choice([TickA, TickB, TickC])
+                if kind is TickA:
+                    delay = 4.0
+                elif kind is TickC and rng.random() < 0.7:
+                    delay = 3.0
+                else:
+                    delay = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 7.5])
+                node = rng.choice((None,) + ORACLE_NODES)
+                out.append(("timer", node, delay, kind(count)))
+                timers.append(count)
+            if timers and rng.random() < 0.5:
+                out.append(("cancel", rng.choice(timers)))
+        return out
+
+    initial = actions(rng.randint(3, 10))
+    reactions = {}
+    n = 1
+    while n <= count and count < 80:
+        if rng.random() < 0.6:
+            reactions[n] = actions(rng.randint(1, 3))
+        n += 1
+    return faults, initial, reactions
+
+
+def reference_log(topology, faults, initial, reactions):
+    """The same schedule on a plain heap of ``(at_ms, seq)``: what must be delivered."""
+    queue, log, crashed, cancelled, timer_seqs = [], [], set(), set(), {}
+    seq, now = 0, 0.0
+    for fault in faults:
+        heapq.heappush(queue, (fault.at_ms, seq, "fault", None, fault))
+        seq += 1
+
+    def run(actions):
+        nonlocal seq
+        for action in actions:
+            if action[0] == "msg":
+                _, src, dst, payload = action
+                if src in crashed or dst in crashed:
+                    continue  # blocked at send: no seq
+                delay = topology.latency_ms(src, dst) + topology.nodes[dst].service_ms
+                heapq.heappush(queue, (now + delay, seq, "message", dst, payload))
+            elif action[0] == "timer":
+                _, node, delay, payload = action
+                timer_seqs[payload.n] = seq
+                heapq.heappush(queue, (now + delay, seq, "timer", node, payload))
+            else:
+                if action[1] in timer_seqs:
+                    cancelled.add(timer_seqs[action[1]])
+                continue
+            seq += 1
+
+    run(initial)
+    while queue:
+        at_ms, event_seq, kind, dst, payload = heapq.heappop(queue)
+        if event_seq in cancelled:
+            continue
+        now = at_ms
+        if kind == "fault":
+            (crashed.add if payload.action == "crash" else crashed.discard)(payload.node)
+            continue
+        if dst in crashed:
+            continue
+        log.append((now, event_seq, kind, payload))
+        run(reactions.get(payload.n, ()))
+    return log
+
+
+def simulator_log(topology, faults, initial, reactions):
+    log, handles = [], {}
+
+    def run(sim, actions):
+        for action in actions:
+            if action[0] == "msg":
+                sim.schedule_message(action[1], action[2], action[3])
+            elif action[0] == "timer":
+                handles[action[3].n] = sim.set_timer(action[1], action[2], action[3])
+            elif action[1] in handles:
+                handles[action[1]].cancel()
+
+    def handler(sim, event):
+        log.append((sim.now, event.seq, event.kind, event.payload))
+        run(sim, reactions.get(event.payload.n, ()))
+
+    sim = Simulator(topology, handler=handler, fault_script=faults)
+    run(sim, initial)
+    sim.run_until_quiescent()
+    return log
+
+
+def test_event_order_matches_a_reference_heap_on_random_schedules():
+    """Messages, timers of several payload types set in and out of order, equal
+    times, cancels before and after firing, timers set by handlers and timers
+    at crashed nodes: delivery matches a plain ``(at_ms, seq)`` heap exactly."""
+    topology = oracle_topology()
+    rng = random.Random(2024)
+    delivered = 0
+    for _ in range(300):
+        schedule = random_schedule(rng)
+        expected = reference_log(topology, *schedule)
+        assert simulator_log(topology, *schedule) == expected
+        delivered += len(expected)
+    assert delivered > 3000  # the schedules are not trivially empty
+
+
+def test_closed_loop_heap_holds_no_dead_deadline_timers(monkeypatch):
+    # Each op sets two deadline timers seconds out and cancels both within
+    # milliseconds; they wait in their lanes, so the heap stays a handful long.
+    longest = 0
+
+    def heappush(heap, entry):
+        nonlocal longest
+        heapq.heappush(heap, entry)
+        longest = max(longest, len(heap))
+
+    monkeypatch.setattr(netsim, "heappush", heappush)
+    workload = WorkloadSpec(op_count=2000, clients=(WorkloadClient("c", (-100.0, 0.0)),),
+                            fixed_read_level=ConsistencyLevel.ONE,
+                            fixed_write_level=ConsistencyLevel.ONE)
+    output = run_single(build_star_topology((4, 5, 6, 7, 8)), workload)
+    assert len(output.results) == 2000
+    assert 0 < longest <= 16
 
 
 class Unprintable:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from collections import Counter
 
@@ -92,6 +93,44 @@ class TestGenerateOps:
     def test_insert_data_context_override(self):
         ops = generate_ops(spec(read_fraction=0.0, op_count=3, data_geo=(7.0, 8.0)))
         assert all(q.data_ctx.data_geo == (7.0, 8.0) for q in ops)
+
+
+    @staticmethod
+    def formatted_reference(workload):
+        """(kind, key, value, data geo) per op, each key formatted on its own."""
+        rng = random.Random(workload.seed)
+        entries = [(c, c.client_id) for c in workload.clients]
+        weights = [c.weight for c in workload.clients]
+        ops, newest = [], 0
+        for _ in range(workload.op_count):
+            is_read = rng.random() < workload.read_fraction
+            client, _ = rng.choices(entries, weights)[0]
+            if is_read and newest > 0:
+                u = rng.random()
+                geometric = int(math.log(1.0 - u) / math.log(1.0 - workload.recency_skew))
+                back = min(geometric, newest - 1)
+                ops.append((QueryKind.READ, f"{workload.key_prefix}{newest - back}", None, None))
+            else:
+                newest += 1
+                data_geo = workload.data_geo if workload.data_geo is not None else client.geo
+                ops.append((QueryKind.CREATE, f"{workload.key_prefix}{newest}",
+                            f"v{newest}", data_geo))
+        return ops
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2718])
+    def test_reads_share_the_key_string_of_their_create(self, seed):
+        clients = (WorkloadClient("a", (0.0, 0.0), weight=3.0), WorkloadClient("b", (5.0, 1.0)))
+        workload = spec(op_count=3000, clients=clients, read_fraction=0.9, recency_skew=0.2,
+                        key_prefix="tl-", seed=seed)
+        ops = generate_ops(workload)
+        assert [(q.kind, q.key, q.value, q.data_ctx and q.data_ctx.data_geo) for q in ops] \
+            == self.formatted_reference(workload)
+        created = {}
+        for q in ops:
+            if q.kind is QueryKind.CREATE:
+                created[q.key] = q.key
+            else:
+                assert q.key is created[q.key]
 
 
 class TestSpecValidation:
