@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from operator import mul
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -102,7 +104,9 @@ def run_queries(
     Closed loop (default): the next operation is issued the instant the
     previous result arrives. Open loop: operation ``i`` is issued at
     ``i * open_loop_interval_ms`` regardless of completion, so operations
-    may overlap in flight. In either loop a query runs at the level it pins.
+    may overlap in flight; the arrivals form one timer series, so each
+    query's ``Arrival`` is built only when the one before it fires. In either
+    loop a query runs at the level it pins.
     """
     results: list[tuple[Query, QueryResult]] = []
 
@@ -122,8 +126,9 @@ def run_queries(
         def collect(query: Query, result: QueryResult) -> None:
             results.append((query, result))
 
-        for i, query in enumerate(queries):
-            cluster.sim.set_timer(None, i * open_loop_interval_ms, Arrival(query, collect))
+        cluster.sim.set_timer_series(
+            None, len(queries), map(mul, range(len(queries)), repeat(open_loop_interval_ms)),
+            map(Arrival, queries, repeat(collect)))
     try:
         cluster.sim.run_until_quiescent(budget_ms)
     finally:

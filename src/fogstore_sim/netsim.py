@@ -27,18 +27,26 @@ not below its lane's tail joins the lane, and only each lane's head sits in
 the heap; a timer set out of order goes to the heap directly. The heap
 therefore always holds the least ``(at_ms, seq)`` of every lane, and events
 still run in exactly the ``(at_ms, seq)`` order above. A store's deadline
-timers have one constant delay per type, so each type forms one lane, and
-so do open-loop arrivals, which are all set in order at t=0. Deadlines are
-nearly always cancelled long before they are due: the cancelled ones behind
-a lane's head are dropped when the next timer joins the lane or the head is
-popped, so they cost no heap push or pop, and the heap that every message
-passes through holds little more than the messages in flight.
-:meth:`Simulator.set_timer` returns the timer's :class:`SimEvent`, whose
-:meth:`~SimEvent.cancel` discards it in O(1).
+timers have one constant delay per type, so each type forms one lane.
+Deadlines are nearly always cancelled long before they are due: the
+cancelled ones behind a lane's head are dropped when the next timer joins
+the lane or the head is popped, so they cost no heap push or pop, and the
+heap that every message passes through holds little more than the messages
+in flight. :meth:`Simulator.set_timer` returns the timer's
+:class:`SimEvent`, whose :meth:`~SimEvent.cancel` discards it in O(1).
+
+A run of timers with non-decreasing delays, such as an open loop's
+arrivals, is set in one call, :meth:`Simulator.set_timer_series`. It takes
+every seq of the run at once, so each timer keeps the seq that one
+``set_timer`` call per timer would give it, but a timer and its payload are
+built only when the one before it is popped. The series' next timer is
+always in the heap, and nothing behind it is in memory.
 
 Message delays come from a per-simulator ``(src, dst) -> latency + service``
 table, filled on a pair's first message; the sum is the one the topology
 and the destination's service time give, so delivery times are unchanged.
+With jitter on, the table holds the bare latency instead, and a delay is
+``max(0, latency ± jitter) + service``.
 """
 
 from __future__ import annotations
@@ -50,13 +58,15 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ConfigError, element, expect, load_json
 from .topology import Topology
 
 Handler = Callable[["Simulator", "SimEvent"], None]
 TraceSink = Callable[[str], None]
+# A timer series: (its start time, node, end seq, delays left, payloads left).
+_Series = tuple[float, "str | None", int, Iterator[float], Iterator[object]]
 
 KIND_MESSAGE = "message"
 KIND_TIMER = "timer"
@@ -152,12 +162,15 @@ class Simulator:
         self._queue: list[tuple[float, int, SimEvent]] = []
         # Timer lanes by payload type; a non-empty lane's head is also in the heap.
         self._lanes: defaultdict[type, deque[tuple[float, int, SimEvent]]] = defaultdict(deque)
+        # Timer series by the seq of their timer in the heap; the rest is unbuilt.
+        self._series: dict[int, _Series] = {}
         self._crashed: set[str] = set()
         self._partitions: list[tuple[frozenset[str], frozenset[str]]] = []
         self._jitter_ms = jitter_ms
-        self._jitter_rng = random.Random(jitter_seed)
+        self._jitter_random = random.Random(jitter_seed).random
         self._service_ms = {nid: node.service_ms for nid, node in topology.nodes.items()}
         self._delay_ms: dict[tuple[str, str], float] = {}  # (src, dst) -> latency + service
+        self._latency_ms: dict[tuple[str, str], float] = {}  # (src, dst) -> latency, with jitter
         self.report = SimReport()
         check_fault_nodes(fault_script, topology, "<fault script>")
         for seq, action in enumerate(fault_script):
@@ -194,9 +207,14 @@ class Simulator:
         ):
             self._drop(src, dst, payload, "blocked at send")
             return
-        if self._jitter_ms > 0.0:
-            delay = max(0.0, self.topology.latency_ms(src, dst)
-                        + self._jitter_rng.uniform(-self._jitter_ms, self._jitter_ms))
+        jitter = self._jitter_ms
+        if jitter > 0.0:
+            try:
+                latency = self._latency_ms[src, dst]
+            except KeyError:  # first message on this pair; an unknown node raises here
+                latency = self._latency_ms[src, dst] = self.topology.latency_ms(src, dst)
+            # random.uniform(-jitter, jitter) inlined: the same floats, one call fewer
+            delay = max(0.0, latency + (-jitter + (jitter + jitter) * self._jitter_random()))
             delay += self._service_ms[dst]
         else:
             try:
@@ -237,6 +255,29 @@ class Simulator:
             heappush(self._queue, entry)
         return event
 
+    def set_timer_series(self, node_id: str | None, count: int, delays: Iterable[float],
+                         payloads: Iterable[object]) -> None:
+        """Set ``count`` timers for ``node_id``, as ``count`` ``set_timer`` calls would.
+
+        Timer ``i`` is due the ``i``-th delay in ms from now and carries the
+        ``i``-th payload; the delays must not decrease. All ``count`` seqs are
+        taken now, so the timers run in the same ``(at_ms, seq)`` order, but
+        timer ``i + 1`` and its payload are only built when timer ``i`` is
+        popped: the series keeps one timer in the heap and none in memory
+        behind it. Its timers share no lane and cannot be cancelled.
+        """
+        if count <= 0:
+            return
+        delays, payloads = iter(delays), iter(payloads)
+        first = next(delays)
+        if not first >= 0:  # also rejects NaN
+            raise ValueError(f"delays must be >= 0 (got {first})")
+        seq = self._seq
+        self._seq = seq + count
+        heappush(self._queue, (self._now + first, seq,
+                               SimEvent(seq, KIND_TIMER, None, node_id, next(payloads))))
+        self._series[seq] = (self._now, node_id, seq + count, delays, payloads)
+
     def _drop(self, src: str | None, dst: str | None, payload: object, reason: str,
               seq: int | None = None) -> None:
         self.report.messages_dropped += 1
@@ -265,10 +306,10 @@ class Simulator:
             raise ValueError("max_ms must be a number, not NaN")  # NaN compares false: no budget
         # Faults mutate these containers in place, so the locals see live state.
         queue, report, crashed, partitions = self._queue, self.report, self._crashed, self._partitions
-        handler, trace, lanes = self.handler, self._trace, self._lanes
+        handler, trace, lanes, series = self.handler, self._trace, self._lanes, self._series
         while queue:
             entry = heappop(queue)
-            at_ms, _, event = entry
+            at_ms, seq, event = entry
             kind = event.kind
             if kind is KIND_TIMER:
                 lane = lanes.get(type(event.payload))
@@ -277,6 +318,16 @@ class Simulator:
                     _drop_cancelled(lane)
                     if lane:
                         heappush(queue, lane[0])
+                elif series and seq in series:  # a series' timer: build the next one
+                    start_ms, node_id, end, delays, payloads = run = series.pop(seq)
+                    nxt = seq + 1
+                    if nxt < end:
+                        due = start_ms + next(delays)
+                        if not due >= at_ms:
+                            raise ValueError(f"timer series delays decrease at seq {nxt}")
+                        heappush(queue, (due, nxt, SimEvent(nxt, KIND_TIMER, None, node_id,
+                                                            next(payloads))))
+                        series[nxt] = run
                 if event.cancelled:
                     continue
             if max_ms is not None and at_ms > max_ms:
@@ -310,7 +361,7 @@ class Simulator:
         live = sum(not event.cancelled for _, _, event in self._queue)
         for lane in self._lanes.values():
             live += sum(not event.cancelled for _, _, event in islice(lane, 1, None))
-        return live
+        return live + sum(end - seq - 1 for seq, (_, _, end, _, _) in self._series.items())
 
     def apply_fault(self, action: FaultAction, seq: int | None = None) -> None:
         """Apply a fault action immediately (scripted faults arrive here too)."""

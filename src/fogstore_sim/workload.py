@@ -16,9 +16,11 @@ are exactly reproducible.
 from __future__ import annotations
 
 import math
-import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
+from random import Random
 from typing import Sequence
 
 from .consistency import ClientContext, ConsistencyLevel, DataContext, _parse_level
@@ -85,39 +87,43 @@ class WorkloadSpec:
             raise ValueError(f"open_loop_interval_ms: must be finite and > 0 (got {interval})")
 
 
-def _geometric(rng: random.Random, p: float) -> int:
-    """Failures before first success; p >= 1 degenerates to always 0."""
-    if p >= 1.0:
-        return 0
-    u = rng.random()
-    return int(math.log(1.0 - u) / math.log(1.0 - p))
-
-
 def generate_ops(spec: WorkloadSpec) -> list[Query]:
-    """Deterministic operation sequence for one workload run."""
-    rng = random.Random(spec.seed)
-    # One shared context per client entry; pairs keep entries with equal ids apart.
-    entries = [(c, ClientContext(c.client_id, c.geo)) for c in spec.clients]
-    weights = [c.weight for c in spec.clients]
+    """Deterministic operation sequence for one workload run.
+
+    Each op draws, in order: read or insert; its client, by weight, bisecting
+    the cumulative weights as ``random.choices`` does; and, for a read, its
+    geometric offset ``int(log(1 - u) / log(1 - skew))`` back from the newest
+    key, which draws nothing when ``skew >= 1`` (the offset is then always 0).
+    """
+    random = Random(spec.seed).random
+    # Contexts are frozen, so ops share them: a client context per client entry
+    # (entries with equal ids stay apart) and a data context per insert anchor.
+    anchor = None if spec.data_geo is None else DataContext(spec.data_geo)
+    entries = [(ClientContext(c.client_id, c.geo),
+                DataContext(c.geo) if anchor is None else anchor) for c in spec.clients]
+    cum_weights = list(accumulate(c.weight for c in spec.clients))
+    total = cum_weights[-1] + 0.0
+    hi = len(cum_weights) - 1
+    read_fraction = spec.read_fraction
+    skew = spec.recency_skew
+    log_miss = math.log(1.0 - skew) if skew < 1.0 else None
+    prefix = spec.key_prefix
+    log = math.log
+    read, create = QueryKind.READ, QueryKind.CREATE
     ops: list[Query] = []
+    append = ops.append
     keys: list[str] = []  # keys[n - 1] is key n; a read shares its CREATE's string
     for _ in range(spec.op_count):
-        is_read = rng.random() < spec.read_fraction
-        client, ctx = rng.choices(entries, weights)[0]
+        is_read = random() < read_fraction
+        ctx, data_ctx = entries[bisect_right(cum_weights, random() * total, 0, hi)]
         if is_read and keys:
-            back = min(_geometric(rng, spec.recency_skew), len(keys) - 1)
-            ops.append(Query(QueryKind.READ, keys[-1 - back], ctx))
+            back = 0 if log_miss is None else int(log(1.0 - random()) / log_miss)
+            append(Query(read, keys[-1 - back] if back < len(keys) else keys[0], ctx))
         else:
             newest = len(keys) + 1
-            keys.append(f"{spec.key_prefix}{newest}")
-            data_geo = spec.data_geo if spec.data_geo is not None else client.geo
-            ops.append(Query(
-                QueryKind.CREATE,
-                keys[-1],
-                ctx,
-                value=f"v{newest}",
-                data_ctx=DataContext(data_geo),
-            ))
+            key = f"{prefix}{newest}"
+            keys.append(key)
+            append(Query(create, key, ctx, f"v{newest}", data_ctx))
     return ops
 
 

@@ -8,7 +8,7 @@ import pytest
 from fogstore_sim import netsim
 from fogstore_sim.consistency import ConsistencyLevel
 from fogstore_sim.errors import ConfigError
-from fogstore_sim.experiment import build_star_topology, run_single
+from fogstore_sim.experiment import build_star_topology, run_queries, run_single
 from fogstore_sim.netsim import (
     BudgetExceededError,
     FaultAction,
@@ -16,8 +16,9 @@ from fogstore_sim.netsim import (
     fault_script_from_dict,
     load_fault_script,
 )
+from fogstore_sim.store import Arrival, Cluster
 from fogstore_sim.topology import FogNode, Link, Topology, UnknownNodeError
-from fogstore_sim.workload import WorkloadClient, WorkloadSpec
+from fogstore_sim.workload import WorkloadClient, WorkloadSpec, generate_ops
 
 from conftest import random_topology
 
@@ -102,6 +103,24 @@ class TestDelivery:
         with pytest.raises(UnknownNodeError, match="unknown node 'nope'"):
             sim.schedule_message(src, dst, "x")
 
+    def test_jittered_delay_reads_each_pair_latency_once(self, monkeypatch):
+        topo = oracle_topology()  # c and d have service times
+        calls = []
+        latency_ms = Topology.latency_ms
+        monkeypatch.setattr(Topology, "latency_ms",
+                            lambda self, a, b: calls.append((a, b)) or latency_ms(self, a, b))
+        log = []
+        sim = Simulator(topo, handler=recording_handler(log), jitter_ms=1.5, jitter_seed=9)
+        pairs = [("a", "c"), ("c", "d"), ("d", "a"), ("a", "a"), ("c", "d"), ("a", "c")] * 4
+        for src, dst in pairs:
+            sim.schedule_message(src, dst, (src, dst))
+        sim.run_until_quiescent()
+        assert sorted(calls) == sorted(set(pairs))
+        rng = random.Random(9)
+        expected = [max(0.0, latency_ms(topo, src, dst) + rng.uniform(-1.5, 1.5))
+                    + topo.nodes[dst].service_ms for src, dst in pairs]
+        assert sorted((payload, at) for at, *_, payload in log) == sorted(zip(pairs, expected))
+
     def test_budget_error_counts_only_live_events(self):
         # 200 ALL-read ops at 100 ms: 6 events are still due (the next one
         # included); as many cancelled deadline timers wait beside them.
@@ -163,6 +182,109 @@ class TestTimers:
         sim = Simulator(pair_topology())
         with pytest.raises(ValueError, match="delay_ms"):
             sim.set_timer(None, float("nan"), "tick")
+
+
+class TestTimerSeries:
+    def test_series_fires_in_order_with_the_seqs_it_reserved(self):
+        log = []
+        sim = Simulator(pair_topology(), handler=lambda sim, e: log.append((sim.now, e.seq, e.payload)))
+        sim.set_timer_series("a", 3, [1.0, 1.0, 4.0], ["x", "y", "z"])
+        sim.schedule_message("a", "b", "m")  # takes the seq after the whole series
+        sim.run_until_quiescent()
+        assert log == [(1.0, 0, "x"), (1.0, 1, "y"), (4.0, 2, "z"), (5.0, 3, "m")]
+        assert sim.report.timers_fired == 3
+
+    def test_payloads_are_built_one_pop_at_a_time(self):
+        built = []
+
+        def payload(i):
+            built.append(i)
+            return i
+
+        sim = Simulator(pair_topology(), handler=lambda sim, e: built.append(f"fired {e.payload}"))
+        sim.set_timer_series(None, 3, [0.0, 2.0, 2.0], map(payload, range(3)))
+        assert built == [0]
+        sim.run_until_quiescent()
+        assert built == [0, 1, "fired 0", 2, "fired 1", "fired 2"]
+
+    def test_empty_series_sets_nothing(self):
+        sim = Simulator(pair_topology())
+        sim.set_timer_series(None, 0, [], [])
+        sim.schedule_message("a", "b", "m")
+        assert sim.run_until_quiescent().events_processed == 1
+        assert sim._seq == 1
+
+    @pytest.mark.parametrize("first", [float("nan"), -1.0])
+    def test_bad_first_delay_rejected(self, first):
+        sim = Simulator(pair_topology())
+        with pytest.raises(ValueError, match="delays must be >= 0"):
+            sim.set_timer_series(None, 2, [first, 1.0], ["x", "y"])
+
+    def test_decreasing_delay_rejected_when_reached(self):
+        sim = Simulator(pair_topology())
+        sim.set_timer_series(None, 3, [1.0, 3.0, 2.0], ["x", "y", "z"])
+        with pytest.raises(ValueError, match="delays decrease at seq 2"):
+            sim.run_until_quiescent()
+
+    def test_series_timer_at_crashed_node_dropped(self):
+        log = []
+        sim = Simulator(pair_topology(), handler=recording_handler(log),
+                        fault_script=[FaultAction(2.0, "crash", node="a")])
+        sim.set_timer_series("a", 3, [1.0, 2.0, 3.0], ["x", "y", "z"])
+        sim.run_until_quiescent()
+        assert log == [(1.0, "timer", None, "a", "x")]
+        assert sim.report.messages_dropped == 2
+
+
+def eager_open_loop(cluster, queries, interval_ms, budget_ms=None):
+    """The open loop as one ``set_timer`` call per arrival, all set at t=0."""
+    results = []
+
+    def collect(query, result):
+        results.append((query, result))
+
+    for i, query in enumerate(queries):
+        cluster.sim.set_timer(None, i * interval_ms, Arrival(query, collect))
+    cluster.sim.run_until_quiescent(budget_ms)
+    return results
+
+
+class TestOpenLoopSeries:
+    """``run_queries``' lazily built arrivals against eager ``set_timer`` scheduling."""
+
+    def cluster(self, trace):
+        # Integer link latencies and a 1 ms interval: arrivals tie with deliveries.
+        topo = build_star_topology((4, 5, 6, 7, 8))
+        return Cluster(topo, Simulator(topo, trace=trace.append), replication_factor=5,
+                       fixed_read_level=ConsistencyLevel.QUORUM,
+                       fixed_write_level=ConsistencyLevel.QUORUM)
+
+    def queries(self):
+        return generate_ops(WorkloadSpec(op_count=300, clients=(WorkloadClient("c", (-100.0, 0.0)),),
+                                         read_fraction=0.6, seed=4))
+
+    def test_trace_is_byte_identical_to_eager_scheduling(self):
+        queries = self.queries()
+        lazy_trace, eager_trace = [], []
+        lazy = run_queries(self.cluster(lazy_trace), queries, open_loop_interval_ms=1.0)
+        eager = eager_open_loop(self.cluster(eager_trace), queries, 1.0)
+        assert "\n".join(lazy_trace) == "\n".join(eager_trace)
+        assert lazy == eager and len(lazy) == 300
+        rows = [line.split(",", 5) for line in lazy_trace]
+        arrivals = {at for at, _, kind, _, _, what in rows if what.startswith("Arrival")}
+        delivered = {at for at, _, kind, _, _, _ in rows if kind == "message"}
+        assert len(arrivals & delivered) > 100  # the ties the seq order decides
+
+    @pytest.mark.parametrize("budget_ms", [0.5, 50.5, 298.0])
+    def test_budget_error_counts_the_arrivals_not_built_yet(self, budget_ms):
+        queries = self.queries()
+        with pytest.raises(BudgetExceededError) as lazy:
+            run_queries(self.cluster([]), queries, budget_ms=budget_ms, open_loop_interval_ms=1.0)
+        with pytest.raises(BudgetExceededError) as eager:
+            eager_open_loop(self.cluster([]), queries, 1.0, budget_ms=budget_ms)
+        assert (lazy.value.next_event_ms, lazy.value.pending) \
+            == (eager.value.next_event_ms, eager.value.pending)
+        assert lazy.value.pending >= 300 - int(budget_ms)  # arrivals still to come
 
 
 class TestFaults:
@@ -324,9 +446,10 @@ def oracle_topology():
 def random_schedule(rng):
     """A fault script, the actions issued before the run, and each payload's reactions.
 
-    An action is ``("msg", src, dst, payload)``, ``("timer", node, delay, payload)``
-    or ``("cancel", n)``, which cancels the timer whose payload is ``n`` (a no-op
-    if that timer was never set or has fired).
+    An action is ``("msg", src, dst, payload)``, ``("timer", node, delay, payload)``,
+    ``("series", node, delays, payloads)``, a timer series whose payloads share
+    their types with single timers, or ``("cancel", n)``, which cancels the single
+    timer whose payload is ``n`` (a no-op if that timer was never set or has fired).
     """
     faults = []
     for node in ORACLE_CRASHABLE:
@@ -359,6 +482,13 @@ def random_schedule(rng):
                 node = rng.choice((None,) + ORACLE_NODES)
                 out.append(("timer", node, delay, kind(count)))
                 timers.append(count)
+            elif roll < 0.95:
+                delays = sorted(rng.choice([0.0, 0.5, 1.0, 3.0, 4.0]) for _ in range(rng.randint(1, 4)))
+                payloads = [rng.choice([TickA, TickB, TickC])(count)]
+                for _ in delays[1:]:
+                    count += 1
+                    payloads.append(rng.choice([TickA, TickB, TickC])(count))
+                out.append(("series", rng.choice((None,) + ORACLE_NODES), delays, payloads))
             if timers and rng.random() < 0.5:
                 out.append(("cancel", rng.choice(timers)))
         return out
@@ -394,6 +524,12 @@ def reference_log(topology, faults, initial, reactions):
                 _, node, delay, payload = action
                 timer_seqs[payload.n] = seq
                 heapq.heappush(queue, (now + delay, seq, "timer", node, payload))
+            elif action[0] == "series":
+                _, node, delays, payloads = action
+                for delay, payload in zip(delays, payloads):
+                    heapq.heappush(queue, (now + delay, seq, "timer", node, payload))
+                    seq += 1
+                continue
             else:
                 if action[1] in timer_seqs:
                     cancelled.add(timer_seqs[action[1]])
@@ -425,6 +561,8 @@ def simulator_log(topology, faults, initial, reactions):
                 sim.schedule_message(action[1], action[2], action[3])
             elif action[0] == "timer":
                 handles[action[3].n] = sim.set_timer(action[1], action[2], action[3])
+            elif action[0] == "series":
+                sim.set_timer_series(action[1], len(action[2]), action[2], action[3])
             elif action[1] in handles:
                 handles[action[1]].cancel()
 
@@ -439,18 +577,22 @@ def simulator_log(topology, faults, initial, reactions):
 
 
 def test_event_order_matches_a_reference_heap_on_random_schedules():
-    """Messages, timers of several payload types set in and out of order, equal
-    times, cancels before and after firing, timers set by handlers and timers
-    at crashed nodes: delivery matches a plain ``(at_ms, seq)`` heap exactly."""
+    """Messages, timers of several payload types set in and out of order, timer
+    series beside single timers of the same types, equal times, cancels before
+    and after firing, timers set by handlers and timers at crashed nodes:
+    delivery matches a plain ``(at_ms, seq)`` heap exactly."""
     topology = oracle_topology()
     rng = random.Random(2024)
-    delivered = 0
+    delivered = series = 0
     for _ in range(300):
         schedule = random_schedule(rng)
         expected = reference_log(topology, *schedule)
         assert simulator_log(topology, *schedule) == expected
         delivered += len(expected)
+        series += sum(action[0] == "series" for actions in [schedule[1], *schedule[2].values()]
+                      for action in actions)
     assert delivered > 3000  # the schedules are not trivially empty
+    assert series > 1000
 
 
 def test_closed_loop_heap_holds_no_dead_deadline_timers(monkeypatch):

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from fogstore_sim.consistency import ConsistencyLevel
+from fogstore_sim.consistency import ClientContext, ConsistencyLevel
 from fogstore_sim.errors import ConfigError
 from fogstore_sim.store import QueryKind
 from fogstore_sim.workload import (
@@ -131,6 +131,69 @@ class TestGenerateOps:
                 created[q.key] = q.key
             else:
                 assert q.key is created[q.key]
+
+
+def oracle_ops(workload):
+    """The straightforward generator: ``rng.choices`` and a geometric draw per read.
+
+    ``(kind, key, value, client context, data geo)`` per op; ``generate_ops``
+    must make the same draws in the same order and so give the same ops.
+    """
+    def geometric(rng, p):
+        if p >= 1.0:
+            return 0
+        u = rng.random()
+        return int(math.log(1.0 - u) / math.log(1.0 - p))
+
+    rng = random.Random(workload.seed)
+    entries = [(c, ClientContext(c.client_id, c.geo)) for c in workload.clients]
+    weights = [c.weight for c in workload.clients]
+    ops, keys = [], []
+    for _ in range(workload.op_count):
+        is_read = rng.random() < workload.read_fraction
+        client, ctx = rng.choices(entries, weights)[0]
+        if is_read and keys:
+            back = min(geometric(rng, workload.recency_skew), len(keys) - 1)
+            ops.append((QueryKind.READ, keys[-1 - back], None, ctx, None))
+        else:
+            keys.append(f"{workload.key_prefix}{len(keys) + 1}")
+            data_geo = workload.data_geo if workload.data_geo is not None else client.geo
+            ops.append((QueryKind.CREATE, keys[-1], f"v{len(keys)}", ctx, data_geo))
+    return ops
+
+
+ORACLE_CLIENTS = {
+    "equal": (WorkloadClient("a", (0.0, 0.0)), WorkloadClient("b", (5.0, 1.0)),
+              WorkloadClient("c", (-3.0, 2.0))),
+    "unequal": (WorkloadClient("a", (0.0, 0.0), weight=3.0),
+                WorkloadClient("b", (5.0, 1.0), weight=0.25),
+                WorkloadClient("a", (9.0, 9.0), weight=1.5),  # same id, another place
+                WorkloadClient("d", (-3.0, 2.0), weight=7.0)),
+    "single": (WorkloadClient("solo", (1.0, -1.0), weight=2.0),),
+}
+
+ORACLE_SPECS = {
+    "mixed": dict(read_fraction=0.8, recency_skew=0.2),
+    "skew-at-1": dict(read_fraction=0.9, recency_skew=1.0),
+    "skew-above-1": dict(read_fraction=0.6, recency_skew=3.5),
+    "low-skew": dict(read_fraction=0.95, recency_skew=0.01),
+    "all-inserts": dict(read_fraction=0.0),
+    "all-reads": dict(read_fraction=1.0, recency_skew=0.5),
+    "data-geo": dict(read_fraction=0.7, data_geo=(7.0, 8.0)),
+}
+
+
+class TestGenerateOpsOracle:
+    @pytest.mark.parametrize("clients", sorted(ORACLE_CLIENTS))
+    @pytest.mark.parametrize("params", sorted(ORACLE_SPECS))
+    def test_ops_match_the_oracle_on_seeds_0_to_20(self, params, clients):
+        for seed in range(21):
+            workload = spec(op_count=300, clients=ORACLE_CLIENTS[clients], key_prefix="tl-",
+                            seed=seed, **ORACLE_SPECS[params])
+            ops = generate_ops(workload)
+            assert [(q.kind, q.key, q.value, q.client_ctx, q.data_ctx and q.data_ctx.data_geo)
+                    for q in ops] == oracle_ops(workload)
+            assert all(q.level is None for q in ops)
 
 
 class TestSpecValidation:
