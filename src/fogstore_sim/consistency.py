@@ -140,6 +140,8 @@ class RegionSet:
             seen.add(spec.keyspace)
         self.specs = tuple(specs)
         self.default = default
+        # Longest keyspace first, so the first prefix match is the longest one.
+        self._by_length = sorted(self.specs, key=lambda spec: len(spec.keyspace), reverse=True)
 
     @classmethod
     def uniform(cls, read: ConsistencyLevel, write: ConsistencyLevel) -> RegionSet:
@@ -151,10 +153,10 @@ class RegionSet:
 
         Keyspaces are unique, so an exact key is the longest prefix it has.
         """
-        if not self.specs:
-            return self.default
-        return max((spec for spec in self.specs if key.startswith(spec.keyspace)),
-                   key=lambda spec: len(spec.keyspace), default=self.default)
+        for spec in self._by_length:
+            if key.startswith(spec.keyspace):
+                return spec
+        return self.default
 
 
 def get_region(

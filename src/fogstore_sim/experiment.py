@@ -5,6 +5,10 @@ operation the moment the previous result arrives, so latency samples
 measure pure request paths with no queueing. A workload that sets
 ``open_loop_interval_ms`` issues operations at that fixed interval instead.
 
+A sweep generates its op list once and replays it in every cell: the cells
+differ only in their fixed levels, which the generator never reads, and no
+run changes a query.
+
 ``make_paper_topologies`` generates the three canonical star networks
 (one switch hub, five storage nodes each in its own failure group, one
 client attach node at 1 ms) whose storage link delays are 4/5/6/7/8 ms
@@ -151,8 +155,13 @@ def run_single(
     budget_ms: float | None = None,
     jitter_ms: float = 0.0,
     jitter_seed: int = 0,
+    queries: Sequence[Query] | None = None,
 ) -> RunOutput:
-    """Build one simulation, run the workload to quiescence, collect stats."""
+    """Build one simulation, run the workload to quiescence, collect stats.
+
+    ``queries`` replays an op list already generated from ``workload``;
+    left ``None``, the list is generated here.
+    """
     sim = Simulator(
         topology,
         fault_script=fault_script,
@@ -169,7 +178,8 @@ def run_single(
         fixed_write_level=workload.fixed_write_level,
         timeout_ms=timeout_ms,
     )
-    queries = generate_ops(workload)
+    if queries is None:
+        queries = generate_ops(workload)
     try:
         results = run_queries(cluster, queries, budget_ms=budget_ms,
                               open_loop_interval_ms=workload.open_loop_interval_ms)
@@ -231,7 +241,7 @@ class SweepResult:
 
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
-    """Run every sweep cell sequentially.
+    """Run every sweep cell sequentially, all on one generated op list.
 
     Rows appear in deterministic (setting, level, direction) order. Two
     invocations with the same plan produce byte-identical output. A cell
@@ -240,6 +250,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     """
     lines = [STATS_CSV_HEADER]
     failures: list[str] = []
+    queries = generate_ops(plan.workload)
     for setting_name, topology in plan.settings:
         for level in plan.levels:
             for direction in plan.directions:
@@ -256,6 +267,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
                         replication_factor=plan.replication_factor,
                         timeout_ms=plan.timeout_ms,
                         budget_ms=plan.budget_ms,
+                        queries=queries,
                     ).stats.summary(direction)
                 except BudgetExceededError as exc:
                     failures.append(f"{setting_name}/{level.value}/{direction}: {exc}")

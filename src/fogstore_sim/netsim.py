@@ -30,10 +30,13 @@ still run in exactly the ``(at_ms, seq)`` order above. A store's deadline
 timers have one constant delay per type, so each type forms one lane.
 Deadlines are nearly always cancelled long before they are due: the
 cancelled ones behind a lane's head are dropped when the next timer joins
-the lane or the head is popped, so they cost no heap push or pop, and the
-heap that every message passes through holds little more than the messages
-in flight. :meth:`Simulator.set_timer` returns the timer's
-:class:`SimEvent`, whose :meth:`~SimEvent.cancel` discards it in O(1).
+the lane (from the tail first, then from behind the head) or the head is
+popped, so they cost no heap push or pop, the heap that every message
+passes through holds little more than the messages in flight, and a lane
+holds little more than the live timers of its type.
+:meth:`Simulator.set_timer` returns the timer's :class:`SimEvent`, which
+:meth:`~SimEvent.cancel` (or setting its ``cancelled`` flag) discards in
+O(1).
 
 A run of timers with non-decreasing delays, such as an open loop's
 arrivals, is set in one call, :meth:`Simulator.set_timer_series`. It takes
@@ -65,8 +68,8 @@ from .topology import Topology
 
 Handler = Callable[["Simulator", "SimEvent"], None]
 TraceSink = Callable[[str], None]
-# A timer series: (its start time, node, end seq, delays left, payloads left).
-_Series = tuple[float, "str | None", int, Iterator[float], Iterator[object]]
+# A timer series: (its start time, node, first seq, end seq, delays left, payloads left).
+_Series = tuple[float, "str | None", int, int, Iterator[float], Iterator[object]]
 
 KIND_MESSAGE = "message"
 KIND_TIMER = "timer"
@@ -246,7 +249,13 @@ class Simulator:
             lane.append(entry)
             heappush(self._queue, entry)
         elif lane[-1][0] <= at_ms:  # seq only grows, so the lane stays ordered
-            if len(lane) > 1 and lane[1][2].cancelled:  # free the dead timers behind the head
+            # Free dead timers, never the head (it is in the heap): first those
+            # at the tail, where a closed loop's last cancelled deadline waits,
+            # then those right behind the head, which an open loop's oldest
+            # ops leave.
+            while len(lane) > 1 and lane[-1][2].cancelled:
+                lane.pop()
+            if len(lane) > 1 and lane[1][2].cancelled:
                 head = lane.popleft()
                 _drop_cancelled(lane)
                 lane.appendleft(head)
@@ -264,19 +273,25 @@ class Simulator:
         taken now, so the timers run in the same ``(at_ms, seq)`` order, but
         timer ``i + 1`` and its payload are only built when timer ``i`` is
         popped: the series keeps one timer in the heap and none in memory
-        behind it. Its timers share no lane and cannot be cancelled.
+        behind it. Its timers share no lane and cannot be cancelled. Fewer than
+        ``count`` delays or payloads raise :class:`ValueError`, here for the
+        first timer and from :meth:`run_until_quiescent` for a later one.
         """
         if count <= 0:
             return
         delays, payloads = iter(delays), iter(payloads)
-        first = next(delays)
+        seq = self._seq
+        try:
+            first = next(delays)
+            payload = next(payloads)
+        except StopIteration:
+            raise _short_series(seq, count) from None
         if not first >= 0:  # also rejects NaN
             raise ValueError(f"delays must be >= 0 (got {first})")
-        seq = self._seq
         self._seq = seq + count
         heappush(self._queue, (self._now + first, seq,
-                               SimEvent(seq, KIND_TIMER, None, node_id, next(payloads))))
-        self._series[seq] = (self._now, node_id, seq + count, delays, payloads)
+                               SimEvent(seq, KIND_TIMER, None, node_id, payload)))
+        self._series[seq] = (self._now, node_id, seq, seq + count, delays, payloads)
 
     def _drop(self, src: str | None, dst: str | None, payload: object, reason: str,
               seq: int | None = None) -> None:
@@ -319,14 +334,18 @@ class Simulator:
                     if lane:
                         heappush(queue, lane[0])
                 elif series and seq in series:  # a series' timer: build the next one
-                    start_ms, node_id, end, delays, payloads = run = series.pop(seq)
+                    start_ms, node_id, first, end, delays, payloads = run = series.pop(seq)
                     nxt = seq + 1
                     if nxt < end:
-                        due = start_ms + next(delays)
+                        try:
+                            due = start_ms + next(delays)
+                            payload = next(payloads)
+                        except StopIteration:
+                            raise _short_series(first, end - first) from None
                         if not due >= at_ms:
                             raise ValueError(f"timer series delays decrease at seq {nxt}")
                         heappush(queue, (due, nxt, SimEvent(nxt, KIND_TIMER, None, node_id,
-                                                            next(payloads))))
+                                                            payload)))
                         series[nxt] = run
                 if event.cancelled:
                     continue
@@ -361,7 +380,7 @@ class Simulator:
         live = sum(not event.cancelled for _, _, event in self._queue)
         for lane in self._lanes.values():
             live += sum(not event.cancelled for _, _, event in islice(lane, 1, None))
-        return live + sum(end - seq - 1 for seq, (_, _, end, _, _) in self._series.items())
+        return live + sum(end - seq - 1 for seq, (_, _, _, end, _, _) in self._series.items())
 
     def apply_fault(self, action: FaultAction, seq: int | None = None) -> None:
         """Apply a fault action immediately (scripted faults arrive here too)."""
@@ -377,6 +396,11 @@ class Simulator:
             raise ValueError(f"unknown fault action {action.action!r}")
         self.report.faults_applied += 1
         self._emit_trace(KIND_FAULT, None, None, action.describe(), seq)
+
+
+def _short_series(first: int, count: int) -> ValueError:
+    return ValueError(f"timer series from seq {first} has fewer than {count} "
+                      f"delays or payloads")
 
 
 def _drop_cancelled(lane: deque[tuple[float, int, SimEvent]]) -> None:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -292,9 +292,10 @@ class _ReplicaStore:
 
 @dataclass(slots=True)
 class _PendingOp:
-    """A query in flight at its coordinator: replies count toward ``required``.
+    """A query in flight at its coordinator, answered once ``count`` reaches ``required``.
 
-    A reply is the replica's record for a read and ``None`` for a write ack.
+    ``count`` counts the replies so far: write acks, or read responses, of
+    which ``freshest`` is the record with the highest version.
     """
 
     req: QueryReq
@@ -302,7 +303,8 @@ class _PendingOp:
     level: ConsistencyLevel
     required: int
     timer: SimEvent
-    replies: list[VersionedRecord | None] = field(default_factory=list)
+    count: int = 0
+    freshest: VersionedRecord | None = None
 
 
 @dataclass(slots=True)
@@ -353,6 +355,15 @@ class Cluster:
         self._pending: dict[int, _PendingOp] = {}
         self._client_ops: dict[int, _ClientOp] = {}
         self._latencies: dict[float, float] = {}
+        # Acks each feasible (level, replica count) needs; an infeasible pair
+        # is absent. Placement never gives a key more replicas than the factor.
+        self._required: dict[tuple[ConsistencyLevel, int], int] = {}
+        for level in ConsistencyLevel:
+            for rf in range(1, replication_factor + 1):
+                try:
+                    self._required[level, rf] = required_acks(level, rf)
+                except LevelInfeasibleError:
+                    pass
 
     # -- client gateway ---------------------------------------------------
 
@@ -406,90 +417,98 @@ class Cluster:
     def _on_query_req(self, node: str, src: str, req: QueryReq) -> None:
         query = req.query
         kind = query.kind
-        rmap = self.control.maps.get(query.key)
+        key = query.key
+        rmap = self.control.maps.get(key)
         if kind is QueryKind.CREATE:
-            if self.control.is_live(query.key):
-                self._reply(node, req, QueryResult(status="error", error="duplicate_key"))
+            if self.control.is_live(key):
+                self._reply(node, req, QueryResult("error", None, None, 0.0, 0, "duplicate_key"))
                 return
-            rmap = place_replicas(query.key, query.data_ctx.data_geo, self.topology,
+            rmap = place_replicas(key, query.data_ctx.data_geo, self.topology,
                                   self.replication_factor)
         elif rmap is None:
-            self._reply(node, req, QueryResult(status="not_found"))
+            self._reply(node, req, QueryResult("not_found"))
             return
 
         is_read = kind is QueryKind.READ
         level = query.level or get_region(
-            self.region_set, query.key, query.client_ctx,
-            query.data_ctx or self.control.locations[query.key],
+            self.region_set, key, query.client_ctx,
+            query.data_ctx or self.control.locations[key],
         ).level_for("read" if is_read else "write")
-        try:
-            required = required_acks(level, rmap.effective_rf)
-        except LevelInfeasibleError:
-            self._reply(node, req, QueryResult(status="error", error="level_infeasible",
-                                               level_used=level))
+        replica_ids = rmap.replica_ids
+        required = self._required.get((level, len(replica_ids)))
+        if required is None:
+            self._reply(node, req, QueryResult("error", None, level, 0.0, 0, "level_infeasible"))
             return
 
-        timer = self.sim.set_timer(node, self.timeout_ms, OpTimeout(req.op_id))
-        pend = self._pending[req.op_id] = _PendingOp(req, node, level, required, timer)
-        is_replica = node in rmap.replica_ids
+        op_id = req.op_id
+        # Set even when the op is answered at once: later events' seqs count on it.
+        timer = self.sim.set_timer(node, self.timeout_ms, OpTimeout(op_id))
+        count = 0
+        freshest = None
+        is_replica = node in replica_ids
         if is_read:
-            msg: ReadReq | WriteReq = ReadReq(req.op_id, query.key)
             if is_replica:
-                pend.replies.append(self._replicas[node].records.get(query.key))
+                count = 1
+                freshest = self._replicas[node].records.get(key)
+                if required == 1:  # answered locally: no fan-out
+                    timer.cancelled = True
+                    self._reply(node, req, _read_result(freshest, level, 1))
+                    return
+            msg: ReadReq | WriteReq = ReadReq(op_id, key)
         else:
             value = None if kind is QueryKind.DELETE else query.value
             if kind is QueryKind.CREATE:
-                self.control.register(query.key, rmap)
+                self.control.register(key, rmap)
             if query.data_ctx is not None:
-                self.control.locations[query.key] = query.data_ctx
-            record = VersionedRecord(query.key, value, self.control.next_version(query.key))
-            msg = WriteReq(req.op_id, record)
+                self.control.locations[key] = query.data_ctx
+            record = VersionedRecord(key, value, self.control.next_version(key))
+            msg = WriteReq(op_id, record)
             if is_replica:
                 self._replicas[node].apply(record)
-                pend.replies.append(None)
-        answered = len(pend.replies) >= required
-        if not (answered and is_read):  # a local answer needs no fan-out
-            for replica_id in rmap.replica_ids:
-                if replica_id != node:
-                    self.sim.schedule_message(node, replica_id, msg)
-        if answered:
-            self._finish(pend)
+                count = 1
+        for replica_id in replica_ids:
+            if replica_id != node:
+                self.sim.schedule_message(node, replica_id, msg)
+        if count < required:
+            self._pending[op_id] = _PendingOp(req, node, level, required, timer, count, freshest)
+        else:  # a write the coordinator's own replica acknowledged
+            timer.cancelled = True
+            self._reply(node, req, self._write_result(query, level, count))
 
-    def _on_replica_reply(self, node: str, src: str, msg: WriteAck | ReadResp) -> None:
+    def _on_write_ack(self, node: str, src: str, msg: WriteAck) -> None:
         pend = self._pending.get(msg.op_id)
         if pend is None:
             return  # operation already completed or timed out
-        pend.replies.append(msg.record if type(msg) is ReadResp else None)  # an ack has no record
-        if len(pend.replies) >= pend.required:
-            self._finish(pend)
+        pend.count += 1
+        if pend.count >= pend.required:
+            self._finish(pend, self._write_result(pend.req.query, pend.level, pend.count))
 
-    def _finish(self, pend: _PendingOp) -> None:
-        query = pend.req.query
-        value = None
-        if query.kind is QueryKind.READ:
-            freshest = None
-            for record in pend.replies:
-                if record is not None and (freshest is None or record.version > freshest.version):
-                    freshest = record
-            value = freshest.value if freshest is not None else None  # None: absent or tombstone
-            status = "ok" if value is not None else "not_found"
-        else:
-            self.control.note_completed_write(query.key, deleted=query.kind is QueryKind.DELETE)
-            status = "ok"
-        self._reply_pending(pend, QueryResult(status=status, value=value, level_used=pend.level,
-                                              acks_received=len(pend.replies)))
+    def _on_read_resp(self, node: str, src: str, msg: ReadResp) -> None:
+        pend = self._pending.get(msg.op_id)
+        if pend is None:
+            return  # operation already completed or timed out
+        pend.count += 1
+        record = msg.record
+        if record is not None and (pend.freshest is None
+                                   or record.version > pend.freshest.version):
+            pend.freshest = record
+        if pend.count >= pend.required:
+            self._finish(pend, _read_result(pend.freshest, pend.level, pend.count))
+
+    def _write_result(self, query: Query, level: ConsistencyLevel, count: int) -> QueryResult:
+        """Record the write as completed; return the client's answer."""
+        self.control.note_completed_write(query.key, deleted=query.kind is QueryKind.DELETE)
+        return QueryResult("ok", None, level, 0.0, count)
 
     def _on_op_timeout(self, node: str, src: None, msg: OpTimeout) -> None:
         pend = self._pending.get(msg.op_id)
-        if pend is None:
-            return
-        self._reply_pending(pend, QueryResult(status="error", error="timeout",
-                                              level_used=pend.level,
-                                              acks_received=len(pend.replies)))
+        if pend is not None:
+            self._finish(pend, QueryResult("error", None, pend.level, 0.0, pend.count, "timeout"))
 
-    def _reply_pending(self, pend: _PendingOp, result: QueryResult) -> None:
+    def _finish(self, pend: _PendingOp, result: QueryResult) -> None:
+        """Drop the op's state and deadline and send ``result`` to its client."""
         del self._pending[pend.req.op_id]
-        pend.timer.cancel()
+        pend.timer.cancelled = True
         self._reply(pend.coordinator, pend.req, result)
 
     def _reply(self, node: str, req: QueryReq, result: QueryResult) -> None:
@@ -511,9 +530,10 @@ class Cluster:
         cop = self._client_ops.pop(msg.op_id, None)
         if cop is None:
             return  # client already gave up on this operation
-        cop.timer.cancel()
-        msg.result.latency_ms = self._elapsed_ms(cop)
-        cop.callback(cop.query, msg.result)
+        cop.timer.cancelled = True
+        result = msg.result
+        result.latency_ms = self._elapsed_ms(cop)
+        cop.callback(cop.query, result)
 
     def _on_client_timeout(self, node: None, src: None, msg: ClientTimeout) -> None:
         cop = self._client_ops.pop(msg.op_id, None)
@@ -521,9 +541,9 @@ class Cluster:
             return
         pend = self._pending.pop(msg.op_id, None)  # its OpTimeout died with a crashed coordinator
         if pend is not None:
-            pend.timer.cancel()
-        result = QueryResult(status="error", error="timeout", latency_ms=self._elapsed_ms(cop))
-        cop.callback(cop.query, result)
+            pend.timer.cancelled = True
+        cop.callback(cop.query, QueryResult("error", None, None, self._elapsed_ms(cop), 0,
+                                            "timeout"))
 
     def _elapsed_ms(self, cop: _ClientOp) -> float:
         """The op's latency so far, as the float object shared by equal latencies."""
@@ -533,14 +553,21 @@ class Cluster:
         return self._latencies.get(latency, latency)
 
 
+def _read_result(freshest: VersionedRecord | None, level: ConsistencyLevel,
+                 count: int) -> QueryResult:
+    """A read's answer from its freshest reply; ``None`` there or a tombstone is not found."""
+    value = None if freshest is None else freshest.value
+    return QueryResult("not_found" if value is None else "ok", value, level, 0.0, count)
+
+
 # Plain functions, called as ``handler(cluster, dst, src, payload)``: a table
 # of bound methods would make every cluster refer to itself.
 _HANDLERS: dict[type, Callable[..., None]] = {
     QueryReq: Cluster._on_query_req,
     WriteReq: Cluster._on_write_req,
     ReadReq: Cluster._on_read_req,
-    WriteAck: Cluster._on_replica_reply,
-    ReadResp: Cluster._on_replica_reply,
+    WriteAck: Cluster._on_write_ack,
+    ReadResp: Cluster._on_read_resp,
     QueryResp: Cluster._on_query_resp,
     OpTimeout: Cluster._on_op_timeout,
     ClientTimeout: Cluster._on_client_timeout,

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -141,6 +142,26 @@ class TestRegionSetMatching:
     def test_duplicate_keyspace_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             RegionSet([traffic_spec("x"), traffic_spec("x")], default=traffic_spec(""))
+
+    def test_match_is_the_longest_prefix_on_random_keyspaces(self):
+        # Brute force: the longest declared keyspace that prefixes the key, else
+        # the default; short strings over a 2-letter alphabet nest often.
+        rng = random.Random(11)
+        def word(n):
+            return "".join(rng.choice("ab") for _ in range(n))
+
+        matched = 0
+        for _ in range(200):
+            keyspaces = list({word(rng.randint(0, 4)) for _ in range(rng.randint(0, 8))})
+            rng.shuffle(keyspaces)
+            spec_set = RegionSet([traffic_spec(k) for k in keyspaces], default=traffic_spec("*"))
+            for _ in range(20):
+                key = word(rng.randint(0, 6))
+                prefixes = [k for k in keyspaces if key.startswith(k)]
+                expected = max(prefixes, key=len) if prefixes else "*"
+                assert spec_set.match_spec(key).keyspace == expected
+                matched += bool(prefixes)
+        assert matched > 1000  # most keys hit a declared keyspace
 
     def test_uniform_set_gives_its_levels_at_every_distance_and_key(self):
         spec_set = RegionSet.uniform(QUORUM, TWO)

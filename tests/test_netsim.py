@@ -226,6 +226,25 @@ class TestTimerSeries:
         with pytest.raises(ValueError, match="delays decrease at seq 2"):
             sim.run_until_quiescent()
 
+    @pytest.mark.parametrize("delays, payloads", [([], ["x", "y", "z"]), ([1.0, 2.0, 3.0], [])])
+    def test_series_missing_its_first_timer_rejected_when_set(self, delays, payloads):
+        sim = Simulator(pair_topology())
+        with pytest.raises(ValueError, match="from seq 0 has fewer than 3 delays or payloads"):
+            sim.set_timer_series(None, 3, delays, payloads)
+        assert sim._seq == 0 and sim._series == {}  # nothing was set
+
+    @pytest.mark.parametrize("delays, payloads", [([0.0, 1.0], ["x", "y", "z"]),
+                                                  ([0.0, 1.0, 2.0], ["x", "y"])])
+    def test_short_series_raises_value_error_when_its_end_is_reached(self, delays, payloads):
+        # It used to leak a bare StopIteration out of the loop.
+        fired = []
+        sim = Simulator(pair_topology(), handler=lambda sim, e: fired.append(e.payload))
+        sim.schedule_message("a", "b", "m")  # seq 0: the series starts at seq 1
+        sim.set_timer_series(None, 3, delays, payloads)
+        with pytest.raises(ValueError, match="from seq 1 has fewer than 3 delays or payloads"):
+            sim.run_until_quiescent()
+        assert fired == ["x"]
+
     def test_series_timer_at_crashed_node_dropped(self):
         log = []
         sim = Simulator(pair_topology(), handler=recording_handler(log),
@@ -612,6 +631,37 @@ def test_closed_loop_heap_holds_no_dead_deadline_timers(monkeypatch):
     output = run_single(build_star_topology((4, 5, 6, 7, 8)), workload)
     assert len(output.results) == 2000
     assert 0 < longest <= 16
+
+
+def test_open_loop_deadline_lanes_stay_bounded():
+    # Ops overlap in an open loop and finish out of order, so cancelled
+    # deadlines land both at a lane's tail and right behind its head. A lane
+    # that kept them would grow with the op count.
+    def peaks(op_count):
+        topo = build_star_topology((4, 5, 6, 7, 8))
+        sim = Simulator(topo)
+        cluster = Cluster(topo, sim, replication_factor=5,
+                          fixed_read_level=ConsistencyLevel.QUORUM,
+                          fixed_write_level=ConsistencyLevel.QUORUM)
+        dispatch = sim.handler
+        inflight = longest = 0
+
+        def handler(sim, event):  # timers are only set inside handlers here
+            nonlocal inflight, longest
+            dispatch(sim, event)
+            inflight = max(inflight, len(cluster._client_ops))
+            longest = max(longest, *map(len, sim._lanes.values()))
+
+        sim.handler = handler
+        queries = generate_ops(WorkloadSpec(op_count=op_count, read_fraction=0.5, seed=3,
+                                            clients=(WorkloadClient("c", (-100.0, 0.0)),)))
+        assert len(run_queries(cluster, queries, open_loop_interval_ms=0.5)) == op_count
+        return inflight, longest
+
+    inflight, longest = peaks(3000)
+    assert inflight > 20  # the ops do overlap
+    assert longest <= inflight + 1
+    assert peaks(6000) == (inflight, longest)
 
 
 class Unprintable:
