@@ -7,7 +7,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TypeVar
 
-T = TypeVar("T", dict, list)
+T = TypeVar("T", dict, list, bool)
 
 
 class ConfigError(Exception):
@@ -37,14 +37,23 @@ def load_json(path: str | Path) -> object:
 
 
 def expect(value: object, kind: type[T], source: str, where: str) -> T:
-    """``value`` if it is a JSON object (``dict``) or array (``list``) as ``kind`` asks.
+    """``value`` if it is a JSON object, array or boolean, as ``kind`` asks.
 
     Anything else raises a ConfigError naming the file and the element path.
     """
     if not isinstance(value, kind):
-        name = "object" if kind is dict else "array"
+        name = {dict: "object", list: "array", bool: "boolean"}[kind]
         raise ConfigError(source, f"{where}: expected a JSON {name}, got {value!r}")
     return value
+
+
+def integer(value: object, source: str, where: str) -> int:
+    """``value`` if it is a JSON number with no fraction; else a ConfigError naming ``where``."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ConfigError(source, f"{where}: expected an integer, got {value!r}")
 
 
 @contextmanager

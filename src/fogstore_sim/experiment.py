@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .consistency import ConsistencyLevel, RegionSet, _parse_level
-from .errors import ConfigError, expect, load_json
+from .errors import ConfigError, expect, integer, load_json
 from .netsim import BudgetExceededError, FaultAction, SimReport, Simulator
 from .store import Arrival, Cluster, Query, QueryResult
 from .topology import FogNode, Link, Topology, load_topology
@@ -314,7 +314,8 @@ def load_sweep_plan(path: str | Path) -> SweepPlan:
             levels=levels,
             directions=directions,
             workload=workload,
-            replication_factor=int(data.get("replication_factor", 5)),
+            replication_factor=integer(data.get("replication_factor", 5), str(path),
+                                       "replication_factor"),
             timeout_ms=float(data.get("timeout_ms", 10_000.0)),
             budget_ms=float(data["budget_ms"]) if data.get("budget_ms") is not None else None,
         )

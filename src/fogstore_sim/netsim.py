@@ -34,9 +34,9 @@ the lane (from the tail first, then from behind the head) or the head is
 popped, so they cost no heap push or pop, the heap that every message
 passes through holds little more than the messages in flight, and a lane
 holds little more than the live timers of its type.
-:meth:`Simulator.set_timer` returns the timer's :class:`SimEvent`, which
-:meth:`~SimEvent.cancel` (or setting its ``cancelled`` flag) discards in
-O(1).
+:meth:`Simulator.set_timer` returns the timer's :class:`SimEvent`; setting
+its ``cancelled`` flag discards the timer in O(1): it never fires and never
+advances the clock.
 
 A run of timers with non-decreasing delays, such as an open loop's
 arrivals, is set in one call, :meth:`Simulator.set_timer_series`. It takes
@@ -104,10 +104,6 @@ class SimEvent:
     dst: str | None
     payload: object
     cancelled: bool = False
-
-    def cancel(self) -> None:
-        """Discard a pending timer; it never fires and never advances the clock."""
-        self.cancelled = True
 
 
 @dataclass(frozen=True)

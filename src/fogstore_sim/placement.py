@@ -37,11 +37,6 @@ class ReplicaMap:
         if len(set(self.replica_ids)) != len(self.replica_ids):
             raise ValueError("replica_ids must be distinct")
 
-    @property
-    def effective_rf(self) -> int:
-        """Number of replicas actually holding the key."""
-        return len(self.replica_ids)
-
 
 def place_replicas(
     key: str,

@@ -11,8 +11,11 @@ The coordinator then fans out to the key's replicas:
   as soon as the level's required acknowledgement count is reached, and the
   remaining replicas converge in the background (no rollback on timeout);
 * reads are answered from the first ``required`` replica responses, picking
-  the record with the highest version among them; level ONE with a local
-  replica short-circuits without any replica fan-out.
+  the record with the highest version among them.
+
+An op the coordinator's own replica completes (level ONE at a replica) is
+answered at once, a read without any fan-out. Only an op that waits for
+replies sets a coordinator deadline (:class:`OpTimeout`) and is kept in flight.
 
 Clients enter through :meth:`Cluster.submit` alone (asynchronous, callback
 on completion); the drivers that issue queries and run the simulator live in
@@ -22,7 +25,7 @@ typed timers (:class:`OpTimeout`, :class:`ClientTimeout`, :class:`Arrival`).
 
 A version is a per-key counter issued by the control plane, a
 zero-latency global registry that also holds each key's replica map and
-current data location; replica records carry only a value and a version.
+current data location; each storage node keeps its records in a plain dict.
 One counter per key means no two writes of a key share a version. Real
 deployments would gossip or use synchronized clocks here; a shared registry
 keeps version order aligned with operation order, which makes last-write-wins
@@ -251,9 +254,6 @@ class ControlPlane:
         self._counters: dict[str, int] = {}
         self._deleted: set[str] = set()
 
-    def replica_map(self, key: str) -> ReplicaMap | None:
-        return self.maps.get(key)
-
     def is_live(self, key: str) -> bool:
         return key in self.maps and key not in self._deleted
 
@@ -271,23 +271,6 @@ class ControlPlane:
             self._deleted.add(key)
         else:
             self._deleted.discard(key)
-
-
-class _ReplicaStore:
-    """One node's durable records; survives crash/recover untouched."""
-
-    __slots__ = ("records",)
-
-    def __init__(self) -> None:
-        self.records: dict[str, VersionedRecord] = {}
-
-    def get(self, key: str) -> VersionedRecord | None:
-        return self.records.get(key)
-
-    def apply(self, record: VersionedRecord) -> None:
-        existing = self.records.get(record.key)
-        if existing is None or record.version > existing.version:
-            self.records[record.key] = record
 
 
 @dataclass(slots=True)
@@ -350,7 +333,8 @@ class Cluster:
         self.timeout_ms = timeout_ms
         self.client_timeout_ms = timeout_ms + CLIENT_TIMEOUT_SLACK_MS
         self.control = ControlPlane()
-        self._replicas = {nid: _ReplicaStore() for nid in topology.storage_ids}
+        # Each storage node's records by key; crash and recover leave them untouched.
+        self._records = {nid: {} for nid in topology.storage_ids}
         self._op_ids = itertools.count(1)
         self._pending: dict[int, _PendingOp] = {}
         self._client_ops: dict[int, _ClientOp] = {}
@@ -386,7 +370,7 @@ class Cluster:
     # -- introspection ------------------------------------------------------
 
     def replica_record(self, node_id: str, key: str) -> VersionedRecord | None:
-        return self._replicas[node_id].get(key)
+        return self._records[node_id].get(key)
 
     def convergence_violations(self) -> list[str]:
         """Keys whose live replicas disagree (expected empty at quiescence
@@ -398,7 +382,7 @@ class Cluster:
             for nid in rmap.replica_ids:
                 if not self.sim.is_up(nid):
                     continue
-                seen.setdefault(self._replicas[nid].get(key), []).append(nid)
+                seen.setdefault(self._records[nid].get(key), []).append(nid)
             if len(seen) > 1:
                 detail = "; ".join(f"{v}={k}" for k, v in sorted(seen.items(), key=str))
                 problems.append(f"{key}: {detail}")
@@ -441,20 +425,12 @@ class Cluster:
             return
 
         op_id = req.op_id
-        # Set even when the op is answered at once: later events' seqs count on it.
-        timer = self.sim.set_timer(node, self.timeout_ms, OpTimeout(op_id))
         count = 0
         freshest = None
-        is_replica = node in replica_ids
         if is_read:
-            if is_replica:
+            if node in replica_ids:
                 count = 1
-                freshest = self._replicas[node].records.get(key)
-                if required == 1:  # answered locally: no fan-out
-                    timer.cancelled = True
-                    self._reply(node, req, _read_result(freshest, level, 1))
-                    return
-            msg: ReadReq | WriteReq = ReadReq(op_id, key)
+                freshest = self._records[node].get(key)
         else:
             value = None if kind is QueryKind.DELETE else query.value
             if kind is QueryKind.CREATE:
@@ -462,18 +438,27 @@ class Cluster:
             if query.data_ctx is not None:
                 self.control.locations[key] = query.data_ctx
             record = VersionedRecord(key, value, self.control.next_version(key))
-            msg = WriteReq(op_id, record)
-            if is_replica:
-                self._replicas[node].apply(record)
+            if node in replica_ids:
                 count = 1
+                _apply(self._records[node], record)
+        if count >= required:  # answered at once: no deadline, no in-flight state
+            if is_read:
+                result = _read_result(freshest, level, count)
+            else:  # the other replicas still converge in the background
+                self._fan_out(node, replica_ids, WriteReq(op_id, record))
+                result = self._write_result(query, level, count)
+            self._reply(node, req, result)
+            return
+        timer = self.sim.set_timer(node, self.timeout_ms, OpTimeout(op_id))
+        self._pending[op_id] = _PendingOp(req, node, level, required, timer, count, freshest)
+        msg = ReadReq(op_id, key) if is_read else WriteReq(op_id, record)
+        self._fan_out(node, replica_ids, msg)
+
+    def _fan_out(self, node: str, replica_ids: tuple[str, ...], msg: ReadReq | WriteReq) -> None:
+        """Send ``msg`` from the coordinator ``node`` to every other replica of the key."""
         for replica_id in replica_ids:
             if replica_id != node:
                 self.sim.schedule_message(node, replica_id, msg)
-        if count < required:
-            self._pending[op_id] = _PendingOp(req, node, level, required, timer, count, freshest)
-        else:  # a write the coordinator's own replica acknowledged
-            timer.cancelled = True
-            self._reply(node, req, self._write_result(query, level, count))
 
     def _on_write_ack(self, node: str, src: str, msg: WriteAck) -> None:
         pend = self._pending.get(msg.op_id)
@@ -517,11 +502,11 @@ class Cluster:
     # -- replica side -------------------------------------------------------------
 
     def _on_write_req(self, node: str, src: str, msg: WriteReq) -> None:
-        self._replicas[node].apply(msg.record)
+        _apply(self._records[node], msg.record)
         self.sim.schedule_message(node, src, WriteAck(msg.op_id))
 
     def _on_read_req(self, node: str, src: str, msg: ReadReq) -> None:
-        record = self._replicas[node].records.get(msg.key)
+        record = self._records[node].get(msg.key)
         self.sim.schedule_message(node, src, ReadResp(msg.op_id, record))
 
     # -- client side ------------------------------------------------------------
@@ -551,6 +536,13 @@ class Cluster:
         if len(self._latencies) < SHARED_LATENCY_CAP:
             return self._latencies.setdefault(latency, latency)
         return self._latencies.get(latency, latency)
+
+
+def _apply(records: dict[str, VersionedRecord], record: VersionedRecord) -> None:
+    """Last write wins: keep ``record`` unless ``records`` holds its key at a version as high."""
+    existing = records.get(record.key)
+    if existing is None or record.version > existing.version:
+        records[record.key] = record
 
 
 def _read_result(freshest: VersionedRecord | None, level: ConsistencyLevel,

@@ -245,7 +245,8 @@ def topology_from_dict(data: dict, source: str = "<dict>") -> Topology:
                     node_id=str(raw["id"]),
                     geo=(float(geo[0]), float(geo[1])),
                     failure_group_id=str(raw["failure_group"]),
-                    is_storage=bool(raw.get("is_storage", True)),
+                    is_storage=expect(raw.get("is_storage", True), bool, source,
+                                      f"{where}.is_storage"),
                     service_ms=float(raw.get("service_ms", 0.0)),
                 )
             )

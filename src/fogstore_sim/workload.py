@@ -24,7 +24,7 @@ from random import Random
 from typing import Sequence
 
 from .consistency import ClientContext, ConsistencyLevel, DataContext, _parse_level
-from .errors import ConfigError, element, expect, load_json
+from .errors import ConfigError, element, expect, integer, load_json
 from .store import Query, QueryKind
 from .topology import Coord
 
@@ -204,7 +204,7 @@ def workload_from_dict(data: dict, source: str = "<dict>") -> WorkloadSpec:
     )
     try:
         return WorkloadSpec(
-            op_count=int(data.get("op_count", 0)),
+            op_count=integer(data.get("op_count", 0), source, "op_count"),
             clients=tuple(clients),
             read_fraction=float(data.get("read_fraction", 0.95)),
             key_prefix=str(data.get("key_prefix", "key-")),
@@ -216,7 +216,7 @@ def workload_from_dict(data: dict, source: str = "<dict>") -> WorkloadSpec:
                 float(data["open_loop_interval_ms"])
                 if data.get("open_loop_interval_ms") is not None else None
             ),
-            seed=int(data.get("seed", 0)),
+            seed=integer(data.get("seed", 0), source, "seed"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(source, str(exc)) from None

@@ -166,7 +166,7 @@ def quorum_violations_for_seed(seed: int) -> list[tuple]:
     completed: dict[str, list[tuple[int, int]]] = {}
     violations = []
     for query, result in results:
-        eff = cluster.control.replica_map(query.key).effective_rf
+        eff = len(cluster.control.maps[query.key].replica_ids)
         if query.kind in (QueryKind.CREATE, QueryKind.UPDATE):
             if result.status == "ok":
                 completed.setdefault(query.key, []).append(

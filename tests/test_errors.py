@@ -54,8 +54,9 @@ MALFORMED = [
 ]
 
 
-def _topology(link_ms=1.0, service_ms=0.0):
-    return {"nodes": [{"id": "a", "geo": [0, 0], "failure_group": "g", "service_ms": service_ms},
+def _topology(link_ms=1.0, service_ms=0.0, is_storage=True):
+    return {"nodes": [{"id": "a", "geo": [0, 0], "failure_group": "g", "service_ms": service_ms,
+                       "is_storage": is_storage},
                       {"id": "b", "geo": [1, 0], "failure_group": "g"}],
             "links": [{"a": "a", "b": "b", "latency_ms": link_ms}]}
 
@@ -104,12 +105,29 @@ BAD_SWEEP_PLAN = [
     (load_sweep_plan, _sweep(directions=[]), "directions", "empty"),
 ]
 
+# Values of the wrong JSON type that bool() or int() used to coerce:
+# bool("false") is True, int(10.7) is 10 and int(True) is 1.
+WRONG_JSON_TYPE = [
+    (load_topology, _topology(is_storage="false"), "nodes[0].is_storage", "string"),
+    (load_topology, _topology(is_storage=0), "nodes[0].is_storage", "number"),
+    (load_topology, _topology(is_storage=None), "nodes[0].is_storage", "null"),
+    (load_workload, {**_workload(), "op_count": 10.7}, "op_count", "fraction"),
+    (load_workload, {**_workload(), "op_count": True}, "op_count", "boolean"),
+    (load_workload, {**_workload(), "op_count": "10"}, "op_count", "string"),
+    (load_workload, {**_workload(), "seed": 1.5}, "seed", "fraction"),
+    (load_workload, {**_workload(), "seed": NAN}, "seed", "nan"),
+    (load_sweep_plan, _sweep(replication_factor=2.5), "replication_factor", "fraction"),
+    (load_sweep_plan, _sweep(replication_factor=True), "replication_factor", "boolean"),
+    (load_sweep_plan, _sweep(replication_factor=INF), "replication_factor", "inf"),
+]
+
 
 @pytest.mark.parametrize(
     "loader,doc,where",
-    MALFORMED + [row[:3] for row in NON_FINITE + BAD_SWEEP_PLAN],
+    MALFORMED + [row[:3] for row in NON_FINITE + BAD_SWEEP_PLAN + WRONG_JSON_TYPE],
     ids=[f"{loader.__name__}-{where}" for loader, _, where in MALFORMED]
-    + [f"{loader.__name__}-{where}-{tag}" for loader, _, where, tag in NON_FINITE + BAD_SWEEP_PLAN],
+    + [f"{loader.__name__}-{where}-{tag}"
+       for loader, _, where, tag in NON_FINITE + BAD_SWEEP_PLAN + WRONG_JSON_TYPE],
 )
 def test_malformed_element_names_file_and_path(loader, doc, where, tmp_path):
     workload = {"op_count": 1, "clients": [{"id": "c", "geo": [0, 0]}]}

@@ -155,7 +155,7 @@ class TestTimers:
         sim = Simulator(pair_topology(), handler=recording_handler(log))
         timer = sim.set_timer("a", 1000.0, "tick")
         assert (timer.kind, timer.dst, timer.payload) == ("timer", "a", "tick")  # the event itself
-        timer.cancel()
+        timer.cancelled = True
         report = sim.run_until_quiescent()
         assert log == []
         assert report.end_ms == 0.0
@@ -583,7 +583,7 @@ def simulator_log(topology, faults, initial, reactions):
             elif action[0] == "series":
                 sim.set_timer_series(action[1], len(action[2]), action[2], action[3])
             elif action[1] in handles:
-                handles[action[1]].cancel()
+                handles[action[1]].cancelled = True
 
     def handler(sim, event):
         log.append((sim.now, event.seq, event.kind, event.payload))

@@ -55,7 +55,6 @@ class TestPlaceReplicas:
         topo = make_two_group_star()
         rmap = place_replicas("k", (0, 0), topo, 10)
         assert len(rmap.replica_ids) == 3
-        assert rmap.effective_rf == 3
 
     def test_rf_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import random
 from collections import Counter
@@ -15,7 +16,12 @@ from fogstore_sim.consistency import (
     LevelInfeasibleError,
     RegionSet,
 )
-from fogstore_sim.experiment import build_star_topology, run_queries, run_single
+from fogstore_sim.experiment import (
+    PAPER_LATENCY_SETTINGS,
+    build_star_topology,
+    run_queries,
+    run_single,
+)
 from fogstore_sim.netsim import BudgetExceededError, FaultAction, SimEvent, Simulator
 from fogstore_sim.placement import place_replicas
 from fogstore_sim.store import (
@@ -37,7 +43,7 @@ from fogstore_sim.store import (
     required_acks,
     _ClientOp,
     _PendingOp,
-    _ReplicaStore,
+    _apply,
 )
 from fogstore_sim.topology import Topology
 from fogstore_sim.workload import WorkloadClient, WorkloadSpec, generate_ops
@@ -90,21 +96,21 @@ class TestRequiredAcksSurface:
 
 class TestVersions:
     def test_replica_never_downgrades(self):
-        store = _ReplicaStore()
+        records = {}
         newer = VersionedRecord("k", "new", 2)
         older = VersionedRecord("k", "old", 1)
-        store.apply(newer)
-        store.apply(older)
-        assert store.get("k").value == "new"
+        _apply(records, newer)
+        _apply(records, older)
+        assert records["k"].value == "new"
 
     def test_last_write_wins_is_order_independent(self):
-        records = [VersionedRecord("k", f"v{i}", i) for i in (1, 3, 2)]
+        writes = [VersionedRecord("k", f"v{i}", i) for i in (1, 3, 2)]
         outcomes = set()
         for order in ([0, 1, 2], [2, 1, 0], [1, 0, 2]):
-            store = _ReplicaStore()
+            records = {}
             for idx in order:
-                store.apply(records[idx])
-            outcomes.add(store.get("k").version)
+                _apply(records, writes[idx])
+            outcomes.add(records["k"].version)
         assert outcomes == {3}
 
 
@@ -171,7 +177,7 @@ class TestCrudPaths:
         cluster = star_cluster(replication_factor=1)
         rejected = create(cluster, level=TWO)
         assert (rejected.status, rejected.error) == ("error", "level_infeasible")
-        assert cluster.control.replica_map("k1") is None
+        assert cluster.control.maps.get("k1") is None
         assert create(cluster, level=ONE).status == "ok"
         result = read(cluster, "k1", ONE)
         assert (result.status, result.value) == ("ok", "v1")
@@ -204,7 +210,7 @@ class TestLatencyPaths:
         # no replica, so even level ONE costs one extra round trip
         cluster = star_cluster(replication_factor=1)
         create(cluster, data_geo=(800.0, 0.0))  # anchor on fog-5 (8 ms link)
-        assert cluster.control.replica_map("k1").replica_ids == ("fog-5",)
+        assert cluster.control.maps.get("k1").replica_ids == ("fog-5",)
         result = read(cluster, "k1", ONE)
         assert result.latency_ms == 34.0  # 10 + 2 x (4 + 8)
 
@@ -376,7 +382,7 @@ class TestDataContextUpdates:
         # rf 1 puts the only replica on fog-5, so the coordinator fog-1 holds no record
         cluster = star_cluster(region_set=self.regions(), replication_factor=1)
         assert create(cluster, "tl-1", "red", data_geo=(800.0, 0.0)).status == "ok"
-        assert cluster.control.replica_map("tl-1").replica_ids == ("fog-5",)
+        assert cluster.control.maps.get("tl-1").replica_ids == ("fog-5",)
         moved = run_one(cluster, Query(QueryKind.UPDATE, "tl-1", client_ctx(), value="green",
                                        data_ctx=DataContext(STAR_CLIENT)))
         assert moved.status == "ok"
@@ -594,3 +600,76 @@ def test_per_op_objects_have_no_instance_dict():
         ctx, DataContext(STAR_CLIENT),
     ]
     assert [type(obj).__name__ for obj in objects if hasattr(obj, "__dict__")] == []
+
+
+class TestEventOrder:
+    """Pins the event order of a small grid, the ``seq`` column of every trace line cut.
+
+    An op that the coordinator answers at once sets no deadline, so it takes
+    no seq; that may renumber later events but must never reorder them.
+    """
+
+    LOOPS = (None, 0.5, 3.0)  # the closed loop, then open-loop intervals in ms
+    FAULTS = (
+        FaultAction(10.0, "crash", node="fog-3"),
+        FaultAction(25.0, "partition", group_a=frozenset({"fog-1", "fog-2"}),
+                    group_b=frozenset({"fog-4", "fog-5"})),
+        FaultAction(50.0, "heal"),
+        FaultAction(70.0, "recover", node="fog-3"),
+        FaultAction(80.0, "crash", node="fog-1"),
+        FaultAction(95.0, "recover", node="fog-1"),
+    )
+    DIGESTS = {
+        (ONE, ONE):
+            "2f04ff3a2c96dd3ad1560eb584e12c03e0098d9ab78e1f4f1cd58158196de256",
+        (QUORUM, ONE):
+            "220e03a6bc477fb2a982a9858f5d778d02e875c0d99f8642b539f0fe02b56c5f",
+        (TWO, ALL):
+            "174dc1c2f12b60a476db7267e07390bba2964e426ad091db303a4c4871051822",
+        (ALL, QUORUM):
+            "51797d205d4b9349952ca981e8fbfd4fb544f686c61a53c427baa9d1f3bd54c1",
+    }
+
+    @pytest.mark.parametrize("levels", list(DIGESTS), ids=lambda ls: "/".join(l.value for l in ls))
+    def test_trace_without_seqs_matches_the_pinned_digest(self, levels):
+        topo = build_star_topology(PAPER_LATENCY_SETTINGS["low"])
+        workload = WorkloadSpec(op_count=200, clients=(WorkloadClient("c1", STAR_CLIENT),),
+                                read_fraction=0.5, fixed_read_level=levels[0],
+                                fixed_write_level=levels[1], seed=11)
+        digest = hashlib.sha256()
+        for interval in self.LOOPS:
+            for jitter_ms in (0.0, 1.0):
+                for rf in (5, 2, 1):
+                    trace = []
+                    run_single(topo, replace(workload, open_loop_interval_ms=interval),
+                               replication_factor=rf, timeout_ms=50.0,
+                               fault_script=self.FAULTS, trace_sink=trace.append,
+                               jitter_ms=jitter_ms, jitter_seed=3)
+                    digest.update(f"# loop={interval} jitter={jitter_ms} rf={rf}\n".encode())
+                    for line in trace:
+                        at, _seq, rest = line.split(",", 2)
+                        digest.update(f"{at},{rest}\n".encode())
+        assert digest.hexdigest() == self.DIGESTS[levels]
+
+    @pytest.mark.parametrize("kind, level, expected", [
+        (QueryKind.READ, ONE, {"ClientTimeout": 1}),
+        (QueryKind.UPDATE, ONE, {"ClientTimeout": 1}),
+        (QueryKind.READ, QUORUM, {"ClientTimeout": 1, "OpTimeout": 1}),
+        (QueryKind.UPDATE, QUORUM, {"ClientTimeout": 1, "OpTimeout": 1}),
+    ])
+    def test_only_an_op_that_waits_sets_a_coordinator_deadline(self, monkeypatch, kind,
+                                                               level, expected):
+        cluster = star_cluster()
+        create(cluster)  # fog-1, the coordinator, holds a replica
+        timers: Counter = Counter()
+        set_timer = Simulator.set_timer
+
+        def counted(sim, node_id, delay_ms, payload):
+            timers[type(payload).__name__] += 1
+            return set_timer(sim, node_id, delay_ms, payload)
+
+        monkeypatch.setattr(Simulator, "set_timer", counted)
+        value = "v2" if kind is QueryKind.UPDATE else None
+        result = run_one(cluster, Query(kind, "k1", client_ctx(), value=value, level=level))
+        assert (result.status, result.level_used) == ("ok", level)
+        assert timers == expected

@@ -295,6 +295,12 @@ class TestWorkloadLoader:
         assert loaded.fixed_write_level is ConsistencyLevel.ONE
         assert loaded.clients[0].client_id == "ycsb"
 
+    def test_integral_floats_are_integers(self):
+        doc = {**self.good_doc(), "op_count": 50.0, "seed": 7.0}
+        loaded = workload_from_dict(doc)
+        assert (loaded.op_count, loaded.seed) == (50, 7)
+        assert type(loaded.op_count) is type(loaded.seed) is int
+
     def test_bad_level_named(self):
         doc = self.good_doc()
         doc["fixed_read_level"] = "SOME"
