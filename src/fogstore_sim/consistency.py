@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Literal, Sequence
 
-from .errors import ConfigError, expect, load_json
+from .errors import ConfigError, expect, load_json, number
 from .topology import Coord, geo_distance
 
 OpKind = Literal["read", "write"]
@@ -188,10 +188,7 @@ def _parse_spec(raw: dict, source: str, where: str, keyspace: str) -> Consistenc
     for j, rb in enumerate(expect(raw_bands, list, source, f"{where}.bands")):
         bwhere = f"{where}.bands[{j}]"
         radius = expect(rb, dict, source, bwhere).get("radius_m", None)
-        try:
-            radius_m = math.inf if radius is None else float(radius)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(source, f"{bwhere}.radius_m: {exc}") from None
+        radius_m = math.inf if radius is None else number(radius, source, f"{bwhere}.radius_m")
         bands.append(
             Band(
                 max_radius_m=radius_m,

@@ -56,6 +56,24 @@ def integer(value: object, source: str, where: str) -> int:
     raise ConfigError(source, f"{where}: expected an integer, got {value!r}")
 
 
+def number(value: object, source: str, where: str) -> float:
+    """``value`` as a float if it is a JSON number; a boolean or anything else is a ConfigError."""
+    if type(value) in (int, float):
+        return float(value)
+    raise ConfigError(source, f"{where}: expected a JSON number, got {value!r}")
+
+
+def coord(value: object, source: str, where: str) -> tuple[float, float]:
+    """``value`` as an ``(x, y)`` pair if it is an array of two JSON numbers, else a ConfigError.
+
+    Every loader that reads a coordinate shares this check and its message.
+    """
+    if (isinstance(value, list) and len(value) == 2
+            and all(type(c) in (int, float) for c in value)):
+        return float(value[0]), float(value[1])
+    raise ConfigError(source, f"{where}: expected [x, y], got {value!r}")
+
+
 @contextmanager
 def element(source: str, where: str) -> Iterator[None]:
     """Turn a malformed field of one config element into a ConfigError.

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .consistency import ConsistencyLevel, RegionSet, _parse_level
-from .errors import ConfigError, expect, integer, load_json
+from .errors import ConfigError, expect, integer, load_json, number
 from .netsim import BudgetExceededError, FaultAction, SimReport, Simulator
 from .store import Arrival, Cluster, Query, QueryResult
 from .topology import FogNode, Link, Topology, load_topology
@@ -316,8 +316,9 @@ def load_sweep_plan(path: str | Path) -> SweepPlan:
             workload=workload,
             replication_factor=integer(data.get("replication_factor", 5), str(path),
                                        "replication_factor"),
-            timeout_ms=float(data.get("timeout_ms", 10_000.0)),
-            budget_ms=float(data["budget_ms"]) if data.get("budget_ms") is not None else None,
+            timeout_ms=number(data.get("timeout_ms", 10_000.0), str(path), "timeout_ms"),
+            budget_ms=(number(data["budget_ms"], str(path), "budget_ms")
+                       if data.get("budget_ms") is not None else None),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(path), str(exc)) from None

@@ -63,7 +63,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import ConfigError, element, expect, load_json
+from .errors import ConfigError, element, expect, load_json, number
 from .topology import Topology
 
 Handler = Callable[["Simulator", "SimEvent"], None]
@@ -153,6 +153,8 @@ class Simulator:
         jitter_ms: float = 0.0,
         jitter_seed: int = 0,
     ):
+        if not (math.isfinite(jitter_ms) and jitter_ms >= 0):
+            raise ValueError(f"jitter_ms must be finite and >= 0 (got {jitter_ms})")
         self.topology = topology
         self.handler = handler
         self._trace = trace
@@ -424,7 +426,7 @@ def fault_script_from_dict(data: dict, source: str = "<dict>") -> list[FaultActi
     for i, raw in enumerate(expect(data.get("events", []), list, source, "events")):
         where = f"events[{i}]"
         with element(source, where):
-            at_ms = float(raw["at_ms"])
+            at_ms = number(raw["at_ms"], source, f"{where}.at_ms")
             kind = str(raw["action"])
         if not (math.isfinite(at_ms) and at_ms >= 0):
             raise ConfigError(source, f"{where}.at_ms: must be finite and >= 0")

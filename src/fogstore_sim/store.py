@@ -13,9 +13,11 @@ The coordinator then fans out to the key's replicas:
 * reads are answered from the first ``required`` replica responses, picking
   the record with the highest version among them.
 
-An op the coordinator's own replica completes (level ONE at a replica) is
-answered at once, a read without any fan-out. Only an op that waits for
-replies sets a coordinator deadline (:class:`OpTimeout`) and is kept in flight.
+An op in flight is its deadline timer: the client's :class:`ClientTimeout`
+and the coordinator's :class:`OpTimeout` carry the op's state as their
+payload, and a reply cancels the timer. An op the coordinator's own replica
+completes (level ONE at a replica) is answered at once, a read without any
+fan-out; only an op that waits for replies sets a coordinator deadline.
 
 Clients enter through :meth:`Cluster.submit` alone (asynchronous, callback
 on completion); the drivers that issue queries and run the simulator live in
@@ -152,7 +154,6 @@ class QueryResult:
 class QueryReq:
     op_id: int
     query: Query
-    reply_to: str
 
     def __str__(self) -> str:
         return f"QueryReq op={self.op_id} {self.query.kind.value} key={self.query.key}"
@@ -209,9 +210,21 @@ class ReadResp:
 
 @dataclass(slots=True)
 class OpTimeout:
-    """Coordinator deadline: the op fails if its replies have not arrived."""
+    """Coordinator deadline and the op's state there; the op fails if it fires.
+
+    ``client`` is the node the query came from. ``count`` counts the replies
+    so far: write acks, or read responses, of which ``freshest`` is the
+    record with the highest version. The op is answered once ``count``
+    reaches ``required``.
+    """
 
     op_id: int
+    client: str
+    query: Query
+    level: ConsistencyLevel
+    required: int
+    count: int
+    freshest: VersionedRecord | None
 
     def __str__(self) -> str:
         return f"OpTimeout op={self.op_id}"
@@ -219,9 +232,13 @@ class OpTimeout:
 
 @dataclass(slots=True)
 class ClientTimeout:
-    """Client deadline: the callback fires even if the coordinator is gone."""
+    """Client deadline and the op's state there: the callback fires even if
+    the coordinator is gone."""
 
     op_id: int
+    query: Query
+    callback: Callable[[Query, QueryResult], None]
+    issued_ms: float
 
     def __str__(self) -> str:
         return f"ClientTimeout op={self.op_id}"
@@ -273,31 +290,6 @@ class ControlPlane:
             self._deleted.discard(key)
 
 
-@dataclass(slots=True)
-class _PendingOp:
-    """A query in flight at its coordinator, answered once ``count`` reaches ``required``.
-
-    ``count`` counts the replies so far: write acks, or read responses, of
-    which ``freshest`` is the record with the highest version.
-    """
-
-    req: QueryReq
-    coordinator: str
-    level: ConsistencyLevel
-    required: int
-    timer: SimEvent
-    count: int = 0
-    freshest: VersionedRecord | None = None
-
-
-@dataclass(slots=True)
-class _ClientOp:
-    query: Query
-    callback: Callable[[Query, QueryResult], None]
-    issued_ms: float
-    timer: SimEvent
-
-
 class Cluster:
     """All storage-node state machines plus the client gateway, on one simulator.
 
@@ -336,8 +328,9 @@ class Cluster:
         # Each storage node's records by key; crash and recover leave them untouched.
         self._records = {nid: {} for nid in topology.storage_ids}
         self._op_ids = itertools.count(1)
-        self._pending: dict[int, _PendingOp] = {}
-        self._client_ops: dict[int, _ClientOp] = {}
+        # Ops in flight by id, each as its deadline timer's event.
+        self._pending: dict[int, SimEvent] = {}  # payload: OpTimeout
+        self._client_ops: dict[int, SimEvent] = {}  # payload: ClientTimeout
         self._latencies: dict[float, float] = {}
         # Acks each feasible (level, replica count) needs; an infeasible pair
         # is absent. Placement never gives a key more replicas than the factor.
@@ -362,15 +355,12 @@ class Cluster:
         op_id = next(self._op_ids)
         attach = self.topology.nearest_node(query.client_ctx.client_geo)
         coordinator = self.topology.nearest_node(query.client_ctx.client_geo, storage_only=True)
-        timer = self.sim.set_timer(None, self.client_timeout_ms, ClientTimeout(op_id))
-        self._client_ops[op_id] = _ClientOp(query, callback, self.sim.now, timer)
-        self.sim.schedule_message(attach, coordinator, QueryReq(op_id, query, attach))
+        self._client_ops[op_id] = self.sim.set_timer(
+            None, self.client_timeout_ms, ClientTimeout(op_id, query, callback, self.sim.now))
+        self.sim.schedule_message(attach, coordinator, QueryReq(op_id, query))
         return op_id
 
     # -- introspection ------------------------------------------------------
-
-    def replica_record(self, node_id: str, key: str) -> VersionedRecord | None:
-        return self._records[node_id].get(key)
 
     def convergence_violations(self) -> list[str]:
         """Keys whose live replicas disagree (expected empty at quiescence
@@ -399,18 +389,20 @@ class Cluster:
     # -- coordinator ----------------------------------------------------------
 
     def _on_query_req(self, node: str, src: str, req: QueryReq) -> None:
+        op_id = req.op_id
         query = req.query
         kind = query.kind
         key = query.key
         rmap = self.control.maps.get(key)
         if kind is QueryKind.CREATE:
             if self.control.is_live(key):
-                self._reply(node, req, QueryResult("error", None, None, 0.0, 0, "duplicate_key"))
+                self._reply(node, src, op_id,
+                            QueryResult("error", None, None, 0.0, 0, "duplicate_key"))
                 return
             rmap = place_replicas(key, query.data_ctx.data_geo, self.topology,
                                   self.replication_factor)
         elif rmap is None:
-            self._reply(node, req, QueryResult("not_found"))
+            self._reply(node, src, op_id, QueryResult("not_found"))
             return
 
         is_read = kind is QueryKind.READ
@@ -421,10 +413,10 @@ class Cluster:
         replica_ids = rmap.replica_ids
         required = self._required.get((level, len(replica_ids)))
         if required is None:
-            self._reply(node, req, QueryResult("error", None, level, 0.0, 0, "level_infeasible"))
+            self._reply(node, src, op_id,
+                        QueryResult("error", None, level, 0.0, 0, "level_infeasible"))
             return
 
-        op_id = req.op_id
         count = 0
         freshest = None
         if is_read:
@@ -447,10 +439,10 @@ class Cluster:
             else:  # the other replicas still converge in the background
                 self._fan_out(node, replica_ids, WriteReq(op_id, record))
                 result = self._write_result(query, level, count)
-            self._reply(node, req, result)
+            self._reply(node, src, op_id, result)
             return
-        timer = self.sim.set_timer(node, self.timeout_ms, OpTimeout(op_id))
-        self._pending[op_id] = _PendingOp(req, node, level, required, timer, count, freshest)
+        self._pending[op_id] = self.sim.set_timer(
+            node, self.timeout_ms, OpTimeout(op_id, src, query, level, required, count, freshest))
         msg = ReadReq(op_id, key) if is_read else WriteReq(op_id, record)
         self._fan_out(node, replica_ids, msg)
 
@@ -461,43 +453,44 @@ class Cluster:
                 self.sim.schedule_message(node, replica_id, msg)
 
     def _on_write_ack(self, node: str, src: str, msg: WriteAck) -> None:
-        pend = self._pending.get(msg.op_id)
-        if pend is None:
+        timer = self._pending.get(msg.op_id)
+        if timer is None:
             return  # operation already completed or timed out
-        pend.count += 1
-        if pend.count >= pend.required:
-            self._finish(pend, self._write_result(pend.req.query, pend.level, pend.count))
+        op = timer.payload
+        op.count += 1
+        if op.count >= op.required:
+            timer.cancelled = True
+            self._finish(node, op, self._write_result(op.query, op.level, op.count))
 
     def _on_read_resp(self, node: str, src: str, msg: ReadResp) -> None:
-        pend = self._pending.get(msg.op_id)
-        if pend is None:
+        timer = self._pending.get(msg.op_id)
+        if timer is None:
             return  # operation already completed or timed out
-        pend.count += 1
+        op = timer.payload
+        op.count += 1
         record = msg.record
-        if record is not None and (pend.freshest is None
-                                   or record.version > pend.freshest.version):
-            pend.freshest = record
-        if pend.count >= pend.required:
-            self._finish(pend, _read_result(pend.freshest, pend.level, pend.count))
+        if record is not None and (op.freshest is None or record.version > op.freshest.version):
+            op.freshest = record
+        if op.count >= op.required:
+            timer.cancelled = True
+            self._finish(node, op, _read_result(op.freshest, op.level, op.count))
 
     def _write_result(self, query: Query, level: ConsistencyLevel, count: int) -> QueryResult:
         """Record the write as completed; return the client's answer."""
         self.control.note_completed_write(query.key, deleted=query.kind is QueryKind.DELETE)
         return QueryResult("ok", None, level, 0.0, count)
 
-    def _on_op_timeout(self, node: str, src: None, msg: OpTimeout) -> None:
-        pend = self._pending.get(msg.op_id)
-        if pend is not None:
-            self._finish(pend, QueryResult("error", None, pend.level, 0.0, pend.count, "timeout"))
+    def _on_op_timeout(self, node: str, src: None, op: OpTimeout) -> None:
+        # A timer that fires was never cancelled, so its op is still in flight.
+        self._finish(node, op, QueryResult("error", None, op.level, 0.0, op.count, "timeout"))
 
-    def _finish(self, pend: _PendingOp, result: QueryResult) -> None:
-        """Drop the op's state and deadline and send ``result`` to its client."""
-        del self._pending[pend.req.op_id]
-        pend.timer.cancelled = True
-        self._reply(pend.coordinator, pend.req, result)
+    def _finish(self, node: str, op: OpTimeout, result: QueryResult) -> None:
+        """Drop the op from those in flight and send ``result`` from ``node`` to its client."""
+        del self._pending[op.op_id]
+        self._reply(node, op.client, op.op_id, result)
 
-    def _reply(self, node: str, req: QueryReq, result: QueryResult) -> None:
-        self.sim.schedule_message(node, req.reply_to, QueryResp(req.op_id, result))
+    def _reply(self, node: str, client: str, op_id: int, result: QueryResult) -> None:
+        self.sim.schedule_message(node, client, QueryResp(op_id, result))
 
     # -- replica side -------------------------------------------------------------
 
@@ -512,27 +505,25 @@ class Cluster:
     # -- client side ------------------------------------------------------------
 
     def _on_query_resp(self, node: str, src: str, msg: QueryResp) -> None:
-        cop = self._client_ops.pop(msg.op_id, None)
-        if cop is None:
+        timer = self._client_ops.pop(msg.op_id, None)
+        if timer is None:
             return  # client already gave up on this operation
-        cop.timer.cancelled = True
+        timer.cancelled = True
+        op = timer.payload
         result = msg.result
-        result.latency_ms = self._elapsed_ms(cop)
-        cop.callback(cop.query, result)
+        result.latency_ms = self._elapsed_ms(op)
+        op.callback(op.query, result)
 
-    def _on_client_timeout(self, node: None, src: None, msg: ClientTimeout) -> None:
-        cop = self._client_ops.pop(msg.op_id, None)
-        if cop is None:
-            return
-        pend = self._pending.pop(msg.op_id, None)  # its OpTimeout died with a crashed coordinator
-        if pend is not None:
-            pend.timer.cancelled = True
-        cop.callback(cop.query, QueryResult("error", None, None, self._elapsed_ms(cop), 0,
-                                            "timeout"))
+    def _on_client_timeout(self, node: None, src: None, op: ClientTimeout) -> None:
+        del self._client_ops[op.op_id]  # a harness timer fires unless a reply cancelled it
+        timer = self._pending.pop(op.op_id, None)  # its OpTimeout died with a crashed coordinator
+        if timer is not None:
+            timer.cancelled = True
+        op.callback(op.query, QueryResult("error", None, None, self._elapsed_ms(op), 0, "timeout"))
 
-    def _elapsed_ms(self, cop: _ClientOp) -> float:
+    def _elapsed_ms(self, op: ClientTimeout) -> float:
         """The op's latency so far, as the float object shared by equal latencies."""
-        latency = self.sim.now - cop.issued_ms
+        latency = self.sim.now - op.issued_ms
         if len(self._latencies) < SHARED_LATENCY_CAP:
             return self._latencies.setdefault(latency, latency)
         return self._latencies.get(latency, latency)

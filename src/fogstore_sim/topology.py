@@ -21,7 +21,7 @@ from itertools import count
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ConfigError, element, expect, load_json
+from .errors import ConfigError, coord, element, expect, load_json, number
 
 Coord = tuple[float, float]
 
@@ -237,27 +237,25 @@ def topology_from_dict(data: dict, source: str = "<dict>") -> Topology:
     for i, raw in enumerate(expect(data.get("nodes", []), list, source, "nodes")):
         where = f"nodes[{i}]"
         with element(source, where):
-            geo = raw["geo"]
-            if not (isinstance(geo, (list, tuple)) and len(geo) == 2):
-                raise ConfigError(source, f"{where}.geo: expected [x, y]")
             nodes.append(
                 FogNode(
                     node_id=str(raw["id"]),
-                    geo=(float(geo[0]), float(geo[1])),
+                    geo=coord(raw["geo"], source, f"{where}.geo"),
                     failure_group_id=str(raw["failure_group"]),
                     is_storage=expect(raw.get("is_storage", True), bool, source,
                                       f"{where}.is_storage"),
-                    service_ms=float(raw.get("service_ms", 0.0)),
+                    service_ms=number(raw.get("service_ms", 0.0), source, f"{where}.service_ms"),
                 )
             )
     links = []
     for i, raw in enumerate(expect(data.get("links", []), list, source, "links")):
-        with element(source, f"links[{i}]"):
+        where = f"links[{i}]"
+        with element(source, where):
             links.append(
                 Link(
                     endpoint_a=str(raw["a"]),
                     endpoint_b=str(raw["b"]),
-                    latency_ms=float(raw["latency_ms"]),
+                    latency_ms=number(raw["latency_ms"], source, f"{where}.latency_ms"),
                 )
             )
     try:

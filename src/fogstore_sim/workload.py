@@ -24,7 +24,7 @@ from random import Random
 from typing import Sequence
 
 from .consistency import ClientContext, ConsistencyLevel, DataContext, _parse_level
-from .errors import ConfigError, element, expect, integer, load_json
+from .errors import ConfigError, coord, element, expect, integer, load_json, number
 from .store import Query, QueryKind
 from .topology import Coord
 
@@ -184,20 +184,16 @@ def workload_from_dict(data: dict, source: str = "<dict>") -> WorkloadSpec:
         raise ConfigError(source, "workload document must be a JSON object")
     clients = []
     for i, raw in enumerate(expect(data.get("clients", []), list, source, "clients")):
-        with element(source, f"clients[{i}]"):
-            geo = raw["geo"]
+        where = f"clients[{i}]"
+        with element(source, where):
             clients.append(WorkloadClient(
                 client_id=str(raw["id"]),
-                geo=(float(geo[0]), float(geo[1])),
-                weight=float(raw.get("weight", 1.0)),
+                geo=coord(raw["geo"], source, f"{where}.geo"),
+                weight=number(raw.get("weight", 1.0), source, f"{where}.weight"),
             ))
     data_geo = None
     if data.get("data_geo") is not None:
-        raw_geo = data["data_geo"]
-        try:
-            data_geo = (float(raw_geo[0]), float(raw_geo[1]))
-        except (TypeError, ValueError, IndexError):
-            raise ConfigError(source, "data_geo: expected [x, y]") from None
+        data_geo = coord(data["data_geo"], source, "data_geo")
     fixed_read_level, fixed_write_level = (
         None if data.get(name) is None else _parse_level(data[name], source, name)
         for name in ("fixed_read_level", "fixed_write_level")
@@ -206,14 +202,14 @@ def workload_from_dict(data: dict, source: str = "<dict>") -> WorkloadSpec:
         return WorkloadSpec(
             op_count=integer(data.get("op_count", 0), source, "op_count"),
             clients=tuple(clients),
-            read_fraction=float(data.get("read_fraction", 0.95)),
+            read_fraction=number(data.get("read_fraction", 0.95), source, "read_fraction"),
             key_prefix=str(data.get("key_prefix", "key-")),
-            recency_skew=float(data.get("recency_skew", 0.3)),
+            recency_skew=number(data.get("recency_skew", 0.3), source, "recency_skew"),
             data_geo=data_geo,
             fixed_read_level=fixed_read_level,
             fixed_write_level=fixed_write_level,
             open_loop_interval_ms=(
-                float(data["open_loop_interval_ms"])
+                number(data["open_loop_interval_ms"], source, "open_loop_interval_ms")
                 if data.get("open_loop_interval_ms") is not None else None
             ),
             seed=integer(data.get("seed", 0), source, "seed"),

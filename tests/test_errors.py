@@ -119,15 +119,41 @@ WRONG_JSON_TYPE = [
     (load_sweep_plan, _sweep(replication_factor=2.5), "replication_factor", "fraction"),
     (load_sweep_plan, _sweep(replication_factor=True), "replication_factor", "boolean"),
     (load_sweep_plan, _sweep(replication_factor=INF), "replication_factor", "inf"),
+    # float() used to take booleans and numeric strings where a number belongs.
+    (load_workload, {**_workload(), "read_fraction": True}, "read_fraction", "boolean"),
+    (load_workload, _workload(skew="0.5"), "recency_skew", "string"),
+    (load_workload, _workload(interval="2"), "open_loop_interval_ms", "string"),
+    (load_workload, _workload(weight="2"), "clients[0].weight", "string"),
+    (load_workload, _workload(geo=(True, "3")), "clients[0].geo", "boolean-string"),
+    (load_workload, {**_workload(), "data_geo": [0, False]}, "data_geo", "boolean"),
+    (load_topology, _topology(service_ms=True), "nodes[0].service_ms", "boolean"),
+    (load_topology, _topology(link_ms="2"), "links[0].latency_ms", "string"),
+    (load_regions, {"default": {"bands": [{**BAND, "radius_m": True}]}},
+     "default.bands[0].radius_m", "boolean"),
+    (load_fault_script, {"events": [{"at_ms": "5", "action": "crash", "node": "fog-1"}]},
+     "events[0].at_ms", "string"),
+    (load_sweep_plan, _sweep(timeout_ms="5"), "timeout_ms", "string"),
+    (load_sweep_plan, _sweep(budget_ms=True), "budget_ms", "boolean"),
+]
+
+# A coordinate pair is exactly two numbers in both loaders that read one.
+BAD_COORDS = [
+    (load_workload, _workload(geo=(1, 2, 3)), "clients[0].geo", "three"),
+    (load_workload, {**_workload(), "data_geo": [1, 2, 3]}, "data_geo", "three"),
+    (load_workload, {**_workload(), "data_geo": [1]}, "data_geo", "one"),
+    (load_topology, {"nodes": [{"id": "a", "geo": [0, 0, 0], "failure_group": "g"}]},
+     "nodes[0].geo", "three"),
+    (load_topology, {"nodes": [{"id": "a", "geo": [True, 0], "failure_group": "g"}]},
+     "nodes[0].geo", "boolean"),
 ]
 
 
 @pytest.mark.parametrize(
     "loader,doc,where",
-    MALFORMED + [row[:3] for row in NON_FINITE + BAD_SWEEP_PLAN + WRONG_JSON_TYPE],
+    MALFORMED + [row[:3] for row in NON_FINITE + BAD_SWEEP_PLAN + WRONG_JSON_TYPE + BAD_COORDS],
     ids=[f"{loader.__name__}-{where}" for loader, _, where in MALFORMED]
     + [f"{loader.__name__}-{where}-{tag}"
-       for loader, _, where, tag in NON_FINITE + BAD_SWEEP_PLAN + WRONG_JSON_TYPE],
+       for loader, _, where, tag in NON_FINITE + BAD_SWEEP_PLAN + WRONG_JSON_TYPE + BAD_COORDS],
 )
 def test_malformed_element_names_file_and_path(loader, doc, where, tmp_path):
     workload = {"op_count": 1, "clients": [{"id": "c", "geo": [0, 0]}]}
@@ -139,3 +165,14 @@ def test_malformed_element_names_file_and_path(loader, doc, where, tmp_path):
     with pytest.raises(ConfigError) as err:
         loader(path)
     assert str(err.value).startswith(f"{path}: {where}: ")
+
+
+@pytest.mark.parametrize("loader,doc,where", [row[:3] for row in BAD_COORDS],
+                         ids=[f"{loader.__name__}-{where}-{tag}"
+                              for loader, _, where, tag in BAD_COORDS])
+def test_bad_coordinates_read_expected_x_y(loader, doc, where, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as err:
+        loader(path)
+    assert str(err.value).startswith(f"{path}: {where}: expected [x, y]")

@@ -429,6 +429,16 @@ class TestDeterminism:
         assert trace_a == trace_b
         assert trace_a != self.run_once(jitter_ms=0.0)[0]
 
+    @pytest.mark.parametrize("jitter_ms", [float("nan"), float("inf"), -1.0])
+    def test_jitter_must_be_finite_and_not_negative(self, jitter_ms):
+        # NaN and negative jitter used to run without jitter, and infinite
+        # jitter made every delay 0.0 ms.
+        workload = WorkloadSpec(op_count=200, clients=(WorkloadClient("c1", (-100.0, 0.0)),),
+                                fixed_read_level=ConsistencyLevel.QUORUM,
+                                fixed_write_level=ConsistencyLevel.QUORUM, seed=1)
+        with pytest.raises(ValueError, match="jitter_ms"):
+            run_single(build_star_topology((4, 5, 6, 7, 8)), workload, jitter_ms=jitter_ms)
+
 
 @dataclass(frozen=True)
 class Payload:
