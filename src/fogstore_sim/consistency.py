@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Literal, Sequence
 
-from .errors import ConfigError, expect, load_json, number
+from .errors import ConfigError, expect, load_json, number, string
 from .topology import Coord, geo_distance
 
 OpKind = Literal["read", "write"]
@@ -215,7 +215,8 @@ def regions_from_dict(data: dict, source: str = "<dict>") -> RegionSet:
         where = f"specs[{i}]"
         if "keyspace" not in expect(raw, dict, source, where):
             raise ConfigError(source, f"{where}: missing field 'keyspace'")
-        specs.append(_parse_spec(raw, source, where, keyspace=str(raw["keyspace"])))
+        keyspace = string(raw["keyspace"], source, f"{where}.keyspace")
+        specs.append(_parse_spec(raw, source, where, keyspace=keyspace))
     try:
         return RegionSet(specs, default)
     except ValueError as exc:

@@ -63,6 +63,16 @@ def number(value: object, source: str, where: str) -> float:
     raise ConfigError(source, f"{where}: expected a JSON number, got {value!r}")
 
 
+def string(value: object, source: str, where: str) -> str:
+    """``value`` if it is a JSON string; anything else is a ConfigError naming ``where``.
+
+    An id or a name is never coerced: ``str()`` would read null as ``"None"``.
+    """
+    if isinstance(value, str):
+        return value
+    raise ConfigError(source, f"{where}: expected a JSON string, got {value!r}")
+
+
 def coord(value: object, source: str, where: str) -> tuple[float, float]:
     """``value`` as an ``(x, y)`` pair if it is an array of two JSON numbers, else a ConfigError.
 

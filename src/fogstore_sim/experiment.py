@@ -22,13 +22,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from operator import mul
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .consistency import ConsistencyLevel, RegionSet, _parse_level
-from .errors import ConfigError, expect, integer, load_json, number
-from .netsim import BudgetExceededError, FaultAction, SimReport, Simulator
+from .errors import ConfigError, expect, integer, load_json, number, string
+from .netsim import BudgetExceededError, FaultAction, Simulator
 from .store import Arrival, Cluster, Query, QueryResult
 from .topology import FogNode, Link, Topology, load_topology
 from .workload import (
@@ -92,7 +91,6 @@ class RunOutput:
 
     stats: LatencyStats
     results: list[tuple[Query, QueryResult]]
-    report: SimReport
     cluster: Cluster
     error_counts: dict[str, int] = field(default_factory=dict)
 
@@ -130,9 +128,8 @@ def run_queries(
         def collect(query: Query, result: QueryResult) -> None:
             results.append((query, result))
 
-        cluster.sim.set_timer_series(
-            None, len(queries), map(mul, range(len(queries)), repeat(open_loop_interval_ms)),
-            map(Arrival, queries, repeat(collect)))
+        cluster.sim.set_timer_series(None, len(queries), open_loop_interval_ms,
+                                     map(Arrival, queries, repeat(collect)))
     try:
         cluster.sim.run_until_quiescent(budget_ms)
     finally:
@@ -193,8 +190,7 @@ def run_single(
         else:
             label = result.error or "error"
             error_counts[label] = error_counts.get(label, 0) + 1
-    return RunOutput(stats=stats, results=results, report=sim.report,
-                     cluster=cluster, error_counts=error_counts)
+    return RunOutput(stats=stats, results=results, cluster=cluster, error_counts=error_counts)
 
 
 @dataclass
@@ -290,7 +286,7 @@ def load_sweep_plan(path: str | Path) -> SweepPlan:
 
     if "workload" not in data:
         raise ConfigError(str(path), "workload: a workload file is required")
-    workload = load_workload(resolve(str(data["workload"])))
+    workload = load_workload(resolve(string(data["workload"], str(path), "workload")))
 
     settings: list[tuple[str, Topology]] = []
     for i, raw in enumerate(expect(data.get("settings", []), list, str(path), "settings")):
@@ -301,13 +297,16 @@ def load_sweep_plan(path: str | Path) -> SweepPlan:
             raise ConfigError(str(path), f"{where}: missing field 'name'")
         if not raw.get("topology"):
             raise ConfigError(str(path), f"{where}: missing field 'topology'")
-        settings.append((str(name), load_topology(resolve(str(raw["topology"])))))
+        name = string(name, str(path), f"{where}.name")
+        topology = string(raw["topology"], str(path), f"{where}.topology")
+        settings.append((name, load_topology(resolve(topology))))
 
     levels = [_parse_level(raw, str(path), f"levels[{i}]")
               for i, raw in enumerate(expect(data.get("levels", []), list, str(path), "levels"))]
 
-    directions = [str(d) for d in
-                  expect(data.get("directions", ["read", "write"]), list, str(path), "directions")]
+    directions = [string(d, str(path), f"directions[{i}]") for i, d in
+                  enumerate(expect(data.get("directions", ["read", "write"]), list, str(path),
+                                   "directions"))]
     try:
         return SweepPlan(
             settings=settings,

@@ -38,18 +38,20 @@ holds little more than the live timers of its type.
 its ``cancelled`` flag discards the timer in O(1): it never fires and never
 advances the clock.
 
-A run of timers with non-decreasing delays, such as an open loop's
-arrivals, is set in one call, :meth:`Simulator.set_timer_series`. It takes
-every seq of the run at once, so each timer keeps the seq that one
-``set_timer`` call per timer would give it, but a timer and its payload are
-built only when the one before it is popped. The series' next timer is
-always in the heap, and nothing behind it is in memory.
+A run of timers at a fixed interval, such as an open loop's arrivals, is
+set in one call, :meth:`Simulator.set_timer_series`: timer ``i`` is due at
+``start + i * interval``, the float that ``set_timer(node, i * interval)``
+at the start would give. It takes every seq of the run at once, so each
+timer keeps the seq that one ``set_timer`` call per timer would give it, but
+a timer and its payload are built only when the one before it is popped.
+The series' next timer is always in the heap, and nothing behind it is in
+memory.
 
-Message delays come from a per-simulator ``(src, dst) -> latency + service``
-table, filled on a pair's first message; the sum is the one the topology
-and the destination's service time give, so delivery times are unchanged.
-With jitter on, the table holds the bare latency instead, and a delay is
-``max(0, latency ± jitter) + service``.
+Message delays come from one per-simulator ``(src, dst)`` table, filled on
+a pair's first message. An entry holds latency + service, the sum the
+topology and the destination's service time give, so delivery times are
+unchanged. With jitter on, an entry holds the bare latency instead, and a
+delay is ``max(0, latency ± jitter) + service``.
 """
 
 from __future__ import annotations
@@ -63,13 +65,14 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import ConfigError, element, expect, load_json, number
+from .errors import ConfigError, element, expect, load_json, number, string
 from .topology import Topology
 
 Handler = Callable[["Simulator", "SimEvent"], None]
 TraceSink = Callable[[str], None]
-# A timer series: (its start time, node, first seq, end seq, delays left, payloads left).
-_Series = tuple[float, "str | None", int, int, Iterator[float], Iterator[object]]
+# A timer series: (its start time, node, first seq, end seq, interval, payloads left).
+_Series = tuple[float, "str | None", int, int, float, Iterator[object]]
+_INF = math.inf
 
 KIND_MESSAGE = "message"
 KIND_TIMER = "timer"
@@ -98,7 +101,6 @@ class BudgetExceededError(Exception):
 class SimEvent:
     """One scheduled occurrence; its heap entry ``(at_ms, seq, event)`` orders it."""
 
-    seq: int
     kind: str
     src: str | None
     dst: str | None
@@ -170,12 +172,12 @@ class Simulator:
         self._jitter_ms = jitter_ms
         self._jitter_random = random.Random(jitter_seed).random
         self._service_ms = {nid: node.service_ms for nid, node in topology.nodes.items()}
-        self._delay_ms: dict[tuple[str, str], float] = {}  # (src, dst) -> latency + service
-        self._latency_ms: dict[tuple[str, str], float] = {}  # (src, dst) -> latency, with jitter
+        # (src, dst) -> latency + service, or the bare latency with jitter on
+        self._delay_ms: dict[tuple[str, str], float] = {}
         self.report = SimReport()
         check_fault_nodes(fault_script, topology, "<fault script>")
         for seq, action in enumerate(fault_script):
-            heappush(self._queue, (action.at_ms, seq, SimEvent(seq, KIND_FAULT, None, None, action)))
+            heappush(self._queue, (action.at_ms, seq, SimEvent(KIND_FAULT, None, None, action)))
         self._seq = len(fault_script)
 
     @property
@@ -209,24 +211,21 @@ class Simulator:
             self._drop(src, dst, payload, "blocked at send")
             return
         jitter = self._jitter_ms
+        try:
+            delay = self._delay_ms[src, dst]
+        except KeyError:  # first message on this pair; an unknown node raises here
+            delay = self.topology.latency_ms(src, dst)
+            if jitter == 0.0:
+                delay += self._service_ms[dst]
+            self._delay_ms[src, dst] = delay
         if jitter > 0.0:
-            try:
-                latency = self._latency_ms[src, dst]
-            except KeyError:  # first message on this pair; an unknown node raises here
-                latency = self._latency_ms[src, dst] = self.topology.latency_ms(src, dst)
             # random.uniform(-jitter, jitter) inlined: the same floats, one call fewer
-            delay = max(0.0, latency + (-jitter + (jitter + jitter) * self._jitter_random()))
+            delay = max(0.0, delay + (-jitter + (jitter + jitter) * self._jitter_random()))
             delay += self._service_ms[dst]
-        else:
-            try:
-                delay = self._delay_ms[src, dst]
-            except KeyError:  # first message on this pair; an unknown node raises here
-                delay = self._delay_ms[src, dst] = (self.topology.latency_ms(src, dst)
-                                                    + self._service_ms[dst])
         at_ms = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (at_ms, seq, SimEvent(seq, KIND_MESSAGE, src, dst, payload)))
+        heappush(self._queue, (at_ms, seq, SimEvent(KIND_MESSAGE, src, dst, payload)))
 
     def set_timer(self, node_id: str | None, delay_ms: float, payload: object) -> SimEvent:
         """Schedule a timer payload for ``node_id`` after ``delay_ms``; return its event.
@@ -235,12 +234,12 @@ class Simulator:
         fires. ``node_id=None`` makes a harness timer that always fires
         (used by drivers that live outside the fault domain).
         """
-        if not delay_ms >= 0:  # also rejects NaN
-            raise ValueError(f"delay_ms must be >= 0 (got {delay_ms})")
+        if not 0.0 <= delay_ms < _INF:  # also rejects NaN
+            raise ValueError(f"delay_ms must be finite and >= 0 (got {delay_ms})")
         at_ms = self._now + delay_ms
         seq = self._seq
         self._seq = seq + 1
-        event = SimEvent(seq, KIND_TIMER, None, node_id, payload)
+        event = SimEvent(KIND_TIMER, None, node_id, payload)
         entry = (at_ms, seq, event)
         lane = self._lanes[type(payload)]
         if not lane:
@@ -262,34 +261,32 @@ class Simulator:
             heappush(self._queue, entry)
         return event
 
-    def set_timer_series(self, node_id: str | None, count: int, delays: Iterable[float],
+    def set_timer_series(self, node_id: str | None, count: int, interval_ms: float,
                          payloads: Iterable[object]) -> None:
         """Set ``count`` timers for ``node_id``, as ``count`` ``set_timer`` calls would.
 
-        Timer ``i`` is due the ``i``-th delay in ms from now and carries the
-        ``i``-th payload; the delays must not decrease. All ``count`` seqs are
-        taken now, so the timers run in the same ``(at_ms, seq)`` order, but
-        timer ``i + 1`` and its payload are only built when timer ``i`` is
-        popped: the series keeps one timer in the heap and none in memory
-        behind it. Its timers share no lane and cannot be cancelled. Fewer than
-        ``count`` delays or payloads raise :class:`ValueError`, here for the
-        first timer and from :meth:`run_until_quiescent` for a later one.
+        Timer ``i`` is due ``i * interval_ms`` from now and carries the
+        ``i``-th payload. All ``count`` seqs are taken now, so the timers run
+        in the same ``(at_ms, seq)`` order, but timer ``i + 1`` and its payload
+        are only built when timer ``i`` is popped: the series keeps one timer
+        in the heap and none in memory behind it. Its timers share no lane and
+        cannot be cancelled. Fewer than ``count`` payloads raise
+        :class:`ValueError`, here for the first timer and from
+        :meth:`run_until_quiescent` for a later one.
         """
+        if not 0.0 <= interval_ms < _INF:  # also rejects NaN
+            raise ValueError(f"interval_ms must be finite and >= 0 (got {interval_ms})")
         if count <= 0:
             return
-        delays, payloads = iter(delays), iter(payloads)
+        payloads = iter(payloads)
         seq = self._seq
         try:
-            first = next(delays)
             payload = next(payloads)
         except StopIteration:
             raise _short_series(seq, count) from None
-        if not first >= 0:  # also rejects NaN
-            raise ValueError(f"delays must be >= 0 (got {first})")
         self._seq = seq + count
-        heappush(self._queue, (self._now + first, seq,
-                               SimEvent(seq, KIND_TIMER, None, node_id, payload)))
-        self._series[seq] = (self._now, node_id, seq, seq + count, delays, payloads)
+        heappush(self._queue, (self._now, seq, SimEvent(KIND_TIMER, None, node_id, payload)))
+        self._series[seq] = (self._now, node_id, seq, seq + count, interval_ms, payloads)
 
     def _drop(self, src: str | None, dst: str | None, payload: object, reason: str,
               seq: int | None = None) -> None:
@@ -298,11 +295,15 @@ class Simulator:
 
     def _emit_trace(self, kind: str, src: str | None, dst: str | None, payload: object,
                     seq: int | None = None, reason: str | None = None) -> None:
-        """Format one trace line; the payload is only stringified when a sink is attached."""
+        """Format one trace line; the payload is only stringified when a sink is attached.
+
+        An event that took no seq (a message dropped at send, a fault applied
+        directly) prints ``-`` as its seq.
+        """
         if self._trace is not None:
             summary = str(payload) if reason is None else f"{reason}: {payload}"
             self._trace(
-                f"{self._now:g},{self._seq if seq is None else seq},{kind},"
+                f"{self._now:g},{'-' if seq is None else seq},{kind},"
                 f"{src or '-'},{dst or '-'},{summary}"
             )
 
@@ -332,18 +333,15 @@ class Simulator:
                     if lane:
                         heappush(queue, lane[0])
                 elif series and seq in series:  # a series' timer: build the next one
-                    start_ms, node_id, first, end, delays, payloads = run = series.pop(seq)
+                    start_ms, node_id, first, end, interval_ms, payloads = run = series.pop(seq)
                     nxt = seq + 1
                     if nxt < end:
                         try:
-                            due = start_ms + next(delays)
                             payload = next(payloads)
                         except StopIteration:
                             raise _short_series(first, end - first) from None
-                        if not due >= at_ms:
-                            raise ValueError(f"timer series delays decrease at seq {nxt}")
-                        heappush(queue, (due, nxt, SimEvent(nxt, KIND_TIMER, None, node_id,
-                                                            payload)))
+                        heappush(queue, (start_ms + (nxt - first) * interval_ms, nxt,
+                                         SimEvent(KIND_TIMER, None, node_id, payload)))
                         series[nxt] = run
                 if event.cancelled:
                     continue
@@ -355,19 +353,19 @@ class Simulator:
                 if (crashed or partitions) and (
                     event.dst in crashed or not self.can_communicate(event.src, event.dst)
                 ):
-                    self._drop(event.src, event.dst, event.payload, "blocked at delivery", event.seq)
+                    self._drop(event.src, event.dst, event.payload, "blocked at delivery", seq)
                     continue
                 report.messages_delivered += 1
             elif kind is KIND_TIMER:
                 if crashed and event.dst in crashed:
-                    self._drop(event.src, event.dst, event.payload, "timer at crashed node", event.seq)
+                    self._drop(event.src, event.dst, event.payload, "timer at crashed node", seq)
                     continue
                 report.timers_fired += 1
             else:
-                self.apply_fault(event.payload, seq=event.seq)  # type: ignore[arg-type]
+                self.apply_fault(event.payload, seq=seq)  # type: ignore[arg-type]
                 continue
             if trace is not None:
-                self._emit_trace(kind, event.src, event.dst, event.payload, event.seq)
+                self._emit_trace(kind, event.src, event.dst, event.payload, seq)
             if handler is not None:
                 handler(self, event)
         report.end_ms = self._now
@@ -397,8 +395,7 @@ class Simulator:
 
 
 def _short_series(first: int, count: int) -> ValueError:
-    return ValueError(f"timer series from seq {first} has fewer than {count} "
-                      f"delays or payloads")
+    return ValueError(f"timer series from seq {first} has fewer than {count} payloads")
 
 
 def _drop_cancelled(lane: deque[tuple[float, int, SimEvent]]) -> None:
@@ -427,7 +424,7 @@ def fault_script_from_dict(data: dict, source: str = "<dict>") -> list[FaultActi
         where = f"events[{i}]"
         with element(source, where):
             at_ms = number(raw["at_ms"], source, f"{where}.at_ms")
-            kind = str(raw["action"])
+            kind = string(raw["action"], source, f"{where}.action")
         if not (math.isfinite(at_ms) and at_ms >= 0):
             raise ConfigError(source, f"{where}.at_ms: must be finite and >= 0")
         if at_ms < last_at:
@@ -436,10 +433,12 @@ def fault_script_from_dict(data: dict, source: str = "<dict>") -> list[FaultActi
         if kind in ("crash", "recover"):
             if "node" not in raw:
                 raise ConfigError(source, f"{where}: {kind} needs a 'node'")
-            actions.append(FaultAction(at_ms=at_ms, action=kind, node=str(raw["node"])))
+            node = string(raw["node"], source, f"{where}.node")
+            actions.append(FaultAction(at_ms=at_ms, action=kind, node=node))
         elif kind == "partition":
             group_a, group_b = (
-                frozenset(map(str, expect(raw.get(name, []), list, source, f"{where}.{name}")))
+                frozenset(string(nid, source, f"{where}.{name}[{j}]") for j, nid in
+                          enumerate(expect(raw.get(name, []), list, source, f"{where}.{name}")))
                 for name in ("group_a", "group_b")
             )
             if not group_a or not group_b:

@@ -313,6 +313,8 @@ class Cluster:
             raise ValueError("replication_factor must be >= 1")
         if not (math.isfinite(timeout_ms) and timeout_ms > 0):
             raise ValueError(f"timeout_ms must be finite and > 0 (got {timeout_ms})")
+        if simulator.topology is not topology:  # delays would come from the other one
+            raise ValueError("the simulator must run on the cluster's topology")
         if region_set is None and None not in (fixed_read_level, fixed_write_level):
             region_set = RegionSet.uniform(fixed_read_level, fixed_write_level)
         elif region_set is None or fixed_read_level or fixed_write_level:

@@ -21,7 +21,7 @@ from itertools import count
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ConfigError, coord, element, expect, load_json, number
+from .errors import ConfigError, coord, element, expect, load_json, number, string
 
 Coord = tuple[float, float]
 
@@ -239,9 +239,10 @@ def topology_from_dict(data: dict, source: str = "<dict>") -> Topology:
         with element(source, where):
             nodes.append(
                 FogNode(
-                    node_id=str(raw["id"]),
+                    node_id=string(raw["id"], source, f"{where}.id"),
                     geo=coord(raw["geo"], source, f"{where}.geo"),
-                    failure_group_id=str(raw["failure_group"]),
+                    failure_group_id=string(raw["failure_group"], source,
+                                            f"{where}.failure_group"),
                     is_storage=expect(raw.get("is_storage", True), bool, source,
                                       f"{where}.is_storage"),
                     service_ms=number(raw.get("service_ms", 0.0), source, f"{where}.service_ms"),
@@ -253,8 +254,8 @@ def topology_from_dict(data: dict, source: str = "<dict>") -> Topology:
         with element(source, where):
             links.append(
                 Link(
-                    endpoint_a=str(raw["a"]),
-                    endpoint_b=str(raw["b"]),
+                    endpoint_a=string(raw["a"], source, f"{where}.a"),
+                    endpoint_b=string(raw["b"], source, f"{where}.b"),
                     latency_ms=number(raw["latency_ms"], source, f"{where}.latency_ms"),
                 )
             )

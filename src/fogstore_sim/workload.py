@@ -24,7 +24,8 @@ from random import Random
 from typing import Sequence
 
 from .consistency import ClientContext, ConsistencyLevel, DataContext, _parse_level
-from .errors import ConfigError, coord, element, expect, integer, load_json, number
+from .errors import (ConfigError, coord, element, expect, integer, load_json, number,
+                     string)
 from .store import Query, QueryKind
 from .topology import Coord
 
@@ -187,7 +188,7 @@ def workload_from_dict(data: dict, source: str = "<dict>") -> WorkloadSpec:
         where = f"clients[{i}]"
         with element(source, where):
             clients.append(WorkloadClient(
-                client_id=str(raw["id"]),
+                client_id=string(raw["id"], source, f"{where}.id"),
                 geo=coord(raw["geo"], source, f"{where}.geo"),
                 weight=number(raw.get("weight", 1.0), source, f"{where}.weight"),
             ))
@@ -203,7 +204,7 @@ def workload_from_dict(data: dict, source: str = "<dict>") -> WorkloadSpec:
             op_count=integer(data.get("op_count", 0), source, "op_count"),
             clients=tuple(clients),
             read_fraction=number(data.get("read_fraction", 0.95), source, "read_fraction"),
-            key_prefix=str(data.get("key_prefix", "key-")),
+            key_prefix=string(data.get("key_prefix", "key-"), source, "key_prefix"),
             recency_skew=number(data.get("recency_skew", 0.3), source, "recency_skew"),
             data_geo=data_geo,
             fixed_read_level=fixed_read_level,

@@ -105,6 +105,38 @@ BAD_SWEEP_PLAN = [
     (load_sweep_plan, _sweep(directions=[]), "directions", "empty"),
 ]
 
+# Ids and names that str() used to coerce: two nodes with a null failure group
+# shared group "None", an id 1.0 read "1.0", and a null key prefix made the
+# keys None1, None2, ...
+NOT_A_STRING = [
+    (load_topology, {"nodes": [{"id": "a", "geo": [0, 0], "failure_group": None}]},
+     "nodes[0].failure_group", "null"),
+    (load_topology, {"nodes": [{"id": 1.0, "geo": [0, 0], "failure_group": "g"}]},
+     "nodes[0].id", "number"),
+    (load_topology, {**_topology(), "links": [{"a": "a", "b": True, "latency_ms": 1}]},
+     "links[0].b", "boolean"),
+    (load_workload, {**_workload(), "key_prefix": None}, "key_prefix", "null"),
+    (load_workload, {"op_count": 1, "clients": [{"id": 7, "geo": [0, 0]}]}, "clients[0].id",
+     "number"),
+    (load_regions, {"default": GOOD_DEFAULT, "specs": [{"keyspace": None, "bands": [BAND]}]},
+     "specs[0].keyspace", "null"),
+    (load_fault_script, {"events": [{"at_ms": 1, "action": "crash", "node": 3}]},
+     "events[0].node", "number"),
+    (load_fault_script, {"events": [{"at_ms": 1, "action": None}]}, "events[0].action", "null"),
+    (load_fault_script,
+     {"events": [{"at_ms": 1, "action": "partition", "group_a": [1], "group_b": ["a"]}]},
+     "events[0].group_a[0]", "number"),
+    (load_fault_script,
+     {"events": [{"at_ms": 1, "action": "partition", "group_a": ["a"], "group_b": [True]}]},
+     "events[0].group_b[0]", "boolean"),
+    (load_sweep_plan, {"workload": 5}, "workload", "number"),
+    (load_sweep_plan, {"settings": [{"name": 5, "topology": "t.json"}]}, "settings[0].name",
+     "number"),
+    (load_sweep_plan, {"settings": [{"name": "x", "topology": True}]}, "settings[0].topology",
+     "boolean"),
+    (load_sweep_plan, _sweep(directions=["read", None]), "directions[1]", "null"),
+]
+
 # Values of the wrong JSON type that bool() or int() used to coerce:
 # bool("false") is True, int(10.7) is 10 and int(True) is 1.
 WRONG_JSON_TYPE = [
@@ -134,6 +166,7 @@ WRONG_JSON_TYPE = [
      "events[0].at_ms", "string"),
     (load_sweep_plan, _sweep(timeout_ms="5"), "timeout_ms", "string"),
     (load_sweep_plan, _sweep(budget_ms=True), "budget_ms", "boolean"),
+    *NOT_A_STRING,
 ]
 
 # A coordinate pair is exactly two numbers in both loaders that read one.
@@ -156,15 +189,21 @@ BAD_COORDS = [
        for loader, _, where, tag in NON_FINITE + BAD_SWEEP_PLAN + WRONG_JSON_TYPE + BAD_COORDS],
 )
 def test_malformed_element_names_file_and_path(loader, doc, where, tmp_path):
+    with pytest.raises(ConfigError) as err:
+        load_beside_good_files(loader, doc, tmp_path)
+    assert str(err.value).startswith(f"{tmp_path / 'doc.json'}: {where}: ")
+
+
+def load_beside_good_files(loader, doc, tmp_path):
+    """Load ``doc`` (a sweep plan's ``workload`` defaults to a good file) next to good
+    workload and topology files."""
     workload = {"op_count": 1, "clients": [{"id": "c", "geo": [0, 0]}]}
     (tmp_path / "w.json").write_text(json.dumps(workload))
     topology = {"nodes": [{"id": "a", "geo": [0, 0], "failure_group": "g"}]}
     (tmp_path / "t.json").write_text(json.dumps(topology))
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"workload": "w.json", **doc}))
-    with pytest.raises(ConfigError) as err:
-        loader(path)
-    assert str(err.value).startswith(f"{path}: {where}: ")
+    return loader(path)
 
 
 @pytest.mark.parametrize("loader,doc,where", [row[:3] for row in BAD_COORDS],
@@ -176,3 +215,12 @@ def test_bad_coordinates_read_expected_x_y(loader, doc, where, tmp_path):
     with pytest.raises(ConfigError) as err:
         loader(path)
     assert str(err.value).startswith(f"{path}: {where}: expected [x, y]")
+
+
+@pytest.mark.parametrize("loader,doc,where", [row[:3] for row in NOT_A_STRING],
+                         ids=[f"{loader.__name__}-{where}-{tag}"
+                              for loader, _, where, tag in NOT_A_STRING])
+def test_non_string_reads_expected_a_json_string(loader, doc, where, tmp_path):
+    with pytest.raises(ConfigError) as err:
+        load_beside_good_files(loader, doc, tmp_path)
+    assert str(err.value).startswith(f"{tmp_path / 'doc.json'}: {where}: expected a JSON string, got ")

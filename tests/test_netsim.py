@@ -1,6 +1,7 @@
 import heapq
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -183,16 +184,34 @@ class TestTimers:
         with pytest.raises(ValueError, match="delay_ms"):
             sim.set_timer(None, float("nan"), "tick")
 
+    def test_infinite_delay_rejected(self):
+        # It used to run: the clock jumped to inf, and so did the report's end_ms.
+        sim = Simulator(pair_topology())
+        with pytest.raises(ValueError, match="delay_ms must be finite"):
+            sim.set_timer(None, float("inf"), "tick")
+        assert sim.run_until_quiescent().end_ms == 0.0
+
 
 class TestTimerSeries:
     def test_series_fires_in_order_with_the_seqs_it_reserved(self):
-        log = []
-        sim = Simulator(pair_topology(), handler=lambda sim, e: log.append((sim.now, e.seq, e.payload)))
-        sim.set_timer_series("a", 3, [1.0, 1.0, 4.0], ["x", "y", "z"])
+        trace = []
+        sim = Simulator(pair_topology(), trace=trace.append)
+        sim.set_timer_series("a", 3, 2.0, ["x", "y", "z"])
         sim.schedule_message("a", "b", "m")  # takes the seq after the whole series
         sim.run_until_quiescent()
-        assert log == [(1.0, 0, "x"), (1.0, 1, "y"), (4.0, 2, "z"), (5.0, 3, "m")]
+        assert trace == ["0,0,timer,-,a,x", "2,1,timer,-,a,y", "4,2,timer,-,a,z",
+                         "5,3,message,a,b,m"]
         assert sim.report.timers_fired == 3
+
+    def test_zero_interval_fires_every_timer_now_in_seq_order(self):
+        trace = []
+        sim = Simulator(pair_topology(), trace=trace.append)
+        sim.set_timer(None, 1.0, "later")
+        sim.set_timer_series(None, 3, 0.0, ["x", "y", "z"])
+        sim.set_timer(None, 0.0, "after")
+        sim.run_until_quiescent()
+        assert trace == ["0,1,timer,-,-,x", "0,2,timer,-,-,y", "0,3,timer,-,-,z",
+                         "0,4,timer,-,-,after", "1,0,timer,-,-,later"]
 
     def test_payloads_are_built_one_pop_at_a_time(self):
         built = []
@@ -202,56 +221,53 @@ class TestTimerSeries:
             return i
 
         sim = Simulator(pair_topology(), handler=lambda sim, e: built.append(f"fired {e.payload}"))
-        sim.set_timer_series(None, 3, [0.0, 2.0, 2.0], map(payload, range(3)))
+        sim.set_timer_series(None, 3, 2.0, map(payload, range(3)))
         assert built == [0]
         sim.run_until_quiescent()
         assert built == [0, 1, "fired 0", 2, "fired 1", "fired 2"]
 
     def test_empty_series_sets_nothing(self):
         sim = Simulator(pair_topology())
-        sim.set_timer_series(None, 0, [], [])
+        sim.set_timer_series(None, 0, 1.0, [])
         sim.schedule_message("a", "b", "m")
         assert sim.run_until_quiescent().events_processed == 1
         assert sim._seq == 1
 
-    @pytest.mark.parametrize("first", [float("nan"), -1.0])
-    def test_bad_first_delay_rejected(self, first):
+    @pytest.mark.parametrize("interval_ms", [float("nan"), float("inf"), -1.0])
+    def test_bad_interval_rejected(self, interval_ms):
+        # An infinite interval would put timer 0 at 0 * inf = NaN ms.
         sim = Simulator(pair_topology())
-        with pytest.raises(ValueError, match="delays must be >= 0"):
-            sim.set_timer_series(None, 2, [first, 1.0], ["x", "y"])
-
-    def test_decreasing_delay_rejected_when_reached(self):
-        sim = Simulator(pair_topology())
-        sim.set_timer_series(None, 3, [1.0, 3.0, 2.0], ["x", "y", "z"])
-        with pytest.raises(ValueError, match="delays decrease at seq 2"):
-            sim.run_until_quiescent()
-
-    @pytest.mark.parametrize("delays, payloads", [([], ["x", "y", "z"]), ([1.0, 2.0, 3.0], [])])
-    def test_series_missing_its_first_timer_rejected_when_set(self, delays, payloads):
-        sim = Simulator(pair_topology())
-        with pytest.raises(ValueError, match="from seq 0 has fewer than 3 delays or payloads"):
-            sim.set_timer_series(None, 3, delays, payloads)
+        with pytest.raises(ValueError, match="interval_ms must be finite and >= 0"):
+            sim.set_timer_series(None, 2, interval_ms, ["x", "y"])
         assert sim._seq == 0 and sim._series == {}  # nothing was set
 
-    @pytest.mark.parametrize("delays, payloads", [([0.0, 1.0], ["x", "y", "z"]),
-                                                  ([0.0, 1.0, 2.0], ["x", "y"])])
-    def test_short_series_raises_value_error_when_its_end_is_reached(self, delays, payloads):
+    # ``delays`` is the (count, interval_ms) pair the series' delays are built
+    # from; the payloads run out at once, as a list and as a spent iterator.
+    @pytest.mark.parametrize("delays, payloads", [((3, 1.0), []), ((3, 0.0), iter([]))])
+    def test_series_missing_its_first_timer_rejected_when_set(self, delays, payloads):
+        count, interval_ms = delays
+        sim = Simulator(pair_topology())
+        with pytest.raises(ValueError, match="from seq 0 has fewer than 3 payloads"):
+            sim.set_timer_series(None, count, interval_ms, payloads)
+        assert sim._seq == 0 and sim._series == {}  # nothing was set
+
+    def test_short_series_raises_value_error_when_its_end_is_reached(self):
         # It used to leak a bare StopIteration out of the loop.
         fired = []
         sim = Simulator(pair_topology(), handler=lambda sim, e: fired.append(e.payload))
         sim.schedule_message("a", "b", "m")  # seq 0: the series starts at seq 1
-        sim.set_timer_series(None, 3, delays, payloads)
-        with pytest.raises(ValueError, match="from seq 1 has fewer than 3 delays or payloads"):
+        sim.set_timer_series(None, 3, 1.0, ["x", "y"])
+        with pytest.raises(ValueError, match="from seq 1 has fewer than 3 payloads"):
             sim.run_until_quiescent()
         assert fired == ["x"]
 
     def test_series_timer_at_crashed_node_dropped(self):
         log = []
         sim = Simulator(pair_topology(), handler=recording_handler(log),
-                        fault_script=[FaultAction(2.0, "crash", node="a")])
-        sim.set_timer_series("a", 3, [1.0, 2.0, 3.0], ["x", "y", "z"])
+                        fault_script=[FaultAction(1.0, "crash", node="a")])
+        sim.set_timer_series("a", 3, 1.0, ["x", "y", "z"])
         sim.run_until_quiescent()
-        assert log == [(1.0, "timer", None, "a", "x")]
+        assert log == [(0.0, "timer", None, "a", "x")]
         assert sim.report.messages_dropped == 2
 
 
@@ -283,16 +299,20 @@ class TestOpenLoopSeries:
                                          read_fraction=0.6, seed=4))
 
     def test_trace_is_byte_identical_to_eager_scheduling(self):
+        # 0.1 is not exact in binary: the lazy ``start + i * interval`` must give
+        # the float the eager ``set_timer(None, i * interval)`` gives.
         queries = self.queries()
-        lazy_trace, eager_trace = [], []
-        lazy = run_queries(self.cluster(lazy_trace), queries, open_loop_interval_ms=1.0)
-        eager = eager_open_loop(self.cluster(eager_trace), queries, 1.0)
-        assert "\n".join(lazy_trace) == "\n".join(eager_trace)
-        assert lazy == eager and len(lazy) == 300
-        rows = [line.split(",", 5) for line in lazy_trace]
-        arrivals = {at for at, _, kind, _, _, what in rows if what.startswith("Arrival")}
-        delivered = {at for at, _, kind, _, _, _ in rows if kind == "message"}
-        assert len(arrivals & delivered) > 100  # the ties the seq order decides
+        for interval_ms in (0.1, 0.5, 1.0):
+            lazy_trace, eager_trace = [], []
+            lazy = run_queries(self.cluster(lazy_trace), queries,
+                               open_loop_interval_ms=interval_ms)
+            eager = eager_open_loop(self.cluster(eager_trace), queries, interval_ms)
+            assert "\n".join(lazy_trace) == "\n".join(eager_trace), interval_ms
+            assert lazy == eager and len(lazy) == 300
+            rows = [line.split(",", 5) for line in lazy_trace]
+            arrivals = {at for at, _, kind, _, _, what in rows if what.startswith("Arrival")}
+            delivered = {at for at, _, kind, _, _, _ in rows if kind == "message"}
+            assert len(arrivals & delivered) > 100  # the ties the seq order decides
 
     @pytest.mark.parametrize("budget_ms", [0.5, 50.5, 298.0])
     def test_budget_error_counts_the_arrivals_not_built_yet(self, budget_ms):
@@ -353,6 +373,36 @@ class TestFaults:
         sim.schedule_message("a", "b", "z")
         sim.run_until_quiescent()
         assert [payload for *_, payload in log] == ["z"]
+
+    def test_events_that_took_no_seq_print_a_dash(self):
+        # A message dropped at send and a fault applied directly are never
+        # scheduled; they used to print the seq the next event would take.
+        trace = []
+        sim = Simulator(pair_topology(), trace=trace.append)
+        sim.apply_fault(FaultAction(at_ms=0.0, action="crash", node="b"))
+        sim.schedule_message("a", "b", "lost")
+        sim.set_timer(None, 1.0, "tick")
+        sim.run_until_quiescent()
+        assert trace == ["0,-,fault,-,-,crash b", "0,-,drop,a,b,blocked at send: lost",
+                         "1,0,timer,-,-,tick"]
+
+    def test_no_seq_is_printed_twice_in_a_faulted_jittered_open_loop(self):
+        workload = WorkloadSpec(op_count=300, clients=(WorkloadClient("c1", (-100.0, 0.0)),
+                                                       WorkloadClient("c2", (900.0, 0.0))),
+                                read_fraction=0.5, fixed_read_level=ConsistencyLevel.QUORUM,
+                                fixed_write_level=ConsistencyLevel.ALL,
+                                open_loop_interval_ms=0.5, seed=7)
+        faults = [FaultAction(10.0, "crash", node="fog-3"),
+                  FaultAction(25.0, "partition", group_a=frozenset({"fog-1", "fog-2"}),
+                              group_b=frozenset({"fog-4", "fog-5"})),
+                  FaultAction(50.0, "heal"), FaultAction(70.0, "recover", node="fog-3")]
+        trace = []
+        run_single(build_star_topology((4, 5, 6, 7, 8)), workload, replication_factor=5,
+                   timeout_ms=200.0, fault_script=faults, trace_sink=trace.append,
+                   jitter_ms=1.0, jitter_seed=5)
+        seqs = Counter(line.split(",")[1] for line in trace)
+        assert seqs["-"] > 10  # sends the faults blocked
+        assert [seq for seq, n in seqs.items() if n > 1 and seq != "-"] == []
 
     @pytest.mark.parametrize("fault, undo", [
         (dict(action="crash", node="b"), dict(action="recover", node="b")),
@@ -476,7 +526,7 @@ def random_schedule(rng):
     """A fault script, the actions issued before the run, and each payload's reactions.
 
     An action is ``("msg", src, dst, payload)``, ``("timer", node, delay, payload)``,
-    ``("series", node, delays, payloads)``, a timer series whose payloads share
+    ``("series", node, interval, payloads)``, a timer series whose payloads share
     their types with single timers, or ``("cancel", n)``, which cancels the single
     timer whose payload is ``n`` (a no-op if that timer was never set or has fired).
     """
@@ -512,12 +562,12 @@ def random_schedule(rng):
                 out.append(("timer", node, delay, kind(count)))
                 timers.append(count)
             elif roll < 0.95:
-                delays = sorted(rng.choice([0.0, 0.5, 1.0, 3.0, 4.0]) for _ in range(rng.randint(1, 4)))
+                interval = rng.choice([0.0, 0.5, 1.0, 1.5, 3.0])
                 payloads = [rng.choice([TickA, TickB, TickC])(count)]
-                for _ in delays[1:]:
+                for _ in range(rng.randint(0, 3)):
                     count += 1
                     payloads.append(rng.choice([TickA, TickB, TickC])(count))
-                out.append(("series", rng.choice((None,) + ORACLE_NODES), delays, payloads))
+                out.append(("series", rng.choice((None,) + ORACLE_NODES), interval, payloads))
             if timers and rng.random() < 0.5:
                 out.append(("cancel", rng.choice(timers)))
         return out
@@ -554,9 +604,9 @@ def reference_log(topology, faults, initial, reactions):
                 timer_seqs[payload.n] = seq
                 heapq.heappush(queue, (now + delay, seq, "timer", node, payload))
             elif action[0] == "series":
-                _, node, delays, payloads = action
-                for delay, payload in zip(delays, payloads):
-                    heapq.heappush(queue, (now + delay, seq, "timer", node, payload))
+                _, node, interval, payloads = action
+                for i, payload in enumerate(payloads):
+                    heapq.heappush(queue, (now + i * interval, seq, "timer", node, payload))
                     seq += 1
                 continue
             else:
@@ -582,7 +632,7 @@ def reference_log(topology, faults, initial, reactions):
 
 
 def simulator_log(topology, faults, initial, reactions):
-    log, handles = [], {}
+    log, handles, trace = [], {}, []
 
     def run(sim, actions):
         for action in actions:
@@ -591,15 +641,16 @@ def simulator_log(topology, faults, initial, reactions):
             elif action[0] == "timer":
                 handles[action[3].n] = sim.set_timer(action[1], action[2], action[3])
             elif action[0] == "series":
-                sim.set_timer_series(action[1], len(action[2]), action[2], action[3])
+                sim.set_timer_series(action[1], len(action[3]), action[2], action[3])
             elif action[1] in handles:
                 handles[action[1]].cancelled = True
 
     def handler(sim, event):
-        log.append((sim.now, event.seq, event.kind, event.payload))
+        seq = int(trace[-1].split(",", 2)[1])  # an event is traced just before it is handled
+        log.append((sim.now, seq, event.kind, event.payload))
         run(sim, reactions.get(event.payload.n, ()))
 
-    sim = Simulator(topology, handler=handler, fault_script=faults)
+    sim = Simulator(topology, handler=handler, fault_script=faults, trace=trace.append)
     run(sim, initial)
     sim.run_until_quiescent()
     return log

@@ -22,7 +22,7 @@ from fogstore_sim.experiment import (
     run_queries,
     run_single,
 )
-from fogstore_sim.netsim import BudgetExceededError, FaultAction, SimEvent, Simulator
+from fogstore_sim.netsim import BudgetExceededError, FaultAction, Simulator
 from fogstore_sim import store
 from fogstore_sim.placement import place_replicas
 from fogstore_sim.store import (
@@ -345,6 +345,20 @@ class TestFaultInteraction:
         cluster.sim.apply_fault(FaultAction(at_ms=0.0, action="recover", node="fog-5"))
         assert cluster._records["fog-5"].get("k1") == before  # durable, but stale
 
+    def test_a_message_dropped_at_send_prints_no_seq(self):
+        # fog-2 is down from t=0, so the ALL create's WriteReq to it is dropped
+        # at send. That drop used to print the seq of the next event scheduled.
+        trace = []
+        topo = build_star_topology(PAPER_LATENCY_SETTINGS["low"])
+        sim = Simulator(topo, fault_script=[FaultAction(0.0, "crash", node="fog-2")],
+                        trace=trace.append)
+        cluster = Cluster(topo, sim, fixed_read_level=ONE, fixed_write_level=ONE)
+        create(cluster, level=ALL)
+        drops = [line for line in trace if "blocked at send" in line]
+        assert [line.split(",", 5)[:5] for line in drops] == [["5", "-", "drop", "fog-1", "fog-2"]]
+        seqs = [line.split(",")[1] for line in trace if line not in drops]
+        assert len(set(seqs)) == len(seqs)
+
     def test_client_deadline_covers_coordinator_crash(self):
         script = [FaultAction(at_ms=7.0, action="crash", node="fog-1")]
         cluster = star_cluster(fault_script=script)
@@ -428,6 +442,14 @@ class TestQueryValidation:
     def test_cluster_rejects_an_unusable_timeout(self, timeout_ms):
         with pytest.raises(ValueError, match="timeout_ms"):
             star_cluster(timeout_ms=timeout_ms)
+
+    def test_cluster_rejects_a_simulator_on_another_topology(self):
+        # It used to route and place on one topology and take message delays
+        # from the other: a ONE create from the client returned ok in 26 ms.
+        low = build_star_topology(PAPER_LATENCY_SETTINGS["low"])
+        high = build_star_topology(PAPER_LATENCY_SETTINGS["high"])
+        with pytest.raises(ValueError, match="topology"):
+            Cluster(low, Simulator(high), fixed_read_level=ONE, fixed_write_level=ONE)
 
 
 class TestQuorumIntersection:
@@ -611,7 +633,7 @@ def test_per_op_objects_have_no_instance_dict():
     record = VersionedRecord("k", "v", 1)
     result = QueryResult()
     objects = [
-        SimEvent(0, "timer", None, None, None),
+        Simulator(build_star_topology((4, 5, 6, 7, 8))).set_timer(None, 0.0, None),
         QueryReq(1, query), QueryResp(1, result), WriteReq(1, record), WriteAck(1),
         ReadReq(1, "k"), ReadResp(1, record),
         OpTimeout(1, "client", query, ONE, 1, 0, None), ClientTimeout(1, query, print, 0.0),
