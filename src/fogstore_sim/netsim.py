@@ -297,13 +297,14 @@ class Simulator:
                     seq: int | None = None, reason: str | None = None) -> None:
         """Format one trace line; the payload is only stringified when a sink is attached.
 
-        An event that took no seq (a message dropped at send, a fault applied
-        directly) prints ``-`` as its seq.
+        The time prints as ``repr`` of the clock, which reads back as the same
+        float. An event that took no seq (a message dropped at send, a fault
+        applied directly) prints ``-`` as its seq.
         """
         if self._trace is not None:
             summary = str(payload) if reason is None else f"{reason}: {payload}"
             self._trace(
-                f"{self._now:g},{'-' if seq is None else seq},{kind},"
+                f"{self._now!r},{'-' if seq is None else seq},{kind},"
                 f"{src or '-'},{dst or '-'},{summary}"
             )
 
@@ -316,7 +317,9 @@ class Simulator:
         ``max_ms`` (cancelled timers are discarded without advancing the
         clock, so they never burn budget).
         """
-        if max_ms is not None and math.isnan(max_ms):
+        if max_ms is None:
+            max_ms = _INF
+        elif math.isnan(max_ms):
             raise ValueError("max_ms must be a number, not NaN")  # NaN compares false: no budget
         # Faults mutate these containers in place, so the locals see live state.
         queue, report, crashed, partitions = self._queue, self.report, self._crashed, self._partitions
@@ -345,7 +348,7 @@ class Simulator:
                         series[nxt] = run
                 if event.cancelled:
                     continue
-            if max_ms is not None and at_ms > max_ms:
+            if at_ms > max_ms:
                 raise BudgetExceededError(max_ms, at_ms, 1 + self._live_events())
             self._now = at_ms
             report.events_processed += 1

@@ -19,6 +19,13 @@ payload, and a reply cancels the timer. An op the coordinator's own replica
 completes (level ONE at a replica) is answered at once, a read without any
 fan-out; only an op that waits for replies sets a coordinator deadline.
 
+Write acks and read responses reach one reply handler, which counts them and
+keeps the freshest record (an ack carries none); the ``required``-th reply
+answers the op and later ones are ignored. One answer builder makes every
+answer of an op that reached its level, at once or after the wait: a read
+returns its freshest record's value, ``not_found`` for none or a tombstone,
+and a write is recorded as completed in the control plane before its ``ok``.
+
 Clients enter through :meth:`Cluster.submit` alone (asynchronous, callback
 on completion); the drivers that issue queries and run the simulator live in
 :mod:`fogstore_sim.experiment`. Every simulator event reaches the cluster
@@ -43,7 +50,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, ClassVar
 
 from .consistency import (
     ClientContext,
@@ -181,6 +188,7 @@ class WriteReq:
 @dataclass(slots=True)
 class WriteAck:
     op_id: int
+    record: ClassVar[None] = None  # an ack carries no record, so it reads like a ReadResp
 
     def __str__(self) -> str:
         return f"WriteAck op={self.op_id}"
@@ -436,12 +444,9 @@ class Cluster:
                 count = 1
                 _apply(self._records[node], record)
         if count >= required:  # answered at once: no deadline, no in-flight state
-            if is_read:
-                result = _read_result(freshest, level, count)
-            else:  # the other replicas still converge in the background
+            if not is_read:  # the other replicas still converge in the background
                 self._fan_out(node, replica_ids, WriteReq(op_id, record))
-                result = self._write_result(query, level, count)
-            self._reply(node, src, op_id, result)
+            self._reply(node, src, op_id, self._answer(query, level, count, freshest))
             return
         self._pending[op_id] = self.sim.set_timer(
             node, self.timeout_ms, OpTimeout(op_id, src, query, level, required, count, freshest))
@@ -454,17 +459,8 @@ class Cluster:
             if replica_id != node:
                 self.sim.schedule_message(node, replica_id, msg)
 
-    def _on_write_ack(self, node: str, src: str, msg: WriteAck) -> None:
-        timer = self._pending.get(msg.op_id)
-        if timer is None:
-            return  # operation already completed or timed out
-        op = timer.payload
-        op.count += 1
-        if op.count >= op.required:
-            timer.cancelled = True
-            self._finish(node, op, self._write_result(op.query, op.level, op.count))
-
-    def _on_read_resp(self, node: str, src: str, msg: ReadResp) -> None:
+    def _on_reply(self, node: str, src: str, msg: WriteAck | ReadResp) -> None:
+        """Count a replica's reply and keep the freshest record; answer at the level's count."""
         timer = self._pending.get(msg.op_id)
         if timer is None:
             return  # operation already completed or timed out
@@ -475,21 +471,24 @@ class Cluster:
             op.freshest = record
         if op.count >= op.required:
             timer.cancelled = True
-            self._finish(node, op, _read_result(op.freshest, op.level, op.count))
+            del self._pending[op.op_id]
+            self._reply(node, op.client, op.op_id,
+                        self._answer(op.query, op.level, op.count, op.freshest))
 
-    def _write_result(self, query: Query, level: ConsistencyLevel, count: int) -> QueryResult:
-        """Record the write as completed; return the client's answer."""
+    def _answer(self, query: Query, level: ConsistencyLevel, count: int,
+                freshest: VersionedRecord | None) -> QueryResult:
+        """The answer to an op that reached its level; a write is first recorded as completed."""
+        if query.kind is QueryKind.READ:
+            value = None if freshest is None else freshest.value
+            return QueryResult("not_found" if value is None else "ok", value, level, 0.0, count)
         self.control.note_completed_write(query.key, deleted=query.kind is QueryKind.DELETE)
         return QueryResult("ok", None, level, 0.0, count)
 
     def _on_op_timeout(self, node: str, src: None, op: OpTimeout) -> None:
         # A timer that fires was never cancelled, so its op is still in flight.
-        self._finish(node, op, QueryResult("error", None, op.level, 0.0, op.count, "timeout"))
-
-    def _finish(self, node: str, op: OpTimeout, result: QueryResult) -> None:
-        """Drop the op from those in flight and send ``result`` from ``node`` to its client."""
         del self._pending[op.op_id]
-        self._reply(node, op.client, op.op_id, result)
+        self._reply(node, op.client, op.op_id,
+                    QueryResult("error", None, op.level, 0.0, op.count, "timeout"))
 
     def _reply(self, node: str, client: str, op_id: int, result: QueryResult) -> None:
         self.sim.schedule_message(node, client, QueryResp(op_id, result))
@@ -538,21 +537,14 @@ def _apply(records: dict[str, VersionedRecord], record: VersionedRecord) -> None
         records[record.key] = record
 
 
-def _read_result(freshest: VersionedRecord | None, level: ConsistencyLevel,
-                 count: int) -> QueryResult:
-    """A read's answer from its freshest reply; ``None`` there or a tombstone is not found."""
-    value = None if freshest is None else freshest.value
-    return QueryResult("not_found" if value is None else "ok", value, level, 0.0, count)
-
-
 # Plain functions, called as ``handler(cluster, dst, src, payload)``: a table
 # of bound methods would make every cluster refer to itself.
 _HANDLERS: dict[type, Callable[..., None]] = {
     QueryReq: Cluster._on_query_req,
     WriteReq: Cluster._on_write_req,
     ReadReq: Cluster._on_read_req,
-    WriteAck: Cluster._on_write_ack,
-    ReadResp: Cluster._on_read_resp,
+    WriteAck: Cluster._on_reply,
+    ReadResp: Cluster._on_reply,
     QueryResp: Cluster._on_query_resp,
     OpTimeout: Cluster._on_op_timeout,
     ClientTimeout: Cluster._on_client_timeout,

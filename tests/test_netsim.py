@@ -199,8 +199,8 @@ class TestTimerSeries:
         sim.set_timer_series("a", 3, 2.0, ["x", "y", "z"])
         sim.schedule_message("a", "b", "m")  # takes the seq after the whole series
         sim.run_until_quiescent()
-        assert trace == ["0,0,timer,-,a,x", "2,1,timer,-,a,y", "4,2,timer,-,a,z",
-                         "5,3,message,a,b,m"]
+        assert trace == ["0.0,0,timer,-,a,x", "2.0,1,timer,-,a,y", "4.0,2,timer,-,a,z",
+                         "5.0,3,message,a,b,m"]
         assert sim.report.timers_fired == 3
 
     def test_zero_interval_fires_every_timer_now_in_seq_order(self):
@@ -210,8 +210,8 @@ class TestTimerSeries:
         sim.set_timer_series(None, 3, 0.0, ["x", "y", "z"])
         sim.set_timer(None, 0.0, "after")
         sim.run_until_quiescent()
-        assert trace == ["0,1,timer,-,-,x", "0,2,timer,-,-,y", "0,3,timer,-,-,z",
-                         "0,4,timer,-,-,after", "1,0,timer,-,-,later"]
+        assert trace == ["0.0,1,timer,-,-,x", "0.0,2,timer,-,-,y", "0.0,3,timer,-,-,z",
+                         "0.0,4,timer,-,-,after", "1.0,0,timer,-,-,later"]
 
     def test_payloads_are_built_one_pop_at_a_time(self):
         built = []
@@ -383,8 +383,8 @@ class TestFaults:
         sim.schedule_message("a", "b", "lost")
         sim.set_timer(None, 1.0, "tick")
         sim.run_until_quiescent()
-        assert trace == ["0,-,fault,-,-,crash b", "0,-,drop,a,b,blocked at send: lost",
-                         "1,0,timer,-,-,tick"]
+        assert trace == ["0.0,-,fault,-,-,crash b", "0.0,-,drop,a,b,blocked at send: lost",
+                         "1.0,0,timer,-,-,tick"]
 
     def test_no_seq_is_printed_twice_in_a_faulted_jittered_open_loop(self):
         workload = WorkloadSpec(op_count=300, clients=(WorkloadClient("c1", (-100.0, 0.0)),
@@ -488,6 +488,20 @@ class TestDeterminism:
                                 fixed_write_level=ConsistencyLevel.QUORUM, seed=1)
         with pytest.raises(ValueError, match="jitter_ms"):
             run_single(build_star_topology((4, 5, 6, 7, 8)), workload, jitter_ms=jitter_ms)
+
+    def test_trace_time_reads_back_as_the_clock(self):
+        # Six significant digits used to print the last event, at 119628.48 ms,
+        # as 119628: earlier than the event, and past 1e6 ms in exponent form.
+        workload = WorkloadSpec(op_count=300, clients=(WorkloadClient("c1", (-100.0, 0.0)),),
+                                fixed_read_level=ConsistencyLevel.QUORUM,
+                                fixed_write_level=ConsistencyLevel.QUORUM,
+                                open_loop_interval_ms=400.0)
+        trace = []
+        output = run_single(build_star_topology((4, 5, 6, 7, 8)), workload,
+                            trace_sink=trace.append, jitter_ms=1.0)
+        times = [line.split(",", 1)[0] for line in trace]
+        assert float(times[-1]) == output.cluster.sim.report.end_ms > 119_000.0
+        assert [t for t in times if "e" in t] == []
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import is_dataclass, replace
 
@@ -114,6 +115,9 @@ class TestVersions:
 
 
 class TestCrudPaths:
+    # The coordinator fog-1 holds a replica: ONE answers a write at once, ALL waits.
+    WRITE_PATHS = (ONE, ALL)
+
     def test_create_then_read(self):
         cluster = star_cluster()
         assert create(cluster).status == "ok"
@@ -125,10 +129,11 @@ class TestCrudPaths:
         result = read(cluster, "ghost", ALL)
         assert result.status == "not_found"
 
-    def test_duplicate_create_rejected(self):
+    @pytest.mark.parametrize("write_level", WRITE_PATHS, ids=lambda level: level.value)
+    def test_duplicate_create_rejected(self, write_level):
         cluster = star_cluster()
-        assert create(cluster).status == "ok"
-        again = create(cluster)
+        assert create(cluster, level=write_level).status == "ok"
+        again = create(cluster, level=write_level)
         assert (again.status, again.error) == ("error", "duplicate_key")
 
     def test_update_unknown_key_not_found(self):
@@ -136,19 +141,22 @@ class TestCrudPaths:
         result = update(cluster, "ghost", "v", ONE)
         assert result.status == "not_found"
 
-    def test_delete_then_read_all_is_not_found(self):
+    @pytest.mark.parametrize("write_level", WRITE_PATHS, ids=lambda level: level.value)
+    def test_delete_then_read_all_is_not_found(self, write_level):
         cluster = star_cluster()
-        create(cluster)
-        gone = run_one(cluster, Query(QueryKind.DELETE, "k1", client_ctx(STAR_CLIENT), level=QUORUM))
+        create(cluster, level=write_level)
+        gone = run_one(cluster, Query(QueryKind.DELETE, "k1", client_ctx(STAR_CLIENT),
+                                      level=write_level))
         assert gone.status == "ok"
         result = read(cluster, "k1", ALL)
         assert result.status == "not_found"  # tombstone dominates by version
 
-    def test_recreate_after_delete(self):
+    @pytest.mark.parametrize("write_level", WRITE_PATHS, ids=lambda level: level.value)
+    def test_recreate_after_delete(self, write_level):
         cluster = star_cluster()
-        create(cluster)
-        run_one(cluster, Query(QueryKind.DELETE, "k1", client_ctx(STAR_CLIENT), level=ONE))
-        fresh = create(cluster, value="v2")
+        create(cluster, level=write_level)
+        run_one(cluster, Query(QueryKind.DELETE, "k1", client_ctx(STAR_CLIENT), level=write_level))
+        fresh = create(cluster, value="v2", level=write_level)
         assert fresh.status == "ok"
         result = read(cluster, "k1", ALL)
         assert (result.status, result.value) == ("ok", "v2")
@@ -355,7 +363,7 @@ class TestFaultInteraction:
         cluster = Cluster(topo, sim, fixed_read_level=ONE, fixed_write_level=ONE)
         create(cluster, level=ALL)
         drops = [line for line in trace if "blocked at send" in line]
-        assert [line.split(",", 5)[:5] for line in drops] == [["5", "-", "drop", "fog-1", "fog-2"]]
+        assert [line.split(",", 5)[:5] for line in drops] == [["5.0", "-", "drop", "fog-1", "fog-2"]]
         seqs = [line.split(",")[1] for line in trace if line not in drops]
         assert len(set(seqs)) == len(seqs)
 
@@ -582,7 +590,13 @@ class TestOpenLoopDriver:
         assert len(output.results) == 400
         assert len({id(query) for query, _ in output.results}) == 400
         assert output.error_counts["timeout"] == fired["OpTimeout"] + fired["ClientTimeout"]
+        # At most one answer per op, delivered or dropped: at rf 5 every waited
+        # op also gets late acks and read responses, which must be ignored.
+        answers = Counter(re.search(r"QueryResp op=(\d+)", line)[1] for line in trace
+                          if line.split(",")[2] in ("message", "drop") and "QueryResp" in line)
+        assert answers and max(answers.values()) == 1
         assert output.cluster._pending == {}
+        assert output.cluster._client_ops == {}
 
     def test_shared_latencies_stop_at_the_cap(self):
         topo = build_star_topology((4, 5, 6, 7, 8))
@@ -671,13 +685,13 @@ class TestEventOrder:
     )
     DIGESTS = {
         (ONE, ONE):
-            "2f04ff3a2c96dd3ad1560eb584e12c03e0098d9ab78e1f4f1cd58158196de256",
+            "a8b9c732baf019b9b66128035ce45bfa55a600e5bdb422f6f1c8adbffde421d7",
         (QUORUM, ONE):
-            "220e03a6bc477fb2a982a9858f5d778d02e875c0d99f8642b539f0fe02b56c5f",
+            "7a249fd5366fb0914f333022a9ebf98b733001ca054eccfdce9c4bcdc86fe4c2",
         (TWO, ALL):
-            "174dc1c2f12b60a476db7267e07390bba2964e426ad091db303a4c4871051822",
+            "5432458a7b94d6be2d491770a6a7c68295e2c9b237c5e8120ce494bf704e8adc",
         (ALL, QUORUM):
-            "51797d205d4b9349952ca981e8fbfd4fb544f686c61a53c427baa9d1f3bd54c1",
+            "49b6fda98e4bb7be6d91f6d92379d872e921a302785638d4884dcd6db71fa5cf",
     }
 
     @pytest.mark.parametrize("levels", list(DIGESTS), ids=lambda ls: "/".join(l.value for l in ls))
