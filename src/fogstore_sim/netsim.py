@@ -52,6 +52,16 @@ a pair's first message. An entry holds latency + service, the sum the
 topology and the destination's service time give, so delivery times are
 unchanged. With jitter on, an entry holds the bare latency instead, and a
 delay is ``max(0, latency ± jitter) + service``.
+
+A simulator with no fault script and no jitter is :attr:`Simulator.exact`
+until a fault is applied: every message then arrives exactly
+:meth:`Simulator.delay_ms` after it is sent, so a store may plan on those
+delays. A direct :meth:`Simulator.apply_fault` on an exact simulator waits
+for it to be idle (it raises while events are still due), so exactness never
+ends under an op in flight.
+
+A run stopped by its budget leaves the event past the budget queued, so
+:meth:`Simulator.run_until_quiescent` called again resumes it.
 """
 
 from __future__ import annotations
@@ -175,6 +185,8 @@ class Simulator:
         # (src, dst) -> latency + service, or the bare latency with jitter on
         self._delay_ms: dict[tuple[str, str], float] = {}
         self.report = SimReport()
+        # No fault can apply and no jitter moves a delay: see ``exact``.
+        self._exact = not fault_script and jitter_ms == 0.0
         check_fault_nodes(fault_script, topology, "<fault script>")
         for seq, action in enumerate(fault_script):
             heappush(self._queue, (action.at_ms, seq, SimEvent(KIND_FAULT, None, None, action)))
@@ -183,6 +195,25 @@ class Simulator:
     @property
     def now(self) -> float:
         return self._now
+
+    @property
+    def exact(self) -> bool:
+        """True while every message takes exactly its pair's :meth:`delay_ms`.
+
+        That holds while the simulator has no fault script, no jitter and no
+        fault applied; :meth:`apply_fault` refuses to end it with events still
+        due, so it never changes under an op in flight.
+        """
+        return self._exact
+
+    def delay_ms(self, src: str, dst: str) -> float:
+        """The fixed delay of a message from ``src`` to ``dst``: latency + ``dst``'s service."""
+        if self._jitter_ms:
+            raise ValueError("a jittered simulator has no fixed delay")
+        try:
+            return self._delay_ms[src, dst]
+        except KeyError:
+            return self._first_delay(src, dst)
 
     # -- fault state ----------------------------------------------------
 
@@ -213,11 +244,8 @@ class Simulator:
         jitter = self._jitter_ms
         try:
             delay = self._delay_ms[src, dst]
-        except KeyError:  # first message on this pair; an unknown node raises here
-            delay = self.topology.latency_ms(src, dst)
-            if jitter == 0.0:
-                delay += self._service_ms[dst]
-            self._delay_ms[src, dst] = delay
+        except KeyError:
+            delay = self._first_delay(src, dst)
         if jitter > 0.0:
             # random.uniform(-jitter, jitter) inlined: the same floats, one call fewer
             delay = max(0.0, delay + (-jitter + (jitter + jitter) * self._jitter_random()))
@@ -226,6 +254,14 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._queue, (at_ms, seq, SimEvent(KIND_MESSAGE, src, dst, payload)))
+
+    def _first_delay(self, src: str, dst: str) -> float:
+        """Fill the pair's table entry; an unknown node raises here."""
+        delay = self.topology.latency_ms(src, dst)
+        if self._jitter_ms == 0.0:
+            delay += self._service_ms[dst]
+        self._delay_ms[src, dst] = delay
+        return delay
 
     def set_timer(self, node_id: str | None, delay_ms: float, payload: object) -> SimEvent:
         """Schedule a timer payload for ``node_id`` after ``delay_ms``; return its event.
@@ -315,7 +351,8 @@ class Simulator:
 
         Raises :class:`BudgetExceededError` if a live event lies beyond
         ``max_ms`` (cancelled timers are discarded without advancing the
-        clock, so they never burn budget).
+        clock, so they never burn budget). That event stays queued, so a
+        later call resumes the run where this one stopped.
         """
         if max_ms is None:
             max_ms = _INF
@@ -349,7 +386,8 @@ class Simulator:
                 if event.cancelled:
                     continue
             if at_ms > max_ms:
-                raise BudgetExceededError(max_ms, at_ms, 1 + self._live_events())
+                heappush(queue, entry)  # on its own: a lane or series moved on without it
+                raise BudgetExceededError(max_ms, at_ms, self._live_events())
             self._now = at_ms
             report.events_processed += 1
             if kind is KIND_MESSAGE:
@@ -382,7 +420,14 @@ class Simulator:
         return live + sum(end - seq - 1 for seq, (_, _, _, end, _, _) in self._series.items())
 
     def apply_fault(self, action: FaultAction, seq: int | None = None) -> None:
-        """Apply a fault action immediately (scripted faults arrive here too)."""
+        """Apply a fault action immediately (scripted faults arrive here too).
+
+        The simulator is no longer :attr:`exact` after it. An exact one with
+        events still due raises :class:`ValueError`: a store that planned an op
+        in flight on fixed delays would see them change under it.
+        """
+        if self._exact and self._live_events():
+            raise ValueError("a fault on an exact simulator must wait until it is idle")
         if action.action == "crash":
             self._crashed.add(action.node)  # type: ignore[arg-type]
         elif action.action == "recover":
@@ -393,6 +438,7 @@ class Simulator:
             self._partitions.clear()
         else:  # validated at load; defensive
             raise ValueError(f"unknown fault action {action.action!r}")
+        self._exact = False
         self.report.faults_applied += 1
         self._emit_trace(KIND_FAULT, None, None, action.describe(), seq)
 

@@ -19,6 +19,20 @@ payload, and a reply cancels the timer. An op the coordinator's own replica
 completes (level ONE at a replica) is answered at once, a read without any
 fan-out; only an op that waits for replies sets a coordinator deadline.
 
+An exact simulator (:attr:`~fogstore_sim.netsim.Simulator.exact`: no faults,
+no jitter) delivers every message after its pair's fixed delay, so the
+coordinator knows at send time which replies come first. It asks only those
+replicas for the replies it still needs: a read sends them alone a request;
+a write still goes to every replica, for convergence, but only they ack it,
+and none do for an op answered at once. Replicas rank by round trip, ties in
+replica-map order, the order equal hops deliver in. Where that order could
+differ from the simulator's (round trips within a rounding margin whose hops
+differ), the coordinator asks them all. A client whose round trip to its
+coordinator is under half of :data:`CLIENT_TIMEOUT_SLACK_MS` gets its reply,
+even a timeout, before any deadline could fire, so in an exact run it sets
+none: its op in flight is a bare :class:`ClientTimeout` record. Every result
+equals the one the full fan-out and every deadline would give.
+
 Write acks and read responses reach one reply handler, which counts them and
 keeps the freshest record (an ack carries none); the ``required``-th reply
 answers the op and later ones are ignored. One answer builder makes every
@@ -91,6 +105,10 @@ SHARED_LATENCY_CAP = 1024
 
 # How long past the coordinator's deadline a client waits for its reply.
 CLIENT_TIMEOUT_SLACK_MS = 1_000.0
+
+# Two round trips further apart than this arrive in the order of their sums
+# at any clock below about 1e9 ms, whatever the float rounding of each hop.
+_ROUND_TRIP_MARGIN_MS = 1e-6
 
 
 class QueryKind(Enum):
@@ -177,7 +195,7 @@ class QueryResp:
 
 @dataclass(slots=True)
 class WriteReq:
-    op_id: int
+    op_id: int | None  # None: apply the record, send no ack
     record: VersionedRecord
 
     def __str__(self) -> str:
@@ -340,7 +358,10 @@ class Cluster:
         self._op_ids = itertools.count(1)
         # Ops in flight by id, each as its deadline timer's event.
         self._pending: dict[int, SimEvent] = {}  # payload: OpTimeout
-        self._client_ops: dict[int, SimEvent] = {}  # payload: ClientTimeout
+        # A client op whose reply cannot miss its deadline sets none: the bare record.
+        self._client_ops: dict[int, SimEvent | ClientTimeout] = {}  # SimEvent payload: ClientTimeout
+        # Exact runs: by (coordinator, replicas), the replicas to ask for n replies.
+        self._asked: dict[tuple[str, tuple[str, ...]], tuple[tuple[str, ...], ...]] = {}
         self._latencies: dict[float, float] = {}
         # Acks each feasible (level, replica count) needs; an infeasible pair
         # is absent. Placement never gives a key more replicas than the factor.
@@ -360,14 +381,20 @@ class Cluster:
         The query originates at the topology node nearest the client and is
         coordinated by the storage node geographically closest to the
         client. A harness-side deadline guarantees the callback fires even
-        if the coordinator crashes mid-operation.
+        if the coordinator crashes mid-operation; an exact run sets it only
+        where the reply could come after it.
         """
         op_id = next(self._op_ids)
+        sim = self.sim
         attach = self.topology.nearest_node(query.client_ctx.client_geo)
         coordinator = self.topology.nearest_node(query.client_ctx.client_geo, storage_only=True)
-        self._client_ops[op_id] = self.sim.set_timer(
-            None, self.client_timeout_ms, ClientTimeout(op_id, query, callback, self.sim.now))
-        self.sim.schedule_message(attach, coordinator, QueryReq(op_id, query))
+        op = ClientTimeout(op_id, query, callback, sim.now)
+        if sim.exact and (sim.delay_ms(attach, coordinator) + sim.delay_ms(coordinator, attach)
+                          < CLIENT_TIMEOUT_SLACK_MS / 2):
+            self._client_ops[op_id] = op  # the reply, even a timeout, comes before any deadline
+        else:
+            self._client_ops[op_id] = sim.set_timer(None, self.client_timeout_ms, op)
+        sim.schedule_message(attach, coordinator, QueryReq(op_id, query))
         return op_id
 
     # -- introspection ------------------------------------------------------
@@ -427,6 +454,7 @@ class Cluster:
                         QueryResult("error", None, level, 0.0, 0, "level_infeasible"))
             return
 
+        exact = self.sim.exact
         count = 0
         freshest = None
         if is_read:
@@ -445,19 +473,63 @@ class Cluster:
                 _apply(self._records[node], record)
         if count >= required:  # answered at once: no deadline, no in-flight state
             if not is_read:  # the other replicas still converge in the background
-                self._fan_out(node, replica_ids, WriteReq(op_id, record))
+                self._fan_out(node, replica_ids, WriteReq(None if exact else op_id, record))
             self._reply(node, src, op_id, self._answer(query, level, count, freshest))
             return
         self._pending[op_id] = self.sim.set_timer(
             node, self.timeout_ms, OpTimeout(op_id, src, query, level, required, count, freshest))
-        msg = ReadReq(op_id, key) if is_read else WriteReq(op_id, record)
-        self._fan_out(node, replica_ids, msg)
+        asked = self._first_replies(node, replica_ids)[required - count] if exact else replica_ids
+        if is_read:
+            self._fan_out(node, asked, ReadReq(op_id, key))
+        else:
+            self._fan_out_write(node, replica_ids, asked, WriteReq(op_id, record))
 
     def _fan_out(self, node: str, replica_ids: tuple[str, ...], msg: ReadReq | WriteReq) -> None:
         """Send ``msg`` from the coordinator ``node`` to every other replica of the key."""
         for replica_id in replica_ids:
             if replica_id != node:
                 self.sim.schedule_message(node, replica_id, msg)
+
+    def _fan_out_write(self, node: str, replica_ids: tuple[str, ...], asked: tuple[str, ...],
+                       msg: WriteReq) -> None:
+        """Like :meth:`_fan_out`, but only the replicas in ``asked`` are asked to ack."""
+        silent = msg if asked is replica_ids else WriteReq(None, msg.record)
+        for replica_id in replica_ids:
+            if replica_id != node:
+                self.sim.schedule_message(node, replica_id, msg if replica_id in asked else silent)
+
+    def _first_replies(self, node: str, replica_ids: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+        """For each ``n``, the other replicas whose replies reach the coordinator ``node`` first.
+
+        Only an exact run knows them: each reply comes one fixed round trip
+        after the request. Replicas rank by round trip, ties in replica-map
+        order: equal hop pairs deliver in the order the requests went out. A
+        cut after the ``n``-th holds only if each replica before it has the
+        same hop pair as, or a round trip more than
+        :data:`_ROUND_TRIP_MARGIN_MS` shorter than, each one after it. Else
+        rounding or a split such as 3 + 5 against 5 + 3 ms could reorder them,
+        and entry ``n`` names every other replica. Entries keep replica-map
+        order, so the requests go out in the order a full fan-out sends them.
+        """
+        try:
+            return self._asked[node, replica_ids]
+        except KeyError:
+            pass
+        delay = self.sim.delay_ms
+        others = [r for r in replica_ids if r != node]
+        hops = {r: (delay(node, r), delay(r, node)) for r in others}
+        trip = {r: out + back for r, (out, back) in hops.items()}
+        ranked = sorted(others, key=trip.__getitem__)  # stable: ties keep map order
+        asked = []
+        for n in range(len(others) + 1):
+            first, rest = ranked[:n], ranked[n:]
+            if all(trip[u] - trip[a] > _ROUND_TRIP_MARGIN_MS or hops[u] == hops[a]
+                   for a in first for u in rest):
+                asked.append(tuple(r for r in others if r in first))
+            else:
+                asked.append(tuple(others))
+        self._asked[node, replica_ids] = memo = tuple(asked)
+        return memo
 
     def _on_reply(self, node: str, src: str, msg: WriteAck | ReadResp) -> None:
         """Count a replica's reply and keep the freshest record; answer at the level's count."""
@@ -497,7 +569,8 @@ class Cluster:
 
     def _on_write_req(self, node: str, src: str, msg: WriteReq) -> None:
         _apply(self._records[node], msg.record)
-        self.sim.schedule_message(node, src, WriteAck(msg.op_id))
+        if msg.op_id is not None:
+            self.sim.schedule_message(node, src, WriteAck(msg.op_id))
 
     def _on_read_req(self, node: str, src: str, msg: ReadReq) -> None:
         record = self._records[node].get(msg.key)
@@ -506,11 +579,12 @@ class Cluster:
     # -- client side ------------------------------------------------------------
 
     def _on_query_resp(self, node: str, src: str, msg: QueryResp) -> None:
-        timer = self._client_ops.pop(msg.op_id, None)
-        if timer is None:
+        op = self._client_ops.pop(msg.op_id, None)
+        if op is None:
             return  # client already gave up on this operation
-        timer.cancelled = True
-        op = timer.payload
+        if type(op) is SimEvent:  # the op's deadline timer
+            op.cancelled = True
+            op = op.payload
         result = msg.result
         result.latency_ms = self._elapsed_ms(op)
         op.callback(op.query, result)

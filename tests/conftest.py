@@ -10,10 +10,15 @@ import pytest
 
 from fogstore_sim.consistency import ClientContext, ConsistencyLevel
 from fogstore_sim.experiment import PAPER_LATENCY_SETTINGS, build_star_topology, run_queries
+from fogstore_sim.netsim import FaultAction
 from fogstore_sim.store import Cluster, Query, QueryResult
 from fogstore_sim.topology import FogNode, Link, Topology
 
 STAR_CLIENT = (-100.0, 0.0)
+
+# A fault script that changes no delivery but makes a simulator inexact, so
+# the store fans out to every replica and sets every client deadline.
+INEXACT = (FaultAction(0.0, "heal"),)
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from fogstore_sim.store import Arrival, Cluster
 from fogstore_sim.topology import FogNode, Link, Topology, UnknownNodeError
 from fogstore_sim.workload import WorkloadClient, WorkloadSpec, generate_ops
 
-from conftest import random_topology
+from conftest import INEXACT, random_topology
 
 
 def pair_topology():
@@ -124,14 +124,39 @@ class TestDelivery:
 
     def test_budget_error_counts_only_live_events(self):
         # 200 ALL-read ops at 100 ms: 6 events are still due (the next one
-        # included); as many cancelled deadline timers wait beside them.
+        # included); as many cancelled deadline timers wait beside them. An
+        # exact run would set no client deadline, so this one is inexact.
         workload = WorkloadSpec(op_count=200, clients=(WorkloadClient("c", (-100.0, 0.0)),),
                                 fixed_read_level=ConsistencyLevel.ALL,
                                 fixed_write_level=ConsistencyLevel.ONE, seed=5)
         with pytest.raises(BudgetExceededError) as info:
-            run_single(build_star_topology((4, 5, 6, 7, 8)), workload, budget_ms=100.0)
+            run_single(build_star_topology((4, 5, 6, 7, 8)), workload, budget_ms=100.0,
+                       fault_script=INEXACT)
         assert (info.value.next_event_ms, info.value.pending) == (101.0, 6)
         assert str(info.value).endswith("next event at 101.0 ms, 6 pending")
+
+    @pytest.mark.parametrize("late", ["message", "lane head", "series timer"])
+    def test_a_resumed_run_delivers_the_event_past_the_budget(self, late):
+        # The first event past the budget stays queued for the resumed run.
+        log = []
+        sim = Simulator(build_star_topology((4, 5, 6, 7, 30)), handler=recording_handler(log))
+        sim.schedule_message("client", "fog-1", "early")  # due at 5 ms
+        if late == "message":
+            sim.schedule_message("fog-1", "fog-5", "m")  # due at 34 ms
+            expected = [(34.0, "m")]
+        elif late == "lane head":
+            sim.set_timer(None, 50.0, "t1")  # one lane: t1 in the heap, t2 behind it
+            sim.set_timer(None, 60.0, "t2")
+            expected = [(50.0, "t1"), (60.0, "t2")]
+        else:
+            sim.set_timer_series(None, 3, 25.0, ["s0", "s1", "s2"])
+            expected = [(25.0, "s1"), (50.0, "s2")]
+        with pytest.raises(BudgetExceededError) as info:
+            sim.run_until_quiescent(max_ms=20.0)
+        assert (info.value.next_event_ms, info.value.pending) == (expected[0][0], len(expected))
+        del log[:]
+        sim.run_until_quiescent()
+        assert [(at, payload) for at, *_, payload in log] == expected
 
     def test_service_time_applies_at_destination(self):
         nodes = [FogNode("a", (0, 0), "ga"), FogNode("b", (1, 0), "gb", service_ms=2.5)]
@@ -449,6 +474,47 @@ class TestFaults:
             Simulator(pair_topology(), fault_script=[FaultAction(0.0, "crash", node="ghost")])
 
 
+class TestExact:
+    """An exact simulator delivers every message after exactly its pair's fixed delay."""
+
+    def test_only_a_simulator_free_of_faults_and_jitter_is_exact(self):
+        assert Simulator(pair_topology()).exact
+        assert not Simulator(pair_topology(), jitter_ms=0.5).exact
+        assert not Simulator(pair_topology(), fault_script=INEXACT).exact
+        sim = Simulator(pair_topology())
+        sim.apply_fault(FaultAction(0.0, "heal"))
+        assert not sim.exact
+
+    def test_a_direct_fault_waits_until_an_exact_simulator_is_idle(self):
+        sim = Simulator(pair_topology())
+        sim.schedule_message("a", "b", "x")
+        sim.set_timer(None, 1.0, "t").cancelled = True  # a dead timer does not count
+        with pytest.raises(ValueError, match="idle"):
+            sim.apply_fault(FaultAction(0.0, "crash", node="b"))
+        assert sim.exact and sim.is_up("b") and sim.report.faults_applied == 0
+        sim.run_until_quiescent()
+        sim.apply_fault(FaultAction(0.0, "crash", node="b"))
+        assert not sim.exact and not sim.is_up("b")
+        sim.schedule_message("b", "a", "y")  # dropped at send
+        sim.set_timer(None, 1.0, "t")
+        sim.apply_fault(FaultAction(0.0, "recover", node="b"))  # inexact: any time
+        assert sim.is_up("b")
+
+    def test_the_fixed_delay_is_the_one_a_message_takes(self):
+        topo = oracle_topology()  # c and d have service times
+        log = []
+        sim = Simulator(topo, handler=recording_handler(log))
+        pairs = [("a", "c"), ("c", "d"), ("d", "a"), ("a", "a")]
+        delays = [sim.delay_ms(src, dst) for src, dst in pairs]
+        for src, dst in pairs:
+            sim.schedule_message(src, dst, (src, dst))
+        sim.run_until_quiescent()
+        assert sorted((payload, at) for at, *_, payload in log) == sorted(zip(pairs, delays))
+        assert delays[0] == topo.latency_ms("a", "c") + topo.nodes["c"].service_ms > 0
+        with pytest.raises(ValueError, match="jitter"):
+            Simulator(topo, jitter_ms=1.0).delay_ms("a", "c")
+
+
 class TestDeterminism:
     def run_once(self, jitter_ms=0.0):
         topo = random_topology(17)
@@ -703,7 +769,8 @@ def test_closed_loop_heap_holds_no_dead_deadline_timers(monkeypatch):
     workload = WorkloadSpec(op_count=2000, clients=(WorkloadClient("c", (-100.0, 0.0)),),
                             fixed_read_level=ConsistencyLevel.ONE,
                             fixed_write_level=ConsistencyLevel.ONE)
-    output = run_single(build_star_topology((4, 5, 6, 7, 8)), workload)
+    # Inexact: an exact run would set no client deadline at all.
+    output = run_single(build_star_topology((4, 5, 6, 7, 8)), workload, fault_script=INEXACT)
     assert len(output.results) == 2000
     assert 0 < longest <= 16
 
@@ -711,10 +778,11 @@ def test_closed_loop_heap_holds_no_dead_deadline_timers(monkeypatch):
 def test_open_loop_deadline_lanes_stay_bounded():
     # Ops overlap in an open loop and finish out of order, so cancelled
     # deadlines land both at a lane's tail and right behind its head. A lane
-    # that kept them would grow with the op count.
+    # that kept them would grow with the op count. Inexact, so that every op
+    # sets a client deadline.
     def peaks(op_count):
         topo = build_star_topology((4, 5, 6, 7, 8))
-        sim = Simulator(topo)
+        sim = Simulator(topo, fault_script=INEXACT)
         cluster = Cluster(topo, sim, replication_factor=5,
                           fixed_read_level=ConsistencyLevel.QUORUM,
                           fixed_write_level=ConsistencyLevel.QUORUM)

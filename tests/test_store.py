@@ -3,7 +3,7 @@ import hashlib
 import math
 import random
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import is_dataclass, replace
 
 import pytest
@@ -50,6 +50,7 @@ from fogstore_sim.workload import WorkloadClient, WorkloadSpec, generate_ops
 
 from conftest import (
     ALL_LEVELS,
+    INEXACT,
     STAR_CLIENT,
     client_ctx,
     quorum_violations_for_seed,
@@ -640,6 +641,19 @@ class TestOpenLoopDriver:
         assert one_trace() == one_trace()
 
 
+def count_timers(monkeypatch) -> Counter:
+    """Count the timers set from now on, by payload type name."""
+    timers: Counter = Counter()
+    set_timer = Simulator.set_timer
+
+    def counted(sim, node_id, delay_ms, payload):
+        timers[type(payload).__name__] += 1
+        return set_timer(sim, node_id, delay_ms, payload)
+
+    monkeypatch.setattr(Simulator, "set_timer", counted)
+    return timers
+
+
 def test_per_op_objects_have_no_instance_dict():
     # Millions of these are made per sweep; slots keep each one small.
     ctx = ClientContext("c1", STAR_CLIENT)
@@ -715,25 +729,163 @@ class TestEventOrder:
                         digest.update(f"{at},{rest}\n".encode())
         assert digest.hexdigest() == self.DIGESTS[levels]
 
+    # An exact run sets no client deadline that cannot fire; its inexact twin sets one per op.
+    @pytest.mark.parametrize("fault_script", [(), INEXACT], ids=["exact", "inexact"])
     @pytest.mark.parametrize("kind, level, expected", [
-        (QueryKind.READ, ONE, {"ClientTimeout": 1}),
-        (QueryKind.UPDATE, ONE, {"ClientTimeout": 1}),
-        (QueryKind.READ, QUORUM, {"ClientTimeout": 1, "OpTimeout": 1}),
-        (QueryKind.UPDATE, QUORUM, {"ClientTimeout": 1, "OpTimeout": 1}),
+        (QueryKind.READ, ONE, {}),
+        (QueryKind.UPDATE, ONE, {}),
+        (QueryKind.READ, QUORUM, {"OpTimeout": 1}),
+        (QueryKind.UPDATE, QUORUM, {"OpTimeout": 1}),
     ])
     def test_only_an_op_that_waits_sets_a_coordinator_deadline(self, monkeypatch, kind,
-                                                               level, expected):
-        cluster = star_cluster()
+                                                               level, expected, fault_script):
+        if fault_script:
+            expected = {"ClientTimeout": 1, **expected}
+        cluster = star_cluster(fault_script)
         create(cluster)  # fog-1, the coordinator, holds a replica
-        timers: Counter = Counter()
-        set_timer = Simulator.set_timer
-
-        def counted(sim, node_id, delay_ms, payload):
-            timers[type(payload).__name__] += 1
-            return set_timer(sim, node_id, delay_ms, payload)
-
-        monkeypatch.setattr(Simulator, "set_timer", counted)
+        timers = count_timers(monkeypatch)
         value = "v2" if kind is QueryKind.UPDATE else None
         result = run_one(cluster, Query(kind, "k1", client_ctx(), value=value, level=level))
         assert (result.status, result.level_used) == ("ok", level)
         assert timers == expected
+
+
+def star_with_service(spokes, service_ms):
+    """``build_star_topology(spokes)`` with a service time on the named nodes."""
+    topo = build_star_topology(spokes)
+    nodes = [replace(node, service_ms=service_ms.get(nid, 0.0)) for nid, node in topo.nodes.items()]
+    return Topology(nodes, topo.links)
+
+
+def mixed_queries(seed, count=40):
+    """Creates, updates, deletes and reads of a few keys from two clients.
+
+    One client sits at fog-1's end of the star, one at fog-5's, so two
+    coordinators run the ops, and each key's data anchors at either end.
+    """
+    rng = random.Random(seed)
+    ends = (STAR_CLIENT, (900.0, 0.0))
+    queries = []
+    for i in range(count):
+        kind = rng.choice([QueryKind.CREATE, QueryKind.UPDATE, QueryKind.READ, QueryKind.READ,
+                           QueryKind.DELETE])
+        key = f"k{rng.randrange(4)}"
+        ctx = client_ctx(rng.choice(ends))
+        if kind is QueryKind.CREATE:
+            queries.append(Query(kind, key, ctx, value=f"v{i}",
+                                 data_ctx=DataContext(rng.choice(ends))))
+        else:
+            queries.append(Query(kind, key, ctx, value=f"v{i}" if kind is QueryKind.UPDATE else None))
+    return queries
+
+
+def watched_run(topo, fault_script, queries, rf, levels, interval_ms, timeout_ms):
+    """Run ``queries``; return the cluster, its results and, per op id, each
+    replica reply that reached the coordinator as ``(replica, counted)``."""
+    sim = Simulator(topo, fault_script=fault_script)
+    cluster = Cluster(topo, sim, replication_factor=rf, fixed_read_level=levels[0],
+                      fixed_write_level=levels[1], timeout_ms=timeout_ms)
+    replies = defaultdict(list)
+    dispatch = sim.handler
+
+    def handler(sim, event):
+        msg = event.payload
+        if type(msg) in (ReadResp, WriteAck):
+            replies[msg.op_id].append((event.src, msg.op_id in cluster._pending))
+        dispatch(sim, event)
+
+    sim.handler = handler
+    results = run_queries(cluster, queries, open_loop_interval_ms=interval_ms)
+    return cluster, results, replies
+
+
+def outcome(result):
+    return (result.status, result.value, result.error, result.level_used,
+            result.acks_received, repr(result.latency_ms))
+
+
+class TestExactRuns:
+    """An exact run asks only the replicas whose replies it counts and sets
+    only the client deadlines that can fire; its results must equal those of
+    its inexact twin, a run whose one fault, a heal at 0 ms, changes no
+    delivery but keeps the full fan-out and every deadline."""
+
+    TOPOLOGIES = {
+        # fog-1, fog-2 and fog-3 sit at one spot; equal hop pairs go in map order
+        "tied spokes": ((5, 5, 5, 7, 8), {}),
+        "unequal service": ((4, 5, 6, 7, 8),
+                            {"fog-1": 0.5, "fog-2": 2.25, "fog-4": 1.0, "fog-5": 0.125}),
+        # from fog-1, fog-2 and fog-3 take 11 + 9 ms and fog-4 takes 10 + 10 ms:
+        # fog-4's reply leaves first, so ranking fog-2 first would be wrong
+        "split tie": ((4, 5, 5, 6, 8), {"fog-2": 2.0, "fog-3": 2.0}),
+        # fog-2's round trip is 1e-7 ms longer than fog-3's: too close to call
+        "near tie": ((4, 5, 6, 7, 8), {"fog-2": 2.0000001}),
+    }
+    FALLBACK = {"split tie", "near tie"}
+
+    @pytest.mark.parametrize("name", list(TOPOLOGIES))
+    def test_results_equal_the_inexact_twin(self, name):
+        topo = star_with_service(*self.TOPOLOGIES[name])
+        fell_back = False
+        for rf in range(1, 6):
+            for levels in [(r, w) for r in ALL_LEVELS for w in ALL_LEVELS]:
+                for seed, interval_ms in enumerate((None, 0.1, 1.0)):
+                    queries = mixed_queries(seed)
+                    # The open loops' 22 ms deadline cuts some waits short; on 4-8 ms
+                    # spokes it ties fog-4's reply to fog-1, and the deadline wins.
+                    timeout_ms = 22.0 if seed else 10_000.0
+                    runs = [watched_run(topo, script, queries, rf, levels, interval_ms, timeout_ms)
+                            for script in ((), INEXACT)]
+                    (exact, got, replies), (twin, want, twin_replies) = runs
+                    where = (rf, levels, interval_ms)
+                    assert [outcome(r) for _, r in got] == [outcome(r) for _, r in want], where
+                    assert exact.convergence_violations() == twin.convergence_violations() == []
+                    for op_id, twin_op_replies in twin_replies.items():  # the exact run asked
+                        replied = {src for src, _ in replies.get(op_id, ())}  # every one counted
+                        assert {src for src, used in twin_op_replies if used} <= replied, where
+                    assert sum(map(len, replies.values())) <= sum(map(len, twin_replies.values()))
+                    fell_back |= any(len(ask) > n for asks in exact._asked.values()
+                                     for n, ask in enumerate(asks))
+        assert fell_back == (name in self.FALLBACK)
+
+    def test_a_slow_client_link_keeps_its_deadline(self):
+        # The 600 ms client link makes the reply's round trip 1208 ms, past the
+        # 1050 ms client deadline: it must be set, and it fires first.
+        topo = build_star_topology((4, 5, 6, 7, 8), client_latency_ms=600.0)
+        far = topo.nodes["client"].geo
+        queries = [Query(QueryKind.CREATE, "a", client_ctx(far), value="1",
+                         data_ctx=DataContext(STAR_CLIENT)),
+                   Query(QueryKind.READ, "a", client_ctx(far))]
+        outputs = []
+        for script in ((), INEXACT):
+            trace = []
+            output = run_single(topo, WorkloadSpec(op_count=2, clients=(WorkloadClient("c", far),),
+                                                   fixed_read_level=QUORUM,
+                                                   fixed_write_level=QUORUM),
+                                timeout_ms=50.0, fault_script=script, trace_sink=trace.append,
+                                queries=queries)
+            fired = Counter(line.split(",")[5].split()[0] for line in trace if ",timer," in line)
+            assert fired["ClientTimeout"] == 2
+            outputs.append([outcome(r) for _, r in output.results])
+        assert outputs[0] == outputs[1]
+        assert {o[:3] for o in outputs[0]} == {("error", None, "timeout")}
+
+    def test_a_direct_fault_waits_until_no_op_is_in_flight(self, monkeypatch):
+        trace = []
+        topo = build_star_topology((4, 5, 6, 7, 8))
+        cluster = Cluster(topo, Simulator(topo, trace=trace.append),
+                          fixed_read_level=QUORUM, fixed_write_level=QUORUM)
+        create(cluster)
+        cluster.submit(Query(QueryKind.READ, "k1", client_ctx()), lambda q, r: None)
+        with pytest.raises(ValueError, match="idle"):
+            cluster.sim.apply_fault(FaultAction(0.0, "crash", node="fog-5"))
+        cluster.sim.run_until_quiescent()
+        assert cluster.sim.exact
+        cluster.sim.apply_fault(FaultAction(0.0, "crash", node="fog-5"))
+        del trace[:]
+        timers = count_timers(monkeypatch)
+        result = read(cluster, "k1", QUORUM)
+        assert (result.status, result.acks_received) == ("ok", 3)
+        assert timers == {"ClientTimeout": 1, "OpTimeout": 1}
+        asked = {line.split(",")[4] for line in trace if "ReadReq" in line}
+        assert asked == {"fog-2", "fog-3", "fog-4", "fog-5"}  # fog-5's is dropped at send
