@@ -36,6 +36,10 @@ class ConsistencyLevel(Enum):
     QUORUM = "QUORUM"
     ALL = "ALL"
 
+    # Members are singletons that compare by identity, so identity hashing
+    # agrees with equality; ``Enum.__hash__`` is Python code run per lookup.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # CSV-friendly
         return self.value
 

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 from .consistency import ConsistencyLevel, RegionSet, _parse_level
 from .errors import ConfigError, expect, integer, load_json, number, string
 from .netsim import BudgetExceededError, FaultAction, Simulator
-from .store import Arrival, Cluster, Query, QueryResult
+from .store import _READ, Arrival, Cluster, Query, QueryResult
 from .topology import FogNode, Link, Topology, load_topology
 from .workload import (
     STATS_CSV_HEADER,
@@ -186,7 +186,7 @@ def run_single(
     error_counts: dict[str, int] = {}
     for query, result in results:
         if result.status in ("ok", "not_found"):
-            stats.add(query.kind.direction, result.latency_ms)
+            stats.add("read" if query.kind is _READ else "write", result.latency_ms)
         else:
             label = result.error or "error"
             error_counts[label] = error_counts.get(label, 0) + 1

@@ -47,8 +47,9 @@ a timer and its payload are built only when the one before it is popped.
 The series' next timer is always in the heap, and nothing behind it is in
 memory.
 
-Message delays come from one per-simulator ``(src, dst)`` table, filled on
-a pair's first message. An entry holds latency + service, the sum the
+Message delays come from one per-simulator table, nested by source
+(``table[src][dst]``), so a lookup builds no pair key; a pair's entry is
+filled on its first message. An entry holds latency + service, the sum the
 topology and the destination's service time give, so delivery times are
 unchanged. With jitter on, an entry holds the bare latency instead, and a
 delay is ``max(0, latency ± jitter) + service``.
@@ -182,8 +183,8 @@ class Simulator:
         self._jitter_ms = jitter_ms
         self._jitter_random = random.Random(jitter_seed).random
         self._service_ms = {nid: node.service_ms for nid, node in topology.nodes.items()}
-        # (src, dst) -> latency + service, or the bare latency with jitter on
-        self._delay_ms: dict[tuple[str, str], float] = {}
+        # src -> dst -> latency + service, or the bare latency with jitter on
+        self._delay_ms: dict[str, dict[str, float]] = {}
         self.report = SimReport()
         # No fault can apply and no jitter moves a delay: see ``exact``.
         self._exact = not fault_script and jitter_ms == 0.0
@@ -211,7 +212,7 @@ class Simulator:
         if self._jitter_ms:
             raise ValueError("a jittered simulator has no fixed delay")
         try:
-            return self._delay_ms[src, dst]
+            return self._delay_ms[src][dst]
         except KeyError:
             return self._first_delay(src, dst)
 
@@ -243,7 +244,7 @@ class Simulator:
             return
         jitter = self._jitter_ms
         try:
-            delay = self._delay_ms[src, dst]
+            delay = self._delay_ms[src][dst]
         except KeyError:
             delay = self._first_delay(src, dst)
         if jitter > 0.0:
@@ -260,7 +261,7 @@ class Simulator:
         delay = self.topology.latency_ms(src, dst)
         if self._jitter_ms == 0.0:
             delay += self._service_ms[dst]
-        self._delay_ms[src, dst] = delay
+        self._delay_ms.setdefault(src, {})[dst] = delay
         return delay
 
     def set_timer(self, node_id: str | None, delay_ms: float, payload: object) -> SimEvent:

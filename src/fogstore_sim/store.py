@@ -5,7 +5,10 @@ its attach point to the storage node geographically closest to the client.
 That coordinator alone decides a query's consistency level: the level the
 query pins, else its band in the cluster's region set, measured from the data
 location the query names or else the key's location in the control plane.
-The coordinator then fans out to the key's replicas:
+A set of no specs and one band, which fixed read and write levels make, gives
+each direction one level: the cluster resolves it once, when it is built, so
+such an op matches no region. The coordinator then fans out to the key's
+replicas:
 
 * writes are sent to every replica immediately; the client is acknowledged
   as soon as the level's required acknowledgement count is reached, and the
@@ -30,8 +33,10 @@ differ from the simulator's (round trips within a rounding margin whose hops
 differ), the coordinator asks them all. A client whose round trip to its
 coordinator is under half of :data:`CLIENT_TIMEOUT_SLACK_MS` gets its reply,
 even a timeout, before any deadline could fire, so in an exact run it sets
-none: its op in flight is a bare :class:`ClientTimeout` record. Every result
-equals the one the full fan-out and every deadline would give.
+none: its op in flight is a bare :class:`ClientTimeout` record. That test is
+made once per (attach, coordinator) pair. Every result equals the one the full
+fan-out and every deadline would give. A trace marks a :class:`WriteReq` that
+asks for no ack with a trailing ``no-ack``; only an exact run sends one.
 
 Write acks and read responses reach one reply handler, which counts them and
 keeps the freshest record (an ack carries none); the ``required``-th reply
@@ -117,10 +122,11 @@ class QueryKind(Enum):
     UPDATE = "update"
     DELETE = "delete"
 
-    @property
-    def direction(self) -> str:
-        """``read`` for reads; every other kind runs the write path."""
-        return "read" if self is QueryKind.READ else "write"
+
+# The members as module names: reading one through the class costs about ten
+# times a global read, once or more per op.
+_CREATE, _READ, _UPDATE, _DELETE = (
+    QueryKind.CREATE, QueryKind.READ, QueryKind.UPDATE, QueryKind.DELETE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,9 +157,10 @@ class Query:
     level: ConsistencyLevel | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in (QueryKind.CREATE, QueryKind.UPDATE) and self.value is None:
-            raise ValueError(f"{self.kind.value} query needs a value")
-        if self.kind is QueryKind.CREATE and self.data_ctx is None:
+        kind = self.kind
+        if (kind is _CREATE or kind is _UPDATE) and self.value is None:
+            raise ValueError(f"{kind.value} query needs a value")
+        if kind is _CREATE and self.data_ctx is None:
             raise ValueError("create query needs a data context")
 
 
@@ -200,7 +207,8 @@ class WriteReq:
 
     def __str__(self) -> str:
         r = self.record
-        return f"WriteReq key={r.key} value={r.value!r} version={r.version}"
+        ack = "" if self.op_id is not None else " no-ack"
+        return f"WriteReq key={r.key} value={r.value!r} version={r.version}{ack}"
 
 
 @dataclass(slots=True)
@@ -350,6 +358,12 @@ class Cluster:
         simulator.handler = self._dispatch
         self.replication_factor = replication_factor
         self.region_set = region_set
+        # A set of no specs and one band gives every op of a direction the same
+        # level: (write, read), indexed by "is a read". Any other set is matched per op.
+        self._uniform_levels = None
+        if not region_set.specs and len(region_set.default.bands) == 1:
+            band = region_set.default.bands[0]
+            self._uniform_levels = (band.write_level, band.read_level)
         self.timeout_ms = timeout_ms
         self.client_timeout_ms = timeout_ms + CLIENT_TIMEOUT_SLACK_MS
         self.control = ControlPlane()
@@ -360,6 +374,8 @@ class Cluster:
         self._pending: dict[int, SimEvent] = {}  # payload: OpTimeout
         # A client op whose reply cannot miss its deadline sets none: the bare record.
         self._client_ops: dict[int, SimEvent | ClientTimeout] = {}  # SimEvent payload: ClientTimeout
+        # Exact runs: by (attach, coordinator), whether a reply beats any client deadline.
+        self._reply_first: dict[tuple[str, str], bool] = {}
         # Exact runs: by (coordinator, replicas), the replicas to ask for n replies.
         self._asked: dict[tuple[str, tuple[str, ...]], tuple[tuple[str, ...], ...]] = {}
         self._latencies: dict[float, float] = {}
@@ -389,8 +405,15 @@ class Cluster:
         attach = self.topology.nearest_node(query.client_ctx.client_geo)
         coordinator = self.topology.nearest_node(query.client_ctx.client_geo, storage_only=True)
         op = ClientTimeout(op_id, query, callback, sim.now)
-        if sim.exact and (sim.delay_ms(attach, coordinator) + sim.delay_ms(coordinator, attach)
-                          < CLIENT_TIMEOUT_SLACK_MS / 2):
+        reply_first = False
+        if sim.exact:
+            try:
+                reply_first = self._reply_first[attach, coordinator]
+            except KeyError:
+                reply_first = self._reply_first[attach, coordinator] = (
+                    sim.delay_ms(attach, coordinator) + sim.delay_ms(coordinator, attach)
+                    < CLIENT_TIMEOUT_SLACK_MS / 2)
+        if reply_first:
             self._client_ops[op_id] = op  # the reply, even a timeout, comes before any deadline
         else:
             self._client_ops[op_id] = sim.set_timer(None, self.client_timeout_ms, op)
@@ -431,7 +454,7 @@ class Cluster:
         kind = query.kind
         key = query.key
         rmap = self.control.maps.get(key)
-        if kind is QueryKind.CREATE:
+        if kind is _CREATE:
             if self.control.is_live(key):
                 self._reply(node, src, op_id,
                             QueryResult("error", None, None, 0.0, 0, "duplicate_key"))
@@ -442,11 +465,16 @@ class Cluster:
             self._reply(node, src, op_id, QueryResult("not_found"))
             return
 
-        is_read = kind is QueryKind.READ
-        level = query.level or get_region(
-            self.region_set, key, query.client_ctx,
-            query.data_ctx or self.control.locations[key],
-        ).level_for("read" if is_read else "write")
+        is_read = kind is _READ
+        level = query.level
+        if level is None:
+            if self._uniform_levels is None:
+                level = get_region(
+                    self.region_set, key, query.client_ctx,
+                    query.data_ctx or self.control.locations[key],
+                ).level_for("read" if is_read else "write")
+            else:
+                level = self._uniform_levels[is_read]
         replica_ids = rmap.replica_ids
         required = self._required.get((level, len(replica_ids)))
         if required is None:
@@ -462,8 +490,8 @@ class Cluster:
                 count = 1
                 freshest = self._records[node].get(key)
         else:
-            value = None if kind is QueryKind.DELETE else query.value
-            if kind is QueryKind.CREATE:
+            value = None if kind is _DELETE else query.value
+            if kind is _CREATE:
                 self.control.register(key, rmap)
             if query.data_ctx is not None:
                 self.control.locations[key] = query.data_ctx
@@ -550,10 +578,11 @@ class Cluster:
     def _answer(self, query: Query, level: ConsistencyLevel, count: int,
                 freshest: VersionedRecord | None) -> QueryResult:
         """The answer to an op that reached its level; a write is first recorded as completed."""
-        if query.kind is QueryKind.READ:
+        kind = query.kind
+        if kind is _READ:
             value = None if freshest is None else freshest.value
             return QueryResult("not_found" if value is None else "ok", value, level, 0.0, count)
-        self.control.note_completed_write(query.key, deleted=query.kind is QueryKind.DELETE)
+        self.control.note_completed_write(query.key, deleted=kind is _DELETE)
         return QueryResult("ok", None, level, 0.0, count)
 
     def _on_op_timeout(self, node: str, src: None, op: OpTimeout) -> None:

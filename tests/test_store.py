@@ -889,3 +889,82 @@ class TestExactRuns:
         assert timers == {"ClientTimeout": 1, "OpTimeout": 1}
         asked = {line.split(",")[4] for line in trace if "ReadReq" in line}
         assert asked == {"fog-2", "fog-3", "fog-4", "fog-5"}  # fog-5's is dropped at send
+
+    def test_a_write_asking_no_ack_is_marked_in_the_trace(self):
+        # fog-1 holds a replica: it answers a ONE write at once and asks no
+        # replica to ack, while a QUORUM write asks only fog-2 and fog-3.
+        traces = {}
+        for level in (ONE, QUORUM):
+            traces[level] = trace = []
+            topo = build_star_topology(PAPER_LATENCY_SETTINGS["low"])
+            cluster = Cluster(topo, Simulator(topo, trace=trace.append),
+                              fixed_read_level=ONE, fixed_write_level=level)
+            run_queries(cluster, [Query(QueryKind.CREATE, "a", client_ctx(), value="1",
+                                        data_ctx=DataContext(STAR_CLIENT))])
+        assert traces[ONE] == [
+            "5.0,0,message,client,fog-1,QueryReq op=1 create key=a",
+            "10.0,5,message,fog-1,client,QueryResp op=1 status=ok",
+            "14.0,1,message,fog-1,fog-2,WriteReq key=a value='1' version=1 no-ack",
+            "15.0,2,message,fog-1,fog-3,WriteReq key=a value='1' version=1 no-ack",
+            "16.0,3,message,fog-1,fog-4,WriteReq key=a value='1' version=1 no-ack",
+            "17.0,4,message,fog-1,fog-5,WriteReq key=a value='1' version=1 no-ack",
+        ]
+        fields = [line.split(",", 5)[3:] for line in traces[QUORUM]]
+        marked = {dst: msg.endswith(" no-ack") for _, dst, msg in fields
+                  if msg.startswith("WriteReq")}
+        acked = {src for src, _, msg in fields if msg.startswith("WriteAck")}
+        assert marked == {"fog-2": False, "fog-3": False, "fog-4": True, "fog-5": True}
+        assert acked == {"fog-2", "fog-3"}
+
+
+class TestUniformLevels:
+    """A region set of no specs and one band gives each direction one level,
+    which the cluster resolves once, at build time. Its ops must run exactly
+    as those of a set that matches a band per op and finds the same levels."""
+
+    @staticmethod
+    def banded(read_level, write_level):
+        """Every key matches the ``""`` spec, whose two bands both give these levels."""
+        bands = (Band(500.0, read_level, write_level), Band(math.inf, read_level, write_level))
+        return RegionSet([ConsistencyRegionSpec("", bands)],
+                         ConsistencyRegionSpec("", (Band(math.inf, ALL, ALL),)))
+
+    @staticmethod
+    def count_region_matches(monkeypatch):
+        """The key of each band lookup the store makes from now on."""
+        matched = []
+        get_region = store.get_region
+        monkeypatch.setattr(store, "get_region",
+                            lambda *args: matched.append(args[1]) or get_region(*args))
+        return matched
+
+    @pytest.mark.parametrize("interval_ms", [None, 0.1], ids=["closed", "open-0.1"])
+    @pytest.mark.parametrize("fault_script", [(), INEXACT], ids=["exact", "inexact"])
+    def test_results_and_trace_equal_a_band_matched_set(self, monkeypatch, fault_script,
+                                                        interval_ms):
+        matched = self.count_region_matches(monkeypatch)
+        topo = build_star_topology(PAPER_LATENCY_SETTINGS["low"])
+        queries = mixed_queries(seed=5)
+        for levels in [(r, w) for r in ALL_LEVELS for w in ALL_LEVELS]:
+            runs = []
+            for region_set in (RegionSet.uniform(*levels), self.banded(*levels)):
+                del matched[:]
+                trace = []
+                cluster = Cluster(topo, Simulator(topo, fault_script=fault_script,
+                                                  trace=trace.append),
+                                  region_set=region_set, timeout_ms=22.0)
+                results = run_queries(cluster, queries, open_loop_interval_ms=interval_ms)
+                runs.append(([outcome(r) for _, r in results], trace, len(matched)))
+            (uniform, uniform_trace, uniform_matches), (banded, banded_trace, band_matches) = runs
+            assert uniform == banded, levels
+            assert uniform_trace == banded_trace, levels
+            assert uniform_matches == 0
+            assert band_matches > 0
+
+    def test_a_set_with_any_spec_matches_per_op(self, monkeypatch):
+        matched = self.count_region_matches(monkeypatch)
+        never = ConsistencyRegionSpec("no-such-key-", (Band(math.inf, ALL, ALL),))
+        cluster = star_cluster(region_set=RegionSet([never], RegionSet.uniform(ONE, ONE).default))
+        assert create(cluster, level=None).level_used is ONE
+        assert read(cluster, "k1", None).level_used is ONE
+        assert matched == ["k1", "k1"]
