@@ -61,6 +61,18 @@ delays. A direct :meth:`Simulator.apply_fault` on an exact simulator waits
 for it to be idle (it raises while events are still due), so exactness never
 ends under an op in flight.
 
+A message is its heap entry, ``(at_ms, seq, src, dst, payload)``: sending
+one builds no event object. A timer or fault entry is ``(at_ms, seq, None,
+event)`` around its :class:`SimEvent`, which :meth:`Simulator.set_timer`
+returns so that a caller can cancel it. A message's ``src`` is never
+``None``, so the loop tells the two shapes apart by that field. The handler
+still receives every event as ``handler(sim, event)``: a timer as its own
+:class:`SimEvent`, a message as one delivery record per
+:meth:`Simulator.run_until_quiescent` call, whose ``src``, ``dst`` and
+``payload`` the loop refills before each delivery. A message's record is
+therefore valid only during its handler call; a handler that needs a field
+later copies it.
+
 A run stopped by its budget leaves the event past the budget queued, so
 :meth:`Simulator.run_until_quiescent` called again resumes it.
 """
@@ -110,13 +122,21 @@ class BudgetExceededError(Exception):
 
 @dataclass(slots=True)
 class SimEvent:
-    """One scheduled occurrence; its heap entry ``(at_ms, seq, event)`` orders it."""
+    """A timer or fault, in its heap entry ``(at_ms, seq, None, event)``, or a delivery record.
+
+    A message has no event of its own: the handler gets a ``kind="message"``
+    record that the loop refills for each delivery, valid only during the call.
+    """
 
     kind: str
     src: str | None
     dst: str | None
     payload: object
     cancelled: bool = False
+
+
+# A timer's or fault's heap entry; the None tells it from a message's.
+_Entry = tuple[float, int, None, SimEvent]
 
 
 @dataclass(frozen=True)
@@ -155,6 +175,12 @@ class Simulator:
     ``handler`` receives every delivered message and fired timer; fault
     events are applied internally (and traced). Multiple simulators are
     fully isolated and may run in parallel processes if desired.
+
+    ``now`` is the simulated clock in ms. ``exact`` is True while every
+    message takes exactly its pair's :meth:`delay_ms`: the simulator has no
+    fault script, no jitter and no fault applied. :meth:`apply_fault` refuses
+    to end it with events still due, so it never changes under an op in
+    flight. Both are plain attributes that only the simulator writes.
     """
 
     def __init__(
@@ -171,11 +197,12 @@ class Simulator:
         self.topology = topology
         self.handler = handler
         self._trace = trace
-        self._now = 0.0
+        self.now = 0.0
         self._seq = 0
-        self._queue: list[tuple[float, int, SimEvent]] = []
+        # Messages as (at_ms, seq, src, dst, payload); timers and faults as _Entry.
+        self._queue: list[tuple] = []
         # Timer lanes by payload type; a non-empty lane's head is also in the heap.
-        self._lanes: defaultdict[type, deque[tuple[float, int, SimEvent]]] = defaultdict(deque)
+        self._lanes: defaultdict[type, deque[_Entry]] = defaultdict(deque)
         # Timer series by the seq of their timer in the heap; the rest is unbuilt.
         self._series: dict[int, _Series] = {}
         self._crashed: set[str] = set()
@@ -186,26 +213,13 @@ class Simulator:
         # src -> dst -> latency + service, or the bare latency with jitter on
         self._delay_ms: dict[str, dict[str, float]] = {}
         self.report = SimReport()
-        # No fault can apply and no jitter moves a delay: see ``exact``.
-        self._exact = not fault_script and jitter_ms == 0.0
+        # No fault can apply and no jitter moves a delay.
+        self.exact = not fault_script and jitter_ms == 0.0
         check_fault_nodes(fault_script, topology, "<fault script>")
         for seq, action in enumerate(fault_script):
-            heappush(self._queue, (action.at_ms, seq, SimEvent(KIND_FAULT, None, None, action)))
+            heappush(self._queue,
+                     (action.at_ms, seq, None, SimEvent(KIND_FAULT, None, None, action)))
         self._seq = len(fault_script)
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def exact(self) -> bool:
-        """True while every message takes exactly its pair's :meth:`delay_ms`.
-
-        That holds while the simulator has no fault script, no jitter and no
-        fault applied; :meth:`apply_fault` refuses to end it with events still
-        due, so it never changes under an op in flight.
-        """
-        return self._exact
 
     def delay_ms(self, src: str, dst: str) -> float:
         """The fixed delay of a message from ``src`` to ``dst``: latency + ``dst``'s service."""
@@ -251,10 +265,9 @@ class Simulator:
             # random.uniform(-jitter, jitter) inlined: the same floats, one call fewer
             delay = max(0.0, delay + (-jitter + (jitter + jitter) * self._jitter_random()))
             delay += self._service_ms[dst]
-        at_ms = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (at_ms, seq, SimEvent(KIND_MESSAGE, src, dst, payload)))
+        heappush(self._queue, (self.now + delay, seq, src, dst, payload))
 
     def _first_delay(self, src: str, dst: str) -> float:
         """Fill the pair's table entry; an unknown node raises here."""
@@ -273,11 +286,11 @@ class Simulator:
         """
         if not 0.0 <= delay_ms < _INF:  # also rejects NaN
             raise ValueError(f"delay_ms must be finite and >= 0 (got {delay_ms})")
-        at_ms = self._now + delay_ms
+        at_ms = self.now + delay_ms
         seq = self._seq
         self._seq = seq + 1
         event = SimEvent(KIND_TIMER, None, node_id, payload)
-        entry = (at_ms, seq, event)
+        entry = (at_ms, seq, None, event)
         lane = self._lanes[type(payload)]
         if not lane:
             lane.append(entry)
@@ -287,9 +300,9 @@ class Simulator:
             # at the tail, where a closed loop's last cancelled deadline waits,
             # then those right behind the head, which an open loop's oldest
             # ops leave.
-            while len(lane) > 1 and lane[-1][2].cancelled:
+            while len(lane) > 1 and lane[-1][3].cancelled:
                 lane.pop()
-            if len(lane) > 1 and lane[1][2].cancelled:
+            if len(lane) > 1 and lane[1][3].cancelled:
                 head = lane.popleft()
                 _drop_cancelled(lane)
                 lane.appendleft(head)
@@ -322,8 +335,8 @@ class Simulator:
         except StopIteration:
             raise _short_series(seq, count) from None
         self._seq = seq + count
-        heappush(self._queue, (self._now, seq, SimEvent(KIND_TIMER, None, node_id, payload)))
-        self._series[seq] = (self._now, node_id, seq, seq + count, interval_ms, payloads)
+        heappush(self._queue, (self.now, seq, None, SimEvent(KIND_TIMER, None, node_id, payload)))
+        self._series[seq] = (self.now, node_id, seq, seq + count, interval_ms, payloads)
 
     def _drop(self, src: str | None, dst: str | None, payload: object, reason: str,
               seq: int | None = None) -> None:
@@ -341,7 +354,7 @@ class Simulator:
         if self._trace is not None:
             summary = str(payload) if reason is None else f"{reason}: {payload}"
             self._trace(
-                f"{self._now!r},{'-' if seq is None else seq},{kind},"
+                f"{self.now!r},{'-' if seq is None else seq},{kind},"
                 f"{src or '-'},{dst or '-'},{summary}"
             )
 
@@ -354,6 +367,9 @@ class Simulator:
         ``max_ms`` (cancelled timers are discarded without advancing the
         clock, so they never burn budget). That event stays queued, so a
         later call resumes the run where this one stopped.
+
+        Every message reaches the handler in one delivery record, refilled
+        per message: it is valid only during the handler call.
         """
         if max_ms is None:
             max_ms = _INF
@@ -362,9 +378,31 @@ class Simulator:
         # Faults mutate these containers in place, so the locals see live state.
         queue, report, crashed, partitions = self._queue, self.report, self._crashed, self._partitions
         handler, trace, lanes, series = self.handler, self._trace, self._lanes, self._series
+        delivery = SimEvent(KIND_MESSAGE, None, None, None)
         while queue:
             entry = heappop(queue)
-            at_ms, seq, event = entry
+            if entry[2] is not None:  # a message: (at_ms, seq, src, dst, payload)
+                at_ms, seq, src, dst, payload = entry
+                if at_ms > max_ms:
+                    heappush(queue, entry)
+                    raise BudgetExceededError(max_ms, at_ms, self._live_events())
+                self.now = at_ms
+                report.events_processed += 1
+                if (crashed or partitions) and (
+                    dst in crashed or not self.can_communicate(src, dst)
+                ):
+                    self._drop(src, dst, payload, "blocked at delivery", seq)
+                    continue
+                report.messages_delivered += 1
+                if trace is not None:
+                    self._emit_trace(KIND_MESSAGE, src, dst, payload, seq)
+                if handler is not None:
+                    delivery.src = src
+                    delivery.dst = dst
+                    delivery.payload = payload
+                    handler(self, delivery)
+                continue
+            at_ms, seq, _, event = entry
             kind = event.kind
             if kind is KIND_TIMER:
                 lane = lanes.get(type(event.payload))
@@ -381,7 +419,7 @@ class Simulator:
                             payload = next(payloads)
                         except StopIteration:
                             raise _short_series(first, end - first) from None
-                        heappush(queue, (start_ms + (nxt - first) * interval_ms, nxt,
+                        heappush(queue, (start_ms + (nxt - first) * interval_ms, nxt, None,
                                          SimEvent(KIND_TIMER, None, node_id, payload)))
                         series[nxt] = run
                 if event.cancelled:
@@ -389,35 +427,27 @@ class Simulator:
             if at_ms > max_ms:
                 heappush(queue, entry)  # on its own: a lane or series moved on without it
                 raise BudgetExceededError(max_ms, at_ms, self._live_events())
-            self._now = at_ms
+            self.now = at_ms
             report.events_processed += 1
-            if kind is KIND_MESSAGE:
-                if (crashed or partitions) and (
-                    event.dst in crashed or not self.can_communicate(event.src, event.dst)
-                ):
-                    self._drop(event.src, event.dst, event.payload, "blocked at delivery", seq)
-                    continue
-                report.messages_delivered += 1
-            elif kind is KIND_TIMER:
-                if crashed and event.dst in crashed:
-                    self._drop(event.src, event.dst, event.payload, "timer at crashed node", seq)
-                    continue
-                report.timers_fired += 1
-            else:
+            if kind is KIND_FAULT:
                 self.apply_fault(event.payload, seq=seq)  # type: ignore[arg-type]
                 continue
+            if crashed and event.dst in crashed:
+                self._drop(event.src, event.dst, event.payload, "timer at crashed node", seq)
+                continue
+            report.timers_fired += 1
             if trace is not None:
                 self._emit_trace(kind, event.src, event.dst, event.payload, seq)
             if handler is not None:
                 handler(self, event)
-        report.end_ms = self._now
+        report.end_ms = self.now
         return report
 
     def _live_events(self) -> int:
         """Events still due to run: the heap's, then each lane's behind its head."""
-        live = sum(not event.cancelled for _, _, event in self._queue)
+        live = sum(entry[2] is not None or not entry[3].cancelled for entry in self._queue)
         for lane in self._lanes.values():
-            live += sum(not event.cancelled for _, _, event in islice(lane, 1, None))
+            live += sum(not event.cancelled for _, _, _, event in islice(lane, 1, None))
         return live + sum(end - seq - 1 for seq, (_, _, _, end, _, _) in self._series.items())
 
     def apply_fault(self, action: FaultAction, seq: int | None = None) -> None:
@@ -427,7 +457,7 @@ class Simulator:
         events still due raises :class:`ValueError`: a store that planned an op
         in flight on fixed delays would see them change under it.
         """
-        if self._exact and self._live_events():
+        if self.exact and self._live_events():
             raise ValueError("a fault on an exact simulator must wait until it is idle")
         if action.action == "crash":
             self._crashed.add(action.node)  # type: ignore[arg-type]
@@ -439,7 +469,7 @@ class Simulator:
             self._partitions.clear()
         else:  # validated at load; defensive
             raise ValueError(f"unknown fault action {action.action!r}")
-        self._exact = False
+        self.exact = False
         self.report.faults_applied += 1
         self._emit_trace(KIND_FAULT, None, None, action.describe(), seq)
 
@@ -448,9 +478,9 @@ def _short_series(first: int, count: int) -> ValueError:
     return ValueError(f"timer series from seq {first} has fewer than {count} payloads")
 
 
-def _drop_cancelled(lane: deque[tuple[float, int, SimEvent]]) -> None:
+def _drop_cancelled(lane: deque[_Entry]) -> None:
     """Pop the cancelled timers at the front of a lane."""
-    while lane and lane[0][2].cancelled:
+    while lane and lane[0][3].cancelled:
         lane.popleft()
 
 

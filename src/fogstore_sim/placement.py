@@ -44,12 +44,25 @@ def place_replicas(
     topology: Topology,
     replication_factor: int,
 ) -> ReplicaMap:
-    """Choose replica nodes for ``key`` anchored near ``data_location``."""
+    """Choose replica nodes for ``key`` anchored near ``data_location``.
+
+    The choice depends only on the anchor and the replica count, so the
+    topology keeps it per pair and each call builds only the key's map.
+    """
     if replication_factor < 1:
         raise ValueError("replication_factor must be >= 1")
     anchor = topology.nearest_node(data_location, storage_only=True)
     target = min(replication_factor, len(topology.storage_ids))
+    try:
+        replica_ids, degraded = topology.placements[anchor, target]
+    except KeyError:
+        replica_ids, degraded = topology.placements[anchor, target] = _place(
+            topology, anchor, target)
+    return ReplicaMap(key, replica_ids, degraded)
 
+
+def _place(topology: Topology, anchor: str, target: int) -> tuple[tuple[str, ...], bool]:
+    """``target`` replicas from ``anchor`` on, and whether the group constraint was relaxed."""
     chosen = [anchor]
     used_groups = {topology.node(anchor).failure_group_id}
     set_aside: list[str] = []
@@ -65,8 +78,7 @@ def place_replicas(
 
     degraded = len(chosen) < target
     chosen.extend(set_aside[:target - len(chosen)])
-
-    return ReplicaMap(key, tuple(chosen), degraded)
+    return tuple(chosen), degraded
 
 
 def placement_csv_rows(maps: list[ReplicaMap]) -> list[str]:

@@ -376,8 +376,8 @@ class Cluster:
         self._client_ops: dict[int, SimEvent | ClientTimeout] = {}  # SimEvent payload: ClientTimeout
         # Exact runs: by (attach, coordinator), whether a reply beats any client deadline.
         self._reply_first: dict[tuple[str, str], bool] = {}
-        # Exact runs: by (coordinator, replicas), the replicas to ask for n replies.
-        self._asked: dict[tuple[str, tuple[str, ...]], tuple[tuple[str, ...], ...]] = {}
+        # Exact runs: by coordinator, then replicas, the replicas to ask for n replies.
+        self._asked: dict[str, dict[tuple[str, ...], tuple[tuple[str, ...], ...]]] = {}
         self._latencies: dict[float, float] = {}
         # Acks each feasible (level, replica count) needs; an infeasible pair
         # is absent. Placement never gives a key more replicas than the factor.
@@ -456,13 +456,13 @@ class Cluster:
         rmap = self.control.maps.get(key)
         if kind is _CREATE:
             if self.control.is_live(key):
-                self._reply(node, src, op_id,
-                            QueryResult("error", None, None, 0.0, 0, "duplicate_key"))
+                self.sim.schedule_message(node, src, QueryResp(
+                    op_id, QueryResult("error", None, None, 0.0, 0, "duplicate_key")))
                 return
             rmap = place_replicas(key, query.data_ctx.data_geo, self.topology,
                                   self.replication_factor)
         elif rmap is None:
-            self._reply(node, src, op_id, QueryResult("not_found"))
+            self.sim.schedule_message(node, src, QueryResp(op_id, QueryResult("not_found")))
             return
 
         is_read = kind is _READ
@@ -478,8 +478,8 @@ class Cluster:
         replica_ids = rmap.replica_ids
         required = self._required.get((level, len(replica_ids)))
         if required is None:
-            self._reply(node, src, op_id,
-                        QueryResult("error", None, level, 0.0, 0, "level_infeasible"))
+            self.sim.schedule_message(node, src, QueryResp(
+                op_id, QueryResult("error", None, level, 0.0, 0, "level_infeasible")))
             return
 
         exact = self.sim.exact
@@ -502,11 +502,18 @@ class Cluster:
         if count >= required:  # answered at once: no deadline, no in-flight state
             if not is_read:  # the other replicas still converge in the background
                 self._fan_out(node, replica_ids, WriteReq(None if exact else op_id, record))
-            self._reply(node, src, op_id, self._answer(query, level, count, freshest))
+            self.sim.schedule_message(
+                node, src, QueryResp(op_id, self._answer(query, level, count, freshest)))
             return
         self._pending[op_id] = self.sim.set_timer(
             node, self.timeout_ms, OpTimeout(op_id, src, query, level, required, count, freshest))
-        asked = self._first_replies(node, replica_ids)[required - count] if exact else replica_ids
+        if exact:
+            try:
+                asked = self._asked[node][replica_ids][required - count]
+            except KeyError:
+                asked = self._first_replies(node, replica_ids)[required - count]
+        else:
+            asked = replica_ids
         if is_read:
             self._fan_out(node, asked, ReadReq(op_id, key))
         else:
@@ -538,11 +545,10 @@ class Cluster:
         rounding or a split such as 3 + 5 against 5 + 3 ms could reorder them,
         and entry ``n`` names every other replica. Entries keep replica-map
         order, so the requests go out in the order a full fan-out sends them.
+
+        The answer is memoized in ``_asked[node][replica_ids]``, which the
+        coordinator reads first: this runs once per pair.
         """
-        try:
-            return self._asked[node, replica_ids]
-        except KeyError:
-            pass
         delay = self.sim.delay_ms
         others = [r for r in replica_ids if r != node]
         hops = {r: (delay(node, r), delay(r, node)) for r in others}
@@ -556,7 +562,7 @@ class Cluster:
                 asked.append(tuple(r for r in others if r in first))
             else:
                 asked.append(tuple(others))
-        self._asked[node, replica_ids] = memo = tuple(asked)
+        self._asked.setdefault(node, {})[replica_ids] = memo = tuple(asked)
         return memo
 
     def _on_reply(self, node: str, src: str, msg: WriteAck | ReadResp) -> None:
@@ -572,8 +578,8 @@ class Cluster:
         if op.count >= op.required:
             timer.cancelled = True
             del self._pending[op.op_id]
-            self._reply(node, op.client, op.op_id,
-                        self._answer(op.query, op.level, op.count, op.freshest))
+            self.sim.schedule_message(node, op.client, QueryResp(
+                op.op_id, self._answer(op.query, op.level, op.count, op.freshest)))
 
     def _answer(self, query: Query, level: ConsistencyLevel, count: int,
                 freshest: VersionedRecord | None) -> QueryResult:
@@ -588,11 +594,8 @@ class Cluster:
     def _on_op_timeout(self, node: str, src: None, op: OpTimeout) -> None:
         # A timer that fires was never cancelled, so its op is still in flight.
         del self._pending[op.op_id]
-        self._reply(node, op.client, op.op_id,
-                    QueryResult("error", None, op.level, 0.0, op.count, "timeout"))
-
-    def _reply(self, node: str, client: str, op_id: int, result: QueryResult) -> None:
-        self.sim.schedule_message(node, client, QueryResp(op_id, result))
+        self.sim.schedule_message(node, op.client, QueryResp(
+            op.op_id, QueryResult("error", None, op.level, 0.0, op.count, "timeout")))
 
     # -- replica side -------------------------------------------------------------
 

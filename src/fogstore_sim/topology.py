@@ -75,7 +75,9 @@ class Topology:
     """Immutable node/link graph with precomputed shortest-path latencies.
 
     Because nothing changes after construction, ``nearest_node`` and
-    ``storage_by_latency`` memoize their answers per instance.
+    ``storage_by_latency`` memoize their answers per instance, and
+    ``placements`` holds :func:`~fogstore_sim.placement.place_replicas`'
+    choices by (anchor, replica count).
 
     Raises :class:`TopologyError` subclasses on construction when ids are
     duplicated, links dangle, latencies are nonpositive, the graph is
@@ -139,6 +141,8 @@ class Topology:
         self._node_ids: tuple[str, ...] = tuple(sorted(self.nodes))
         self._nearest: dict[tuple[float, float, bool], str] = {}
         self._by_latency: dict[str, tuple[str, ...]] = {}
+        # (anchor, replica count) -> (replica ids, degraded), filled by placement
+        self.placements: dict[tuple[str, int], tuple[tuple[str, ...], bool]] = {}
 
     def node(self, node_id: str) -> FogNode:
         try:

@@ -3,6 +3,7 @@
 A sweep cell runs 10k ops at fixed levels, so per-op work whose answer
 cannot change within a cell shows up in every cell. ``Cluster.__init__``
 itself iterates ``ConsistencyLevel``; only ``run_queries`` is watched.
+Nor may a message cost an event object: only timers have one.
 """
 
 import enum
@@ -14,11 +15,11 @@ import pytest
 
 from fogstore_sim.consistency import ConsistencyLevel, get_region
 from fogstore_sim.experiment import PAPER_LATENCY_SETTINGS, build_star_topology, run_queries
-from fogstore_sim.netsim import Simulator
+from fogstore_sim.netsim import SimEvent, Simulator
 from fogstore_sim.store import Cluster
 from fogstore_sim.workload import WorkloadClient, WorkloadSpec, generate_ops
 
-from conftest import STAR_CLIENT
+from conftest import INEXACT, STAR_CLIENT
 
 ONE = ConsistencyLevel.ONE
 QUORUM = ConsistencyLevel.QUORUM
@@ -63,6 +64,43 @@ def test_a_fixed_level_op_runs_no_enum_code_no_region_match_and_fills_each_delay
     assert [name for (path, name) in calls if path == enum.__file__] == []
     assert calls[get_region.__code__.co_filename, get_region.__name__] == 0
     assert len(fills) == len(set(fills)) > 0
+
+
+@pytest.mark.parametrize("interval_ms", [None, 0.5], ids=["closed", "open-0.5"])
+@pytest.mark.parametrize("fault_script", [(), INEXACT], ids=["exact", "inexact"])
+def test_only_timers_build_an_event_and_each_coordinator_ranks_its_replicas_once(
+        fault_script, interval_ms):
+    topo = build_star_topology(PAPER_LATENCY_SETTINGS["low"])
+    cluster = Cluster(topo, Simulator(topo, fault_script=fault_script),
+                      fixed_read_level=QUORUM, fixed_write_level=ALL)
+    queries = generate_ops(WorkloadSpec(op_count=2_000, seed=3,
+                                        clients=(WorkloadClient("c1", STAR_CLIENT),)))
+    watched = {SimEvent.__init__.__code__: "events", Simulator.set_timer.__code__: "timers",
+               Simulator.run_until_quiescent.__code__: "runs"}
+    first_replies = Cluster._first_replies.__code__
+    calls: Counter = Counter()
+    ranked: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code in watched:
+                calls[watched[code]] += 1
+            elif code is first_replies:
+                ranked[frame.f_locals["node"], frame.f_locals["replica_ids"]] += 1
+
+    sys.setprofile(profile)
+    try:
+        results = run_queries(cluster, queries, open_loop_interval_ms=interval_ms)
+    finally:
+        sys.setprofile(None)
+
+    assert len(results) == len(queries)
+    arrivals = 0 if interval_ms is None else len(queries)  # an open loop's timer series
+    # One delivery record per run carries every message.
+    assert calls["events"] == calls["timers"] + arrivals + calls["runs"]
+    assert calls["timers"] > 0 and calls["runs"] == 1
+    assert set(ranked.values()) == (set() if fault_script else {1})
 
 
 def test_levels_hash_by_identity_and_stay_singletons():

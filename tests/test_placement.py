@@ -144,6 +144,18 @@ class TestAnchorOrder:
                 assert topo.storage_by_latency(anchor) == tuple(fresh)
                 assert topo.storage_by_latency(anchor) == tuple(fresh)  # from the memo
 
+    def test_placements_reused_per_anchor_match_a_fresh_topology(self):
+        rng = random.Random(99)
+        for seed in range(60):
+            topo = random_topology(seed, max_nodes=20)
+            for i in range(40):
+                location = (rng.uniform(0, 1000), rng.uniform(0, 1000))
+                rf = rng.randint(1, 8)
+                fresh = Topology(topo.nodes.values(), topo.links)  # nothing memoized yet
+                assert (place_replicas(f"k{i}", location, topo, rf)
+                        == place_replicas(f"k{i}", location, fresh, rf)), (seed, i)
+            assert len(topo.placements) < 40  # anchors and counts repeat
+
 
 class TestPlacementCsv:
     def test_rows(self):

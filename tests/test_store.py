@@ -729,6 +729,59 @@ class TestEventOrder:
                         digest.update(f"{at},{rest}\n".encode())
         assert digest.hexdigest() == self.DIGESTS[levels]
 
+    # Whole trace lines, seqs included: the simulator's own bookkeeping (heap
+    # entries, timer lanes and series) may change, the seqs it hands out may not.
+    SEQ_DIGESTS = {
+        (ONE, ONE):
+            "c8db2d0a309eab9f5fa688b155129d61a0dce4d57d2597e7c362c17e7569d6ea",
+        (QUORUM, ONE):
+            "11d84305c5c6cbd2979cec1ebd01b353272fdf3d0e239f1b1301149b901a36f2",
+        (TWO, ALL):
+            "a08cb20cb5ceab3f23c24fa5a6c6155c4dca5d394c6146b77408cd3ad4b68964",
+        (ALL, QUORUM):
+            "f800f114ca124b888c770ed66c7a637e116f04ac69418a2a5b502aea90391353",
+    }
+    EXACT_SEQ_DIGEST = "f456f842271efae6ab3680f5bad77f87dead1f1a1d1ae430a7143b1f677adbb6"
+
+    @staticmethod
+    def trace_digest(topo, workload, runs):
+        """sha256 of every trace line of each ``(interval, rf, faults, jitter)`` run."""
+        digest = hashlib.sha256()
+        for interval, rf, fault_script, jitter_ms in runs:
+            trace = []
+            run_single(topo, replace(workload, open_loop_interval_ms=interval),
+                       replication_factor=rf, timeout_ms=50.0, fault_script=fault_script,
+                       trace_sink=trace.append, jitter_ms=jitter_ms, jitter_seed=3)
+            digest.update(f"# loop={interval} jitter={jitter_ms} rf={rf}\n".encode())
+            digest.update("".join(line + "\n" for line in trace).encode())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("levels", list(SEQ_DIGESTS),
+                             ids=lambda ls: "/".join(l.value for l in ls))
+    def test_faulted_trace_with_seqs_matches_the_pinned_digest(self, levels):
+        workload = WorkloadSpec(op_count=200, clients=(WorkloadClient("c1", STAR_CLIENT),),
+                                read_fraction=0.5, fixed_read_level=levels[0],
+                                fixed_write_level=levels[1], seed=11)
+        runs = [(interval, rf, self.FAULTS, jitter_ms) for interval in self.LOOPS
+                for jitter_ms in (0.0, 1.0) for rf in (5, 2, 1)]
+        digest = self.trace_digest(build_star_topology(PAPER_LATENCY_SETTINGS["low"]),
+                                   workload, runs)
+        assert digest == self.SEQ_DIGESTS[levels]
+
+    def test_exact_trace_with_seqs_matches_the_pinned_digest(self):
+        # Every level pair, closed and open loop, on star6-low with no fault or jitter.
+        topo = build_star_topology(PAPER_LATENCY_SETTINGS["low"])
+        digest = hashlib.sha256()
+        for read_level in ALL_LEVELS:
+            for write_level in ALL_LEVELS:
+                workload = WorkloadSpec(op_count=200, read_fraction=0.5, seed=11,
+                                        clients=(WorkloadClient("c1", STAR_CLIENT),),
+                                        fixed_read_level=read_level,
+                                        fixed_write_level=write_level)
+                runs = [(interval, rf, (), 0.0) for interval in (None, 0.1) for rf in (5, 3)]
+                digest.update(self.trace_digest(topo, workload, runs).encode())
+        assert digest.hexdigest() == self.EXACT_SEQ_DIGEST
+
     # An exact run sets no client deadline that cannot fire; its inexact twin sets one per op.
     @pytest.mark.parametrize("fault_script", [(), INEXACT], ids=["exact", "inexact"])
     @pytest.mark.parametrize("kind, level, expected", [
@@ -844,8 +897,8 @@ class TestExactRuns:
                         replied = {src for src, _ in replies.get(op_id, ())}  # every one counted
                         assert {src for src, used in twin_op_replies if used} <= replied, where
                     assert sum(map(len, replies.values())) <= sum(map(len, twin_replies.values()))
-                    fell_back |= any(len(ask) > n for asks in exact._asked.values()
-                                     for n, ask in enumerate(asks))
+                    fell_back |= any(len(ask) > n for memo in exact._asked.values()
+                                     for asks in memo.values() for n, ask in enumerate(asks))
         assert fell_back == (name in self.FALLBACK)
 
     def test_a_slow_client_link_keeps_its_deadline(self):
