@@ -171,8 +171,6 @@ def get_region(
 ) -> Band:
     """Band containing the client's distance from the data location."""
     spec = spec_set.match_spec(key)
-    if len(spec.bands) == 1:  # its radius is infinite: every distance is inside
-        return spec.bands[0]
     return spec.band_for_distance(geo_distance(client_ctx.client_geo, data_ctx.data_geo))
 
 

@@ -230,7 +230,7 @@ class SweepPlan:
 
 @dataclass
 class SweepResult:
-    """CSV text plus any cells that blew the simulation budget."""
+    """CSV text plus any cells that blew the simulation budget or measured nothing."""
 
     csv_text: str
     cell_failures: list[str] = field(default_factory=list)
@@ -241,8 +241,9 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
 
     Rows appear in deterministic (setting, level, direction) order. Two
     invocations with the same plan produce byte-identical output. A cell
-    that exceeds the budget is reported in ``cell_failures`` and its row is
-    omitted; the remaining cells still run.
+    that exceeds the budget, or whose measured direction has no successful
+    op (an infeasible level, every op timed out), is reported in
+    ``cell_failures`` and its row is omitted; the remaining cells still run.
     """
     lines = [STATS_CSV_HEADER]
     failures: list[str] = []
@@ -255,20 +256,24 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
                     fixed_read_level=level if direction == "read" else ConsistencyLevel.ONE,
                     fixed_write_level=level if direction == "write" else ConsistencyLevel.ONE,
                 )
+                cell = f"{setting_name}/{level.value}/{direction}"
                 try:
-                    # Only the row outlives the run, so one cell is alive at a time.
-                    summary = run_single(
-                        topology,
-                        cell_workload,
-                        replication_factor=plan.replication_factor,
-                        timeout_ms=plan.timeout_ms,
-                        budget_ms=plan.budget_ms,
-                        queries=queries,
-                    ).stats.summary(direction)
+                    output = run_single(topology, cell_workload,
+                                        replication_factor=plan.replication_factor,
+                                        timeout_ms=plan.timeout_ms, budget_ms=plan.budget_ms,
+                                        queries=queries)
                 except BudgetExceededError as exc:
-                    failures.append(f"{setting_name}/{level.value}/{direction}: {exc}")
+                    failures.append(f"{cell}: {exc}")
                     continue
-                lines.append(format_stats_row(setting_name, level.value, direction, summary))
+                # Only the row outlives the run, so one cell is alive at a time.
+                stats, error_counts, output = output.stats, output.error_counts, None
+                if stats.count(direction):
+                    lines.append(format_stats_row(setting_name, level.value, direction,
+                                                  stats.summary(direction)))
+                else:
+                    errors = ", ".join(f"{n} {label}" for label, n in sorted(error_counts.items()))
+                    failures.append(f"{cell}: no successful {direction} ops "
+                                    f"({errors or 'none failed'})")
     return SweepResult("\n".join(lines) + "\n", failures)
 
 

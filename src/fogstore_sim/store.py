@@ -22,21 +22,22 @@ payload, and a reply cancels the timer. An op the coordinator's own replica
 completes (level ONE at a replica) is answered at once, a read without any
 fan-out; only an op that waits for replies sets a coordinator deadline.
 
-An exact simulator (:attr:`~fogstore_sim.netsim.Simulator.exact`: no faults,
-no jitter) delivers every message after its pair's fixed delay, so the
-coordinator knows at send time which replies come first. It asks only those
-replicas for the replies it still needs: a read sends them alone a request;
-a write still goes to every replica, for convergence, but only they ack it,
-and none do for an op answered at once. Replicas rank by round trip, ties in
-replica-map order, the order equal hops deliver in. Where that order could
-differ from the simulator's (round trips within a rounding margin whose hops
-differ), the coordinator asks them all. A client whose round trip to its
-coordinator is under half of :data:`CLIENT_TIMEOUT_SLACK_MS` gets its reply,
-even a timeout, before any deadline could fire, so in an exact run it sets
-none: its op in flight is a bare :class:`ClientTimeout` record. That test is
-made once per (attach, coordinator) pair. Every result equals the one the full
-fan-out and every deadline would give. A trace marks a :class:`WriteReq` that
-asks for no ack with a trailing ``no-ack``; only an exact run sends one.
+The coordinator runs an op by its plan, one per (coordinator, replica tuple,
+level): the acks the level requires, the reply its own replica gives at once
+(if it holds one), and the replicas it asks for the rest. An exact simulator
+(:attr:`~fogstore_sim.netsim.Simulator.exact`: no faults, no jitter)
+delivers every message after its pair's fixed delay, so the coordinator
+knows at send time which replies come first, and the plan asks only those: a
+read sends them alone a request; a write still goes to every replica, for
+convergence, but only they ack it, and none do for an op answered at once.
+Where rounding could reorder those replies, the plan asks every replica, as
+any other run does. On a topology whose longest round trip is under half of
+:data:`CLIENT_TIMEOUT_SLACK_MS`, every reply, even a timeout, comes before
+any client deadline could fire, so an exact run there sets none: an op in
+flight is a bare :class:`ClientTimeout` record. Every result equals the one
+the full fan-out and every deadline would give. A trace marks a
+:class:`WriteReq` that asks for no ack with a trailing ``no-ack``; only an
+exact run sends one.
 
 Write acks and read responses reach one reply handler, which counts them and
 keeps the freshest record (an ack carries none); the ``required``-th reply
@@ -374,20 +375,11 @@ class Cluster:
         self._pending: dict[int, SimEvent] = {}  # payload: OpTimeout
         # A client op whose reply cannot miss its deadline sets none: the bare record.
         self._client_ops: dict[int, SimEvent | ClientTimeout] = {}  # SimEvent payload: ClientTimeout
-        # Exact runs: by (attach, coordinator), whether a reply beats any client deadline.
-        self._reply_first: dict[tuple[str, str], bool] = {}
-        # Exact runs: by coordinator, then replicas, the replicas to ask for n replies.
-        self._asked: dict[str, dict[tuple[str, ...], tuple[tuple[str, ...], ...]]] = {}
+        # Exact runs: every reply, even a timeout, comes before any client deadline.
+        self._replies_beat_deadlines = topology.longest_round_trip_ms < CLIENT_TIMEOUT_SLACK_MS / 2
+        # By coordinator, then replicas, then level: the op's plan, see _plan.
+        self._plans: dict[str, dict[tuple[str, ...], dict[ConsistencyLevel, tuple | None]]] = {}
         self._latencies: dict[float, float] = {}
-        # Acks each feasible (level, replica count) needs; an infeasible pair
-        # is absent. Placement never gives a key more replicas than the factor.
-        self._required: dict[tuple[ConsistencyLevel, int], int] = {}
-        for level in ConsistencyLevel:
-            for rf in range(1, replication_factor + 1):
-                try:
-                    self._required[level, rf] = required_acks(level, rf)
-                except LevelInfeasibleError:
-                    pass
 
     # -- client gateway ---------------------------------------------------
 
@@ -405,15 +397,7 @@ class Cluster:
         attach = self.topology.nearest_node(query.client_ctx.client_geo)
         coordinator = self.topology.nearest_node(query.client_ctx.client_geo, storage_only=True)
         op = ClientTimeout(op_id, query, callback, sim.now)
-        reply_first = False
-        if sim.exact:
-            try:
-                reply_first = self._reply_first[attach, coordinator]
-            except KeyError:
-                reply_first = self._reply_first[attach, coordinator] = (
-                    sim.delay_ms(attach, coordinator) + sim.delay_ms(coordinator, attach)
-                    < CLIENT_TIMEOUT_SLACK_MS / 2)
-        if reply_first:
+        if sim.exact and self._replies_beat_deadlines:
             self._client_ops[op_id] = op  # the reply, even a timeout, comes before any deadline
         else:
             self._client_ops[op_id] = sim.set_timer(None, self.client_timeout_ms, op)
@@ -476,18 +460,21 @@ class Cluster:
             else:
                 level = self._uniform_levels[is_read]
         replica_ids = rmap.replica_ids
-        required = self._required.get((level, len(replica_ids)))
-        if required is None:
+        try:
+            plan = self._plans[node][replica_ids][level]
+        except KeyError:
+            plan = self._plan(node, replica_ids, level)
+        if plan is None:
             self.sim.schedule_message(node, src, QueryResp(
                 op_id, QueryResult("error", None, level, 0.0, 0, "level_infeasible")))
             return
+        required, count, asked = plan
+        if not self.sim.exact:  # a fault applied since the plan was made
+            asked = replica_ids
 
-        exact = self.sim.exact
-        count = 0
         freshest = None
         if is_read:
-            if node in replica_ids:
-                count = 1
+            if count:
                 freshest = self._records[node].get(key)
         else:
             value = None if kind is _DELETE else query.value
@@ -495,75 +482,77 @@ class Cluster:
                 self.control.register(key, rmap)
             if query.data_ctx is not None:
                 self.control.locations[key] = query.data_ctx
-            record = VersionedRecord(key, value, self.control.next_version(key))
-            if node in replica_ids:
-                count = 1
-                _apply(self._records[node], record)
+            msg = WriteReq(op_id, VersionedRecord(key, value, self.control.next_version(key)))
+            if count:
+                _apply(self._records[node], msg.record)
         if count >= required:  # answered at once: no deadline, no in-flight state
             if not is_read:  # the other replicas still converge in the background
-                self._fan_out(node, replica_ids, WriteReq(None if exact else op_id, record))
+                self._fan_out(node, replica_ids, asked, msg)
             self.sim.schedule_message(
                 node, src, QueryResp(op_id, self._answer(query, level, count, freshest)))
             return
         self._pending[op_id] = self.sim.set_timer(
             node, self.timeout_ms, OpTimeout(op_id, src, query, level, required, count, freshest))
-        if exact:
-            try:
-                asked = self._asked[node][replica_ids][required - count]
-            except KeyError:
-                asked = self._first_replies(node, replica_ids)[required - count]
-        else:
-            asked = replica_ids
-        if is_read:
-            self._fan_out(node, asked, ReadReq(op_id, key))
-        else:
-            self._fan_out_write(node, replica_ids, asked, WriteReq(op_id, record))
+        self._fan_out(node, replica_ids, asked, ReadReq(op_id, key) if is_read else msg)
 
-    def _fan_out(self, node: str, replica_ids: tuple[str, ...], msg: ReadReq | WriteReq) -> None:
-        """Send ``msg`` from the coordinator ``node`` to every other replica of the key."""
-        for replica_id in replica_ids:
-            if replica_id != node:
-                self.sim.schedule_message(node, replica_id, msg)
+    def _plan(self, node: str, replica_ids: tuple[str, ...],
+              level: ConsistencyLevel) -> tuple[int, int, tuple[str, ...]] | None:
+        """The plan of an op at ``level`` on ``replica_ids`` that ``node`` coordinates.
 
-    def _fan_out_write(self, node: str, replica_ids: tuple[str, ...], asked: tuple[str, ...],
-                       msg: WriteReq) -> None:
-        """Like :meth:`_fan_out`, but only the replicas in ``asked`` are asked to ack."""
-        silent = msg if asked is replica_ids else WriteReq(None, msg.record)
-        for replica_id in replica_ids:
-            if replica_id != node:
-                self.sim.schedule_message(node, replica_id, msg if replica_id in asked else silent)
-
-    def _first_replies(self, node: str, replica_ids: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
-        """For each ``n``, the other replicas whose replies reach the coordinator ``node`` first.
-
-        Only an exact run knows them: each reply comes one fixed round trip
-        after the request. Replicas rank by round trip, ties in replica-map
-        order: equal hop pairs deliver in the order the requests went out. A
-        cut after the ``n``-th holds only if each replica before it has the
-        same hop pair as, or a round trip more than
-        :data:`_ROUND_TRIP_MARGIN_MS` shorter than, each one after it. Else
-        rounding or a split such as 3 + 5 against 5 + 3 ms could reorder them,
-        and entry ``n`` names every other replica. Entries keep replica-map
-        order, so the requests go out in the order a full fan-out sends them.
-
-        The answer is memoized in ``_asked[node][replica_ids]``, which the
-        coordinator reads first: this runs once per pair.
+        It is ``(required, count, asked)``, or ``None`` for a level that needs
+        more acks than there are replicas. ``count`` is 1 if the coordinator
+        holds a replica. In an exact run, ``asked`` are the other replicas whose
+        ``required - count`` replies reach it first, in replica-map order; in
+        any other, ``replica_ids``. Each reply comes one fixed round trip after
+        its request, and equal hop pairs deliver in request order, so replicas
+        rank by round trip, ties in map order. The cut after the ``n``-th holds
+        only if each replica before it has the same hop pair as, or a round trip
+        more than :data:`_ROUND_TRIP_MARGIN_MS` shorter than, each one after it;
+        else rounding or a split such as 3 + 5 against 5 + 3 ms could reorder
+        them, and every other replica is asked. Memoized in
+        ``_plans[node][replica_ids][level]``, which the coordinator reads first.
         """
-        delay = self.sim.delay_ms
-        others = [r for r in replica_ids if r != node]
-        hops = {r: (delay(node, r), delay(r, node)) for r in others}
-        trip = {r: out + back for r, (out, back) in hops.items()}
-        ranked = sorted(others, key=trip.__getitem__)  # stable: ties keep map order
-        asked = []
-        for n in range(len(others) + 1):
-            first, rest = ranked[:n], ranked[n:]
-            if all(trip[u] - trip[a] > _ROUND_TRIP_MARGIN_MS or hops[u] == hops[a]
-                   for a in first for u in rest):
-                asked.append(tuple(r for r in others if r in first))
-            else:
-                asked.append(tuple(others))
-        self._asked.setdefault(node, {})[replica_ids] = memo = tuple(asked)
-        return memo
+        try:
+            required = required_acks(level, len(replica_ids))
+        except LevelInfeasibleError:
+            plan = None
+        else:
+            count = 1 if node in replica_ids else 0
+            asked = replica_ids
+            if self.sim.exact:
+                n = required - count
+                others = tuple(r for r in replica_ids if r != node)
+                asked = ()  # answered at once: no one to ask
+                if n:
+                    delay = self.sim.delay_ms
+                    hops = {r: (delay(node, r), delay(r, node)) for r in others}
+                    trip = {r: out + back for r, (out, back) in hops.items()}
+                    ranked = sorted(others, key=trip.__getitem__)  # stable: ties keep map order
+                    first, rest = ranked[:n], ranked[n:]
+                    asked = others
+                    if all(trip[u] - trip[a] > _ROUND_TRIP_MARGIN_MS or hops[u] == hops[a]
+                           for a in first for u in rest):
+                        asked = tuple(r for r in others if r in first)
+            plan = (required, count, asked)
+        self._plans.setdefault(node, {}).setdefault(replica_ids, {})[level] = plan
+        return plan
+
+    def _fan_out(self, node: str, replica_ids: tuple[str, ...], asked: tuple[str, ...],
+                 msg: ReadReq | WriteReq) -> None:
+        """Send ``msg`` from the coordinator ``node`` to each other replica in ``asked``.
+
+        A write also goes to the rest of ``replica_ids``, as a copy that asks no ack.
+        """
+        send = self.sim.schedule_message
+        if asked is replica_ids or type(msg) is ReadReq:
+            for replica_id in asked:
+                if replica_id != node:
+                    send(node, replica_id, msg)
+        else:  # one pass in map order, the order a full fan-out sends in
+            rest = WriteReq(None, msg.record)
+            for replica_id in replica_ids:
+                if replica_id != node:
+                    send(node, replica_id, msg if replica_id in asked else rest)
 
     def _on_reply(self, node: str, src: str, msg: WriteAck | ReadResp) -> None:
         """Count a replica's reply and keep the freshest record; answer at the level's count."""

@@ -77,7 +77,8 @@ class Topology:
     Because nothing changes after construction, ``nearest_node`` and
     ``storage_by_latency`` memoize their answers per instance, and
     ``placements`` holds :func:`~fogstore_sim.placement.place_replicas`'
-    choices by (anchor, replica count).
+    choices by (anchor, replica count). ``longest_round_trip_ms`` is the
+    longest trip between two nodes and back, service times included.
 
     Raises :class:`TopologyError` subclasses on construction when ids are
     duplicated, links dangle, latencies are nonpositive, the graph is
@@ -133,6 +134,11 @@ class Topology:
             for b, value in self._latency[a].items():
                 if a < b:
                     self._latency[b][a] = value
+        # A message's delay is its latency plus the destination's service time.
+        service = {nid: node.service_ms for nid, node in self.nodes.items()}
+        self.longest_round_trip_ms: float = max(
+            service[a] + max(latency + latency + service[b] for b, latency in row.items())
+            for a, row in self._latency.items())
         self.storage_ids: tuple[str, ...] = tuple(
             sorted(nid for nid, n in self.nodes.items() if n.is_storage)
         )

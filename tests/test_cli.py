@@ -214,6 +214,25 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert any(l.startswith("low,ONE,read") for l in lines)  # fast cell survived
 
+    def test_a_cell_with_no_successful_op_exits_3_after_the_other_cells(self, tmp_path, capsys):
+        # One replica makes TWO infeasible: its cells measure nothing.
+        assert main(["gen-paper-configs", "--out-dir", str(tmp_path)]) == 0
+        config = tmp_path / "star6-sweep.json"
+        config.write_text(json.dumps({**json.loads(config.read_text()),
+                                      "replication_factor": 1}))
+        out = tmp_path / "sweep.csv"
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(config), "--ops", "50", "--out", str(out)]) == 3
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("cell failed: ")]
+        assert [line.split(": ")[1] for line in failed] == [
+            f"{setting}/TWO/{direction}" for setting in PAPER_LATENCY_SETTINGS
+            for direction in ("read", "write")]
+        assert all("level_infeasible" in line for line in failed)
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 3 * 3 * 2  # every other cell kept its row
+        assert not any(",TWO," in line for line in lines)
+
     def test_bad_level_in_plan(self, paper_dir, tmp_path, capsys):
         write_workload(tmp_path / "wl.json")
         config = tmp_path / "sweep.json"

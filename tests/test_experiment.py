@@ -4,6 +4,7 @@ from dataclasses import replace
 from fogstore_sim import experiment
 from fogstore_sim.consistency import ConsistencyLevel
 from fogstore_sim.experiment import SweepPlan, build_star_topology, run_single, run_sweep
+from fogstore_sim.store import QueryKind
 from fogstore_sim.workload import (
     STATS_CSV_HEADER,
     WorkloadClient,
@@ -14,6 +15,7 @@ from fogstore_sim.workload import (
 from conftest import STAR_CLIENT
 
 ONE = ConsistencyLevel.ONE
+TWO = ConsistencyLevel.TWO
 ALL = ConsistencyLevel.ALL
 
 
@@ -71,3 +73,25 @@ def test_run_single_replays_a_given_op_list():
     fresh = run_single(topology, workload)
     assert [(r.status, r.value, r.latency_ms) for _, r in replayed.results] \
         == [(r.status, r.value, r.latency_ms) for _, r in fresh.results]
+
+
+def test_a_cell_with_no_successful_op_in_its_direction_fails_alone():
+    # One replica makes TWO infeasible; a 0.001 ms deadline times out every
+    # op that waits for a replica. The ONE cells, answered at once, still run.
+    plan = small_plan()
+    queries = experiment.generate_ops(plan.workload)
+    ops = {"read": sum(q.kind is QueryKind.READ for q in queries)}
+    ops["write"] = len(queries) - ops["read"]
+    for changes, level, error in [({"levels": [ONE, TWO], "replication_factor": 1},
+                                   TWO, "level_infeasible"),
+                                  ({"timeout_ms": 0.001}, ALL, "timeout")]:
+        result = run_sweep(replace(plan, **changes))
+        rows = result.csv_text.splitlines()
+        assert rows[0] == STATS_CSV_HEADER
+        assert [row.split(",")[:3] for row in rows[1:]] == [
+            [setting, "ONE", direction] for setting in ("low", "high")
+            for direction in ("read", "write")]
+        assert result.cell_failures == [
+            f"{setting}/{level.value}/{direction}: no successful {direction} ops "
+            f"({ops[direction]} {error})"
+            for setting in ("low", "high") for direction in ("read", "write")]

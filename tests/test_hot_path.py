@@ -68,7 +68,7 @@ def test_a_fixed_level_op_runs_no_enum_code_no_region_match_and_fills_each_delay
 
 @pytest.mark.parametrize("interval_ms", [None, 0.5], ids=["closed", "open-0.5"])
 @pytest.mark.parametrize("fault_script", [(), INEXACT], ids=["exact", "inexact"])
-def test_only_timers_build_an_event_and_each_coordinator_ranks_its_replicas_once(
+def test_only_timers_build_an_event_and_each_coordinator_plans_a_level_once(
         fault_script, interval_ms):
     topo = build_star_topology(PAPER_LATENCY_SETTINGS["low"])
     cluster = Cluster(topo, Simulator(topo, fault_script=fault_script),
@@ -77,17 +77,18 @@ def test_only_timers_build_an_event_and_each_coordinator_ranks_its_replicas_once
                                         clients=(WorkloadClient("c1", STAR_CLIENT),)))
     watched = {SimEvent.__init__.__code__: "events", Simulator.set_timer.__code__: "timers",
                Simulator.run_until_quiescent.__code__: "runs"}
-    first_replies = Cluster._first_replies.__code__
+    plan = Cluster._plan.__code__
     calls: Counter = Counter()
-    ranked: Counter = Counter()
+    planned: Counter = Counter()
 
     def profile(frame, event, arg):
         if event == "call":
             code = frame.f_code
             if code in watched:
                 calls[watched[code]] += 1
-            elif code is first_replies:
-                ranked[frame.f_locals["node"], frame.f_locals["replica_ids"]] += 1
+            elif code is plan:
+                f_locals = frame.f_locals
+                planned[f_locals["node"], f_locals["replica_ids"], f_locals["level"]] += 1
 
     sys.setprofile(profile)
     try:
@@ -100,7 +101,9 @@ def test_only_timers_build_an_event_and_each_coordinator_ranks_its_replicas_once
     # One delivery record per run carries every message.
     assert calls["events"] == calls["timers"] + arrivals + calls["runs"]
     assert calls["timers"] > 0 and calls["runs"] == 1
-    assert set(ranked.values()) == (set() if fault_script else {1})
+    # Both levels run on every coordinator that takes an op, each planned once.
+    assert set(planned.values()) == {1}
+    assert {level for _, _, level in planned} == {QUORUM, ALL}
 
 
 def test_levels_hash_by_identity_and_stay_singletons():

@@ -897,8 +897,10 @@ class TestExactRuns:
                         replied = {src for src, _ in replies.get(op_id, ())}  # every one counted
                         assert {src for src, used in twin_op_replies if used} <= replied, where
                     assert sum(map(len, replies.values())) <= sum(map(len, twin_replies.values()))
-                    fell_back |= any(len(ask) > n for memo in exact._asked.values()
-                                     for asks in memo.values() for n, ask in enumerate(asks))
+                    fell_back |= any(len(asked) > required - count
+                                     for by_replicas in exact._plans.values()
+                                     for by_level in by_replicas.values()
+                                     for required, count, asked in filter(None, by_level.values()))
         assert fell_back == (name in self.FALLBACK)
 
     def test_a_slow_client_link_keeps_its_deadline(self):
@@ -922,6 +924,25 @@ class TestExactRuns:
             outputs.append([outcome(r) for _, r in output.results])
         assert outputs[0] == outputs[1]
         assert {o[:3] for o in outputs[0]} == {("error", None, "timeout")}
+
+    def test_a_far_pair_anywhere_keeps_every_client_deadline(self, monkeypatch):
+        # fog-5 sits 300 ms out, so a round trip to it takes over half of the
+        # client's 1000 ms slack. No client coordinates through it, yet an exact
+        # run sets a client deadline per op; on star6-low it sets none.
+        queries = mixed_queries(0)
+        timers = count_timers(monkeypatch)
+        for spokes, deadlines in [((4, 5, 6, 7, 300), len(queries)),
+                                  (PAPER_LATENCY_SETTINGS["low"], 0)]:
+            topo = build_star_topology(spokes)
+            outcomes = []
+            for script in ((), INEXACT):
+                timers.clear()
+                _, results, _ = watched_run(topo, script, queries, 5, (QUORUM, ALL), None,
+                                            10_000.0)
+                outcomes.append([outcome(r) for _, r in results])
+                assert timers["ClientTimeout"] == (deadlines if not script else len(queries))
+            assert outcomes[0] == outcomes[1]
+            assert "timeout" not in {o[2] for o in outcomes[0]}  # no deadline fired
 
     def test_a_direct_fault_waits_until_no_op_is_in_flight(self, monkeypatch):
         trace = []
