@@ -10,17 +10,30 @@ Message semantics:
 * delivery is delayed by the shortest-path link latency between the two
   nodes (plus the destination's configured service time, default 0, and
   optional seeded jitter, default off);
-* a message is sent only if both endpoints are up and mutually reachable
-  at send time, and delivered only if that still holds at delivery time;
-  blocked messages are dropped silently -- the protocol layer recovers via
-  timeouts, mirroring real networks where drops are not reported;
+* a message is sent only if both endpoints are up and no partition
+  separates them at send time, and delivered only if, at delivery time,
+  the destination is up and no partition separates the two: a message sent
+  before its sender crashed is still delivered. Blocked messages are
+  dropped silently -- the protocol layer recovers via timeouts, mirroring
+  real networks where drops are not reported;
 * crashed nodes keep their state (fail-recovery, not fail-stop): crash and
   recover only gate message flow.
 
 Faults come from a script of timestamped actions (crash, recover,
 partition, heal). Fault events are enqueued when the script is attached,
 so at equal timestamps they apply before message deliveries scheduled
-later, which is the order a test author expects.
+later, which is the order a test author expects. An action naming a node
+the topology lacks is refused, in a script and in a direct
+:meth:`Simulator.apply_fault` alike.
+
+Reachability is decided once per applied fault, per source, not once per
+message. Each fault resets a map from a source to the destinations it cannot
+reach: the crashed nodes plus the opposite group of every partition the
+source belongs to. A source's set is filled on its first send or delivery
+after the fault, so no fault rebuilds all pairs. A send is then blocked when
+its source is down or its destination is in that set, and a delivery when
+its destination is in it. With no node down and no partition active the map
+is ``None``, and a message pays one ``is None`` test for the faults.
 
 Timers wait in FIFO lanes, one per payload type. A timer whose due time is
 not below its lane's tail joins the lane, and only each lane's head sits in
@@ -52,7 +65,8 @@ Message delays come from one per-simulator table, nested by source
 filled on its first message. An entry holds latency + service, the sum the
 topology and the destination's service time give, so delivery times are
 unchanged. With jitter on, an entry holds the bare latency instead, and a
-delay is ``max(0, latency ± jitter) + service``.
+delay is ``max(0, latency ± jitter) + service``, where only a node with a
+service time adds one.
 
 A simulator with no fault script and no jitter is :attr:`Simulator.exact`
 until a fault is applied: every message then arrives exactly
@@ -89,7 +103,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ConfigError, element, expect, load_json, number, string
-from .topology import Topology
+from .topology import Topology, UnknownNodeError
 
 Handler = Callable[["Simulator", "SimEvent"], None]
 TraceSink = Callable[[str], None]
@@ -207,9 +221,15 @@ class Simulator:
         self._series: dict[int, _Series] = {}
         self._crashed: set[str] = set()
         self._partitions: list[tuple[frozenset[str], frozenset[str]]] = []
+        # src -> the destinations it cannot reach under the faults now active;
+        # None while no node is down and no partition is active.
+        self._unreachable: _Unreachable | None = None
         self._jitter_ms = jitter_ms
+        self._jitter_span = jitter_ms + jitter_ms
         self._jitter_random = random.Random(jitter_seed).random
-        self._service_ms = {nid: node.service_ms for nid, node in topology.nodes.items()}
+        # Only the nodes that have a service time.
+        self._service_ms = {nid: node.service_ms for nid, node in topology.nodes.items()
+                            if node.service_ms}
         # src -> dst -> latency + service, or the bare latency with jitter on
         self._delay_ms: dict[str, dict[str, float]] = {}
         self.report = SimReport()
@@ -251,9 +271,8 @@ class Simulator:
         partition separates them; drops are semantics here, not errors.
         With no node crashed and no partition active, nothing can block it.
         """
-        if (self._crashed or self._partitions) and (
-            not self.is_up(src) or not self.is_up(dst) or not self.can_communicate(src, dst)
-        ):
+        unreachable = self._unreachable
+        if unreachable is not None and (src in self._crashed or dst in unreachable[src]):
             self._drop(src, dst, payload, "blocked at send")
             return
         jitter = self._jitter_ms
@@ -262,9 +281,12 @@ class Simulator:
         except KeyError:
             delay = self._first_delay(src, dst)
         if jitter > 0.0:
-            # random.uniform(-jitter, jitter) inlined: the same floats, one call fewer
-            delay = max(0.0, delay + (-jitter + (jitter + jitter) * self._jitter_random()))
-            delay += self._service_ms[dst]
+            # max(0.0, delay + random.uniform(-jitter, jitter)), inlined: the same floats
+            delay += -jitter + self._jitter_span * self._jitter_random()
+            if not delay > 0.0:
+                delay = 0.0
+            if dst in self._service_ms:
+                delay += self._service_ms[dst]
         seq = self._seq
         self._seq = seq + 1
         heappush(self._queue, (self.now + delay, seq, src, dst, payload))
@@ -273,7 +295,7 @@ class Simulator:
         """Fill the pair's table entry; an unknown node raises here."""
         delay = self.topology.latency_ms(src, dst)
         if self._jitter_ms == 0.0:
-            delay += self._service_ms[dst]
+            delay += self._service_ms.get(dst, 0.0)
         self._delay_ms.setdefault(src, {})[dst] = delay
         return delay
 
@@ -304,7 +326,8 @@ class Simulator:
                 lane.pop()
             if len(lane) > 1 and lane[1][3].cancelled:
                 head = lane.popleft()
-                _drop_cancelled(lane)
+                while lane and lane[0][3].cancelled:
+                    lane.popleft()
                 lane.appendleft(head)
             lane.append(entry)
         else:
@@ -341,7 +364,8 @@ class Simulator:
     def _drop(self, src: str | None, dst: str | None, payload: object, reason: str,
               seq: int | None = None) -> None:
         self.report.messages_dropped += 1
-        self._emit_trace(KIND_DROP, src, dst, payload, seq, reason)
+        if self._trace is not None:
+            self._emit_trace(KIND_DROP, src, dst, payload, seq, reason)
 
     def _emit_trace(self, kind: str, src: str | None, dst: str | None, payload: object,
                     seq: int | None = None, reason: str | None = None) -> None:
@@ -375,8 +399,9 @@ class Simulator:
             max_ms = _INF
         elif math.isnan(max_ms):
             raise ValueError("max_ms must be a number, not NaN")  # NaN compares false: no budget
-        # Faults mutate these containers in place, so the locals see live state.
-        queue, report, crashed, partitions = self._queue, self.report, self._crashed, self._partitions
+        # Faults mutate the crashed set in place, so the local sees live state;
+        # they replace the unreachable map, which is read per message.
+        queue, report, crashed = self._queue, self.report, self._crashed
         handler, trace, lanes, series = self.handler, self._trace, self._lanes, self._series
         delivery = SimEvent(KIND_MESSAGE, None, None, None)
         while queue:
@@ -388,9 +413,8 @@ class Simulator:
                     raise BudgetExceededError(max_ms, at_ms, self._live_events())
                 self.now = at_ms
                 report.events_processed += 1
-                if (crashed or partitions) and (
-                    dst in crashed or not self.can_communicate(src, dst)
-                ):
+                unreachable = self._unreachable
+                if unreachable is not None and dst in unreachable[src]:
                     self._drop(src, dst, payload, "blocked at delivery", seq)
                     continue
                 report.messages_delivered += 1
@@ -408,7 +432,8 @@ class Simulator:
                 lane = lanes.get(type(event.payload))
                 if lane and lane[0] is entry:  # a lane's head: put the next live one in the heap
                     lane.popleft()
-                    _drop_cancelled(lane)
+                    while lane and lane[0][3].cancelled:
+                        lane.popleft()
                     if lane:
                         heappush(queue, lane[0])
                 elif series and seq in series:  # a series' timer: build the next one
@@ -455,8 +480,13 @@ class Simulator:
 
         The simulator is no longer :attr:`exact` after it. An exact one with
         events still due raises :class:`ValueError`: a store that planned an op
-        in flight on fixed delays would see them change under it.
+        in flight on fixed delays would see them change under it. A node the
+        topology lacks raises :class:`UnknownNodeError`, as it does in a script.
+        Every source's unreachable set is decided afresh after it.
         """
+        problem = _node_problem(action, self.topology)
+        if problem is not None:
+            raise UnknownNodeError(problem)
         if self.exact and self._live_events():
             raise ValueError("a fault on an exact simulator must wait until it is idle")
         if action.action == "crash":
@@ -469,6 +499,8 @@ class Simulator:
             self._partitions.clear()
         else:  # validated at load; defensive
             raise ValueError(f"unknown fault action {action.action!r}")
+        crashed, partitions = self._crashed, self._partitions
+        self._unreachable = _Unreachable(crashed, partitions) if crashed or partitions else None
         self.exact = False
         self.report.faults_applied += 1
         self._emit_trace(KIND_FAULT, None, None, action.describe(), seq)
@@ -478,20 +510,57 @@ def _short_series(first: int, count: int) -> ValueError:
     return ValueError(f"timer series from seq {first} has fewer than {count} payloads")
 
 
-def _drop_cancelled(lane: deque[_Entry]) -> None:
-    """Pop the cancelled timers at the front of a lane."""
-    while lane and lane[0][3].cancelled:
-        lane.popleft()
+class _Unreachable(dict):
+    """src -> the set of destinations a message from src cannot reach.
+
+    Built for one state of the faults; a source's set is filled on first use:
+    the crashed nodes plus the opposite group of every partition it is in.
+    """
+
+    __slots__ = ("_crashed", "_partitions")
+
+    def __init__(self, crashed: set[str],
+                 partitions: list[tuple[frozenset[str], frozenset[str]]]):
+        super().__init__()
+        self._crashed = frozenset(crashed)
+        self._partitions = tuple(partitions)
+
+    def __missing__(self, src: str) -> frozenset[str]:
+        blocked = self._crashed
+        for group_a, group_b in self._partitions:
+            if src in group_a:
+                blocked |= group_b
+            if src in group_b:
+                blocked |= group_a
+        self[src] = blocked
+        return blocked
+
+
+def _node_problem(action: FaultAction, topology: Topology) -> str | None:
+    """What is wrong with the nodes ``action`` names, or None if the topology has them all.
+
+    A crash or recover with no node is refused too: it would put ``None``, the
+    node of every harness timer, in the crashed set.
+    """
+    if action.node is None and action.action in ("crash", "recover"):
+        return f"{action.action} names no node"
+    nodes = [] if action.node is None else [action.node]
+    for nid in nodes + sorted(action.group_a | action.group_b):
+        if nid not in topology.nodes:
+            return f"unknown node {nid!r}"
+    return None
 
 
 def check_fault_nodes(fault_script: Sequence[FaultAction], topology: Topology,
                       source: str) -> None:
-    """Raise a ConfigError naming ``source`` for the first node the topology lacks."""
+    """Raise a ConfigError naming ``source`` for the first action with a node problem.
+
+    That is a node the topology lacks, or a crash or recover that names none.
+    """
     for action in fault_script:
-        nodes = [] if action.node is None else [action.node]
-        for nid in nodes + sorted(action.group_a | action.group_b):
-            if nid not in topology.nodes:
-                raise ConfigError(source, f"unknown node {nid!r}")
+        problem = _node_problem(action, topology)
+        if problem is not None:
+            raise ConfigError(source, problem)
 
 
 def fault_script_from_dict(data: dict, source: str = "<dict>") -> list[FaultAction]:

@@ -370,6 +370,21 @@ class TestFaults:
         sim.run_until_quiescent()
         assert log == []
 
+    def test_sender_crash_after_send_still_delivers(self):
+        # Only the destination's state and the partitions gate a delivery: a
+        # message already sent is in the network when its sender goes down.
+        log, trace = [], []
+        script = [FaultAction(at_ms=2.0, action="crash", node="a")]
+        sim = Simulator(pair_topology(), handler=recording_handler(log), fault_script=script,
+                        trace=trace.append)
+        sim.schedule_message("a", "b", "in flight")  # arrives at t=5, a is down from t=2
+        sim.run_until_quiescent()
+        assert log == [(5.0, "message", "a", "b", "in flight")]
+        assert trace == ["2.0,0,fault,-,-,crash a", "5.0,1,message,a,b,in flight"]
+        sim.schedule_message("a", "b", "after")  # a is still down: blocked at send
+        sim.run_until_quiescent()
+        assert sim.report.messages_dropped == 1 and len(log) == 1
+
     def test_recovered_node_receives_again(self):
         log = []
         script = [
@@ -472,6 +487,35 @@ class TestFaults:
     def test_unknown_node_in_script_rejected(self):
         with pytest.raises(ConfigError, match="ghost"):
             Simulator(pair_topology(), fault_script=[FaultAction(0.0, "crash", node="ghost")])
+
+    @pytest.mark.parametrize("action", ["crash", "recover"])
+    def test_crash_or_recover_with_no_node_rejected(self, action):
+        # A scripted crash with no node used to crash None, the node of every
+        # harness timer, so each of them was dropped instead of fired.
+        with pytest.raises(ConfigError, match=f"{action} names no node"):
+            Simulator(pair_topology(), fault_script=[FaultAction(0.0, action)])
+        sim = Simulator(pair_topology())
+        with pytest.raises(UnknownNodeError, match=f"{action} names no node"):
+            sim.apply_fault(FaultAction(0.0, action))
+        sim.set_timer(None, 1.0, "harness")
+        assert sim.run_until_quiescent().timers_fired == 1
+
+    @pytest.mark.parametrize("action", [
+        FaultAction(0.0, "crash", node="ghost"),
+        FaultAction(0.0, "recover", node="ghost"),
+        FaultAction(0.0, "partition", group_a=frozenset({"a"}), group_b=frozenset({"ghost"})),
+        FaultAction(0.0, "partition", group_a=frozenset({"ghost"}), group_b=frozenset({"b"})),
+    ], ids=["crash", "recover", "partition group_b", "partition group_a"])
+    def test_unknown_node_in_a_direct_fault_rejected(self, action):
+        # A direct fault used to be taken silently: the ghost joined the
+        # crashed set or a partition, and the simulator stopped being exact.
+        sim = Simulator(pair_topology())
+        with pytest.raises(UnknownNodeError, match="unknown node 'ghost'"):
+            sim.apply_fault(action)
+        assert sim.exact and sim.report.faults_applied == 0
+        assert sim.is_up("ghost") and sim.can_communicate("a", "ghost")
+        sim.schedule_message("a", "b", "x")
+        assert sim.run_until_quiescent().messages_delivered == 1
 
 
 class TestExact:
@@ -605,7 +649,9 @@ def oracle_topology():
 def random_schedule(rng):
     """A fault script, the actions issued before the run, and each payload's reactions.
 
-    An action is ``("msg", src, dst, payload)``, ``("timer", node, delay, payload)``,
+    The script crashes and recovers nodes, and partitions the nodes into two
+    random disjoint groups (up to two partitions at once) until a heal. An
+    action is ``("msg", src, dst, payload)``, ``("timer", node, delay, payload)``,
     ``("series", node, interval, payloads)``, a timer series whose payloads share
     their types with single timers, or ``("cancel", n)``, which cancels the single
     timer whose payload is ``n`` (a no-op if that timer was never set or has fired).
@@ -617,6 +663,16 @@ def random_schedule(rng):
             faults.append(FaultAction(crash, "crash", node=node))
             if rng.random() < 0.7:
                 faults.append(FaultAction(crash + rng.choice([0.5, 2.0, 4.0]), "recover", node=node))
+    if rng.random() < 0.6:
+        split = rng.choice([0.0, 1.0, 2.5, 4.0])
+        for _ in range(rng.randint(1, 2)):
+            nodes = rng.sample(ORACLE_NODES, rng.randint(2, 4))
+            cut = rng.randint(1, len(nodes) - 1)
+            faults.append(FaultAction(split, "partition", group_a=frozenset(nodes[:cut]),
+                                      group_b=frozenset(nodes[cut:])))
+            split += rng.choice([0.0, 1.0, 1.5])
+        if rng.random() < 0.7:
+            faults.append(FaultAction(split + rng.choice([0.5, 2.0, 4.0]), "heal"))
     faults.sort(key=lambda f: f.at_ms)
     timers: list[int] = []
     count = 0
@@ -662,31 +718,48 @@ def random_schedule(rng):
     return faults, initial, reactions
 
 
-def reference_log(topology, faults, initial, reactions):
-    """The same schedule on a plain heap of ``(at_ms, seq)``: what must be delivered."""
-    queue, log, crashed, cancelled, timer_seqs = [], [], set(), set(), {}
+def reference_log(topology, faults, initial, reactions, jitter_ms=0.0, jitter_seed=0,
+                  clamps=None):
+    """The same schedule on a plain heap of ``(at_ms, seq)``: what must be delivered.
+
+    With jitter, each message not blocked at send draws one uniform offset,
+    in send order, and arrives ``max(0, latency + offset) + service`` later;
+    ``clamps``, if given, collects each ``latency + offset`` that was not above 0.
+    """
+    queue, log, crashed, partitions, cancelled, timer_seqs = [], [], set(), [], set(), {}
     seq, now = 0, 0.0
+    uniform = random.Random(jitter_seed).uniform
     for fault in faults:
-        heapq.heappush(queue, (fault.at_ms, seq, "fault", None, fault))
+        heapq.heappush(queue, (fault.at_ms, seq, "fault", None, fault, None))
         seq += 1
+
+    def separated(a, b):
+        return any((a in group_a and b in group_b) or (a in group_b and b in group_a)
+                   for group_a, group_b in partitions)
 
     def run(actions):
         nonlocal seq
         for action in actions:
             if action[0] == "msg":
                 _, src, dst, payload = action
-                if src in crashed or dst in crashed:
-                    continue  # blocked at send: no seq
-                delay = topology.latency_ms(src, dst) + topology.nodes[dst].service_ms
-                heapq.heappush(queue, (now + delay, seq, "message", dst, payload))
+                if src in crashed or dst in crashed or separated(src, dst):
+                    continue  # blocked at send: no seq, no jitter draw
+                delay = topology.latency_ms(src, dst)
+                if jitter_ms:
+                    delay += uniform(-jitter_ms, jitter_ms)
+                    if clamps is not None and delay <= 0.0:
+                        clamps.append(delay)
+                    delay = max(0.0, delay)
+                delay += topology.nodes[dst].service_ms
+                heapq.heappush(queue, (now + delay, seq, "message", dst, payload, src))
             elif action[0] == "timer":
                 _, node, delay, payload = action
                 timer_seqs[payload.n] = seq
-                heapq.heappush(queue, (now + delay, seq, "timer", node, payload))
+                heapq.heappush(queue, (now + delay, seq, "timer", node, payload, None))
             elif action[0] == "series":
                 _, node, interval, payloads = action
                 for i, payload in enumerate(payloads):
-                    heapq.heappush(queue, (now + i * interval, seq, "timer", node, payload))
+                    heapq.heappush(queue, (now + i * interval, seq, "timer", node, payload, None))
                     seq += 1
                 continue
             else:
@@ -697,21 +770,28 @@ def reference_log(topology, faults, initial, reactions):
 
     run(initial)
     while queue:
-        at_ms, event_seq, kind, dst, payload = heapq.heappop(queue)
+        at_ms, event_seq, kind, dst, payload, src = heapq.heappop(queue)
         if event_seq in cancelled:
             continue
         now = at_ms
         if kind == "fault":
-            (crashed.add if payload.action == "crash" else crashed.discard)(payload.node)
+            if payload.action == "crash":
+                crashed.add(payload.node)
+            elif payload.action == "recover":
+                crashed.discard(payload.node)
+            elif payload.action == "partition":
+                partitions.append((payload.group_a, payload.group_b))
+            else:
+                partitions.clear()
             continue
-        if dst in crashed:
-            continue
+        if dst in crashed or (kind == "message" and separated(src, dst)):
+            continue  # the sender's own state does not matter here
         log.append((now, event_seq, kind, payload))
         run(reactions.get(payload.n, ()))
     return log
 
 
-def simulator_log(topology, faults, initial, reactions):
+def simulator_log(topology, faults, initial, reactions, jitter_ms=0.0, jitter_seed=0):
     log, handles, trace = [], {}, []
 
     def run(sim, actions):
@@ -730,7 +810,8 @@ def simulator_log(topology, faults, initial, reactions):
         log.append((sim.now, seq, event.kind, event.payload))
         run(sim, reactions.get(event.payload.n, ()))
 
-    sim = Simulator(topology, handler=handler, fault_script=faults, trace=trace.append)
+    sim = Simulator(topology, handler=handler, fault_script=faults, trace=trace.append,
+                    jitter_ms=jitter_ms, jitter_seed=jitter_seed)
     run(sim, initial)
     sim.run_until_quiescent()
     return log
@@ -739,11 +820,12 @@ def simulator_log(topology, faults, initial, reactions):
 def test_event_order_matches_a_reference_heap_on_random_schedules():
     """Messages, timers of several payload types set in and out of order, timer
     series beside single timers of the same types, equal times, cancels before
-    and after firing, timers set by handlers and timers at crashed nodes:
-    delivery matches a plain ``(at_ms, seq)`` heap exactly."""
+    and after firing, timers set by handlers, timers at crashed nodes, and
+    messages across partitions: delivery matches a plain ``(at_ms, seq)`` heap
+    exactly."""
     topology = oracle_topology()
     rng = random.Random(2024)
-    delivered = series = 0
+    delivered = series = partitions = 0
     for _ in range(300):
         schedule = random_schedule(rng)
         expected = reference_log(topology, *schedule)
@@ -751,8 +833,31 @@ def test_event_order_matches_a_reference_heap_on_random_schedules():
         delivered += len(expected)
         series += sum(action[0] == "series" for actions in [schedule[1], *schedule[2].values()]
                       for action in actions)
+        partitions += sum(fault.action == "partition" for fault in schedule[0])
     assert delivered > 3000  # the schedules are not trivially empty
     assert series > 1000
+    assert partitions > 200
+
+
+def test_jittered_event_order_matches_a_reference_heap_on_random_schedules():
+    """The random schedules above under jitter larger than the b-c link's
+    latency (and every self-send's), so that the clamp at 0 fires, with service
+    times at c and d: delivery times and order match a plain heap whose delays
+    come from one ``random.uniform`` per message sent."""
+    topology = oracle_topology()
+    assert topology.latency_ms("b", "c") < 0.75 and topology.nodes["c"].service_ms > 0
+    rng = random.Random(7)
+    delivered = clamped = 0
+    for seed in range(300):
+        schedule = random_schedule(rng)
+        clamps = []
+        expected = reference_log(topology, *schedule, jitter_ms=0.75, jitter_seed=seed,
+                                 clamps=clamps)
+        assert simulator_log(topology, *schedule, jitter_ms=0.75, jitter_seed=seed) == expected
+        delivered += len(expected)
+        clamped += len(clamps)
+    assert delivered > 3000
+    assert clamped > 300
 
 
 def test_closed_loop_heap_holds_no_dead_deadline_timers(monkeypatch):
