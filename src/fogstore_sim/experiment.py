@@ -84,14 +84,10 @@ def make_paper_topologies(out_dir: str | Path) -> dict[str, Path]:
 
 @dataclass
 class RunOutput:
-    """Everything a single run produces.
-
-    ``cluster`` is for inspection: the run detached it from its simulator.
-    """
+    """Everything a single run produces."""
 
     stats: LatencyStats
     results: list[tuple[Query, QueryResult]]
-    cluster: Cluster
     error_counts: dict[str, int] = field(default_factory=dict)
 
 
@@ -190,7 +186,7 @@ def run_single(
         else:
             label = result.error or "error"
             error_counts[label] = error_counts.get(label, 0) + 1
-    return RunOutput(stats=stats, results=results, cluster=cluster, error_counts=error_counts)
+    return RunOutput(stats=stats, results=results, error_counts=error_counts)
 
 
 @dataclass

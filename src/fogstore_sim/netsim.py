@@ -22,9 +22,14 @@ Message semantics:
 Faults come from a script of timestamped actions (crash, recover,
 partition, heal). Fault events are enqueued when the script is attached,
 so at equal timestamps they apply before message deliveries scheduled
-later, which is the order a test author expects. An action naming a node
-the topology lacks is refused, in a script and in a direct
-:meth:`Simulator.apply_fault` alike.
+later, which is the order a test author expects. A :class:`FaultAction`
+is checked once, when it is built, in code or by the script loader: its
+``at_ms`` is finite and >= 0, a crash or recover names a node and no
+groups, a partition has two non-empty, disjoint groups and no node, and a
+heal has neither. Anything else, an unknown action included, raises
+:class:`ValueError` naming the field at fault. A script's times must also
+never decrease. An action naming a node the topology lacks is refused, in
+a script and in a direct :meth:`Simulator.apply_fault` alike.
 
 Reachability is decided once per applied fault, per source, not once per
 message. Each fault resets a map from a source to the destinations it cannot
@@ -155,13 +160,32 @@ _Entry = tuple[float, int, None, SimEvent]
 
 @dataclass(frozen=True)
 class FaultAction:
-    """One scripted fault: crash/recover a node, or partition/heal the net."""
+    """One scripted fault, checked when built: crash/recover a node, or partition/heal the net."""
 
     at_ms: float
     action: str  # crash | recover | partition | heal
     node: str | None = None
     group_a: frozenset[str] = frozenset()
     group_b: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.at_ms < _INF:  # also rejects NaN
+            raise ValueError(f"at_ms: must be finite and >= 0 (got {self.at_ms})")
+        action = self.action
+        if action not in ("crash", "recover", "partition", "heal"):
+            raise ValueError(f"action: unknown action {action!r}")
+        names_node = action in ("crash", "recover")
+        if names_node and self.node is None:
+            raise ValueError(f"node: {action} names no node")
+        if not names_node and self.node is not None:
+            raise ValueError(f"node: {action} takes no node")
+        for name, group in (("group_a", self.group_a), ("group_b", self.group_b)):
+            if action == "partition" and not group:
+                raise ValueError(f"{name}: partition needs non-empty group_a and group_b")
+            if action != "partition" and group:
+                raise ValueError(f"{name}: {action} takes no groups")
+        if self.group_a & self.group_b:
+            raise ValueError("group_b: partition groups must be disjoint")
 
     def describe(self) -> str:
         if self.action in ("crash", "recover"):
@@ -257,10 +281,7 @@ class Simulator:
 
     def can_communicate(self, a: str, b: str) -> bool:
         """True when no active partition separates the two nodes."""
-        for group_a, group_b in self._partitions:
-            if (a in group_a and b in group_b) or (a in group_b and b in group_a):
-                return False
-        return True
+        return b not in _partitioned_from(a, self._partitions)
 
     # -- scheduling -----------------------------------------------------
 
@@ -495,10 +516,8 @@ class Simulator:
             self._crashed.discard(action.node)  # type: ignore[arg-type]
         elif action.action == "partition":
             self._partitions.append((action.group_a, action.group_b))
-        elif action.action == "heal":
+        else:  # heal
             self._partitions.clear()
-        else:  # validated at load; defensive
-            raise ValueError(f"unknown fault action {action.action!r}")
         crashed, partitions = self._crashed, self._partitions
         self._unreachable = _Unreachable(crashed, partitions) if crashed or partitions else None
         self.exact = False
@@ -526,24 +545,25 @@ class _Unreachable(dict):
         self._partitions = tuple(partitions)
 
     def __missing__(self, src: str) -> frozenset[str]:
-        blocked = self._crashed
-        for group_a, group_b in self._partitions:
-            if src in group_a:
-                blocked |= group_b
-            if src in group_b:
-                blocked |= group_a
+        blocked = self._crashed | _partitioned_from(src, self._partitions)
         self[src] = blocked
         return blocked
 
 
-def _node_problem(action: FaultAction, topology: Topology) -> str | None:
-    """What is wrong with the nodes ``action`` names, or None if the topology has them all.
+def _partitioned_from(src: str, partitions: Iterable[tuple[frozenset[str], frozenset[str]]]
+                      ) -> frozenset[str]:
+    """The nodes the partitions cut ``src`` off from: the opposite group of each one it is in."""
+    cut_off: frozenset[str] = frozenset()
+    for group_a, group_b in partitions:
+        if src in group_a:
+            cut_off |= group_b
+        elif src in group_b:
+            cut_off |= group_a
+    return cut_off
 
-    A crash or recover with no node is refused too: it would put ``None``, the
-    node of every harness timer, in the crashed set.
-    """
-    if action.node is None and action.action in ("crash", "recover"):
-        return f"{action.action} names no node"
+
+def _node_problem(action: FaultAction, topology: Topology) -> str | None:
+    """The first node ``action`` names that the topology lacks, as an error, else None."""
     nodes = [] if action.node is None else [action.node]
     for nid in nodes + sorted(action.group_a | action.group_b):
         if nid not in topology.nodes:
@@ -553,10 +573,7 @@ def _node_problem(action: FaultAction, topology: Topology) -> str | None:
 
 def check_fault_nodes(fault_script: Sequence[FaultAction], topology: Topology,
                       source: str) -> None:
-    """Raise a ConfigError naming ``source`` for the first action with a node problem.
-
-    That is a node the topology lacks, or a crash or recover that names none.
-    """
+    """Raise a ConfigError naming ``source`` if an action names a node the topology lacks."""
     for action in fault_script:
         problem = _node_problem(action, topology)
         if problem is not None:
@@ -564,41 +581,28 @@ def check_fault_nodes(fault_script: Sequence[FaultAction], topology: Topology,
 
 
 def fault_script_from_dict(data: dict, source: str = "<dict>") -> list[FaultAction]:
-    """Build a fault script from the JSON document structure."""
+    """Build a fault script from JSON: one :class:`FaultAction` per event, times non-decreasing."""
     if not isinstance(data, dict):
         raise ConfigError(source, "fault script document must be a JSON object")
     actions: list[FaultAction] = []
-    last_at = 0.0
     for i, raw in enumerate(expect(data.get("events", []), list, source, "events")):
         where = f"events[{i}]"
         with element(source, where):
             at_ms = number(raw["at_ms"], source, f"{where}.at_ms")
             kind = string(raw["action"], source, f"{where}.action")
-        if not (math.isfinite(at_ms) and at_ms >= 0):
-            raise ConfigError(source, f"{where}.at_ms: must be finite and >= 0")
-        if at_ms < last_at:
-            raise ConfigError(source, f"{where}.at_ms: times must be non-decreasing")
-        last_at = at_ms
-        if kind in ("crash", "recover"):
-            if "node" not in raw:
-                raise ConfigError(source, f"{where}: {kind} needs a 'node'")
-            node = string(raw["node"], source, f"{where}.node")
-            actions.append(FaultAction(at_ms=at_ms, action=kind, node=node))
-        elif kind == "partition":
+            node = None if "node" not in raw else string(raw["node"], source, f"{where}.node")
             group_a, group_b = (
                 frozenset(string(nid, source, f"{where}.{name}[{j}]") for j, nid in
                           enumerate(expect(raw.get(name, []), list, source, f"{where}.{name}")))
                 for name in ("group_a", "group_b")
             )
-            if not group_a or not group_b:
-                raise ConfigError(source, f"{where}: partition needs non-empty group_a and group_b")
-            if group_a & group_b:
-                raise ConfigError(source, f"{where}: partition groups must be disjoint")
-            actions.append(FaultAction(at_ms=at_ms, action=kind, group_a=group_a, group_b=group_b))
-        elif kind == "heal":
-            actions.append(FaultAction(at_ms=at_ms, action=kind))
-        else:
-            raise ConfigError(source, f"{where}.action: unknown action {kind!r}")
+        try:
+            action = FaultAction(at_ms, kind, node, group_a, group_b)
+        except ValueError as exc:
+            raise ConfigError(source, f"{where}.{exc}") from None
+        if actions and at_ms < actions[-1].at_ms:
+            raise ConfigError(source, f"{where}.at_ms: times must be non-decreasing")
+        actions.append(action)
     return actions
 
 

@@ -74,11 +74,12 @@ class Link:
 class Topology:
     """Immutable node/link graph with precomputed shortest-path latencies.
 
-    Because nothing changes after construction, ``nearest_node`` and
-    ``storage_by_latency`` memoize their answers per instance, and
-    ``placements`` holds :func:`~fogstore_sim.placement.place_replicas`'
-    choices by (anchor, replica count). ``longest_round_trip_ms`` is the
-    longest trip between two nodes and back, service times included.
+    Because nothing changes after construction, ``nearest_node`` memoizes
+    its answers per instance, and ``placements`` holds
+    :func:`~fogstore_sim.placement.place_replicas`' choices by (anchor,
+    replica count); ``storage_by_latency`` sorts anew on each call.
+    ``longest_round_trip_ms`` is the longest trip between two nodes and
+    back, service times included.
 
     Raises :class:`TopologyError` subclasses on construction when ids are
     duplicated, links dangle, latencies are nonpositive, the graph is
@@ -146,7 +147,6 @@ class Topology:
             raise NoStorageNodesError("topology has no storage nodes")
         self._node_ids: tuple[str, ...] = tuple(sorted(self.nodes))
         self._nearest: dict[tuple[float, float, bool], str] = {}
-        self._by_latency: dict[str, tuple[str, ...]] = {}
         # (anchor, replica count) -> (replica ids, degraded), filled by placement
         self.placements: dict[tuple[str, int], tuple[tuple[str, ...], bool]] = {}
 
@@ -180,13 +180,9 @@ class Topology:
 
     def storage_by_latency(self, anchor: str) -> tuple[str, ...]:
         """Storage ids other than ``anchor``, lowest latency from it first; ties on id."""
-        order = self._by_latency.get(anchor)
-        if order is None:
-            self.node(anchor)  # an unknown anchor raises UnknownNodeError
-            order = tuple(sorted((nid for nid in self.storage_ids if nid != anchor),
-                                 key=lambda nid: (self.latency_ms(anchor, nid), nid)))
-            self._by_latency[anchor] = order
-        return order
+        self.node(anchor)  # an unknown anchor raises UnknownNodeError
+        return tuple(sorted((nid for nid in self.storage_ids if nid != anchor),
+                            key=lambda nid: (self.latency_ms(anchor, nid), nid)))
 
     def to_dict(self) -> dict:
         return {

@@ -1,5 +1,6 @@
 import heapq
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -492,13 +493,75 @@ class TestFaults:
     def test_crash_or_recover_with_no_node_rejected(self, action):
         # A scripted crash with no node used to crash None, the node of every
         # harness timer, so each of them was dropped instead of fired.
-        with pytest.raises(ConfigError, match=f"{action} names no node"):
-            Simulator(pair_topology(), fault_script=[FaultAction(0.0, action)])
+        with pytest.raises(ValueError, match=f"^node: {action} names no node"):
+            FaultAction(0.0, action)
         sim = Simulator(pair_topology())
-        with pytest.raises(UnknownNodeError, match=f"{action} names no node"):
-            sim.apply_fault(FaultAction(0.0, action))
         sim.set_timer(None, 1.0, "harness")
         assert sim.run_until_quiescent().timers_fired == 1
+
+    @pytest.mark.parametrize("fields,at_fault", [
+        ({"action": "partition", "group_a": frozenset({"a"}), "group_b": frozenset({"a", "b"})},
+         "group_b"),
+        ({"action": "partition"}, "group_a"),
+        ({"action": "partition", "group_a": frozenset({"a"})}, "group_b"),
+        ({"action": "partition", "node": "a", "group_a": frozenset({"a"}),
+          "group_b": frozenset({"b"})}, "node"),
+        ({"at_ms": 5.0, "action": "explode"}, "action"),
+        ({"at_ms": math.nan, "action": "crash", "node": "b"}, "at_ms"),
+        ({"at_ms": math.inf, "action": "heal"}, "at_ms"),
+        ({"at_ms": -5.0, "action": "crash", "node": "b"}, "at_ms"),
+        ({"at_ms": -4.0, "action": "heal"}, "at_ms"),
+        ({"action": "heal", "node": "a"}, "node"),
+        ({"action": "heal", "group_b": frozenset({"b"})}, "group_b"),
+        ({"action": "crash", "node": "a", "group_a": frozenset({"b"})}, "group_a"),
+        ({"action": "recover", "node": "a", "group_b": frozenset({"b"})}, "group_b"),
+    ], ids=["overlapping groups", "no groups", "no group_b", "partition naming a node",
+            "unknown action", "nan time", "infinite time", "negative crash", "negative heal",
+            "heal naming a node", "heal with a group", "crash with a group",
+            "recover with a group"])
+    def test_an_invalid_fault_is_refused_when_built(self, fields, at_fault):
+        # Only the script loader used to refuse these. Built directly, each was
+        # taken: overlapping groups cut a off from itself, a partition of no
+        # groups ended exactness, an unknown action raised only when it fired
+        # mid-run, a NaN time traced as "nan" ahead of earlier events, negative
+        # times ran the clock backwards, and stray nodes or groups were ignored.
+        with pytest.raises(ValueError) as err:
+            FaultAction(**{"at_ms": 0.0, **fields})
+        assert str(err.value).startswith(f"{at_fault}: ")
+
+    def test_the_loader_accepts_exactly_the_faults_a_direct_build_accepts(self):
+        # The loader only reads JSON and builds each action, so it accepts what
+        # FaultAction accepts, builds an equal action, and reports a refusal as
+        # FaultAction's error under the event's path.
+        rng = random.Random(50)
+        groups = {"group_a": [[], ["a"], ["a", "b"], ["c"]],
+                  "group_b": [[], ["b"], ["c"], ["b", "c"], ["a"]]}
+        seen = Counter()
+        for _ in range(500):
+            kind = rng.choice(["crash", "recover", "partition", "partition", "heal", "explode"])
+            raw = {"at_ms": rng.choice([0, 1, 2.5, 7, 10, -0.0, -1, math.nan, math.inf]),
+                   "action": kind}
+            # Mostly the fields the action takes, sometimes one too few or too many.
+            if (kind in ("crash", "recover")) != (rng.random() < 0.15):
+                raw["node"] = rng.choice(["a", "b"])
+            for name, choices in groups.items():
+                if (kind == "partition") != (rng.random() < 0.15):
+                    raw[name] = rng.choice(choices)
+            try:
+                direct = FaultAction(float(raw["at_ms"]), raw["action"], raw.get("node"),
+                                     frozenset(raw.get("group_a", ())),
+                                     frozenset(raw.get("group_b", ())))
+            except ValueError as exc:
+                with pytest.raises(ConfigError) as err:
+                    fault_script_from_dict({"events": [raw]})
+                assert err.value.detail == f"events[0].{exc}", raw
+                seen[str(exc).split(":")[0]] += 1
+            else:
+                assert fault_script_from_dict({"events": [raw]}) == [direct], raw
+                seen[direct.action] += 1
+        # Every action is accepted, and every field is the one at fault, several times.
+        assert min(seen[name] for name in ("crash", "recover", "partition", "heal", "at_ms",
+                                            "action", "node", "group_a", "group_b")) >= 5, seen
 
     @pytest.mark.parametrize("action", [
         FaultAction(0.0, "crash", node="ghost"),
@@ -607,10 +670,14 @@ class TestDeterminism:
                                 fixed_write_level=ConsistencyLevel.QUORUM,
                                 open_loop_interval_ms=400.0)
         trace = []
-        output = run_single(build_star_topology((4, 5, 6, 7, 8)), workload,
-                            trace_sink=trace.append, jitter_ms=1.0)
+        topo = build_star_topology((4, 5, 6, 7, 8))
+        sim = Simulator(topo, trace=trace.append, jitter_ms=1.0)
+        cluster = Cluster(topo, sim, fixed_read_level=workload.fixed_read_level,
+                          fixed_write_level=workload.fixed_write_level)
+        run_queries(cluster, generate_ops(workload),
+                    open_loop_interval_ms=workload.open_loop_interval_ms)
         times = [line.split(",", 1)[0] for line in trace]
-        assert float(times[-1]) == output.cluster.sim.report.end_ms > 119_000.0
+        assert float(times[-1]) == sim.report.end_ms > 119_000.0
         assert [t for t in times if "e" in t] == []
 
 

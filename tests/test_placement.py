@@ -142,7 +142,7 @@ class TestAnchorOrder:
                 fresh = sorted((nid for nid in topo.storage_ids if nid != anchor),
                                key=lambda nid: (topo.latency_ms(anchor, nid), nid))
                 assert topo.storage_by_latency(anchor) == tuple(fresh)
-                assert topo.storage_by_latency(anchor) == tuple(fresh)  # from the memo
+                assert topo.storage_by_latency(anchor) == tuple(fresh)  # sorted again
 
     def test_placements_reused_per_anchor_match_a_fresh_topology(self):
         rng = random.Random(99)

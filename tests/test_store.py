@@ -582,22 +582,25 @@ class TestOpenLoopDriver:
                                 read_fraction=0.7, fixed_read_level=QUORUM,
                                 fixed_write_level=QUORUM, open_loop_interval_ms=2.0, seed=3)
         trace = []
-        output = run_single(build_star_topology((4, 5, 6, 7, 8)), workload, timeout_ms=50.0,
-                            fault_script=faults, trace_sink=trace.append)
+        topo = build_star_topology((4, 5, 6, 7, 8))
+        cluster = Cluster(topo, Simulator(topo, fault_script=faults, trace=trace.append),
+                          fixed_read_level=QUORUM, fixed_write_level=QUORUM, timeout_ms=50.0)
+        results = run_queries(cluster, generate_ops(workload), open_loop_interval_ms=2.0)
         fired = Counter(line.split(",")[5].split()[0] for line in trace
                         if line.split(",")[2] == "timer")
         assert fired["Arrival"] == 400
         assert fired["OpTimeout"] > 0 and fired["ClientTimeout"] > 0
-        assert len(output.results) == 400
-        assert len({id(query) for query, _ in output.results}) == 400
-        assert output.error_counts["timeout"] == fired["OpTimeout"] + fired["ClientTimeout"]
+        assert len(results) == 400
+        assert len({id(query) for query, _ in results}) == 400
+        timeouts = sum(r.status == "error" and r.error == "timeout" for _, r in results)
+        assert timeouts == fired["OpTimeout"] + fired["ClientTimeout"]
         # At most one answer per op, delivered or dropped: at rf 5 every waited
         # op also gets late acks and read responses, which must be ignored.
         answers = Counter(re.search(r"QueryResp op=(\d+)", line)[1] for line in trace
                           if line.split(",")[2] in ("message", "drop") and "QueryResp" in line)
         assert answers and max(answers.values()) == 1
-        assert output.cluster._pending == {}
-        assert output.cluster._client_ops == {}
+        assert cluster._pending == {}
+        assert cluster._client_ops == {}
 
     def test_shared_latencies_stop_at_the_cap(self):
         topo = build_star_topology((4, 5, 6, 7, 8))
