@@ -179,7 +179,12 @@ class FaultAction:
             raise ValueError(f"node: {action} names no node")
         if not names_node and self.node is not None:
             raise ValueError(f"node: {action} takes no node")
-        for name, group in (("group_a", self.group_a), ("group_b", self.group_b)):
+        for name in ("group_a", "group_b"):
+            group = getattr(self, name)
+            if isinstance(group, str):  # frozenset() would split it into letters
+                raise ValueError(f"{name}: must be a collection of node ids (got {group!r})")
+            group = frozenset(group)  # a copy: the caller's set may change later
+            object.__setattr__(self, name, group)
             if action == "partition" and not group:
                 raise ValueError(f"{name}: partition needs non-empty group_a and group_b")
             if action != "partition" and group:

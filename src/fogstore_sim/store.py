@@ -27,11 +27,12 @@ level): the acks the level requires, the reply its own replica gives at once
 (if it holds one), and the replicas it asks for the rest. An exact simulator
 (:attr:`~fogstore_sim.netsim.Simulator.exact`: no faults, no jitter)
 delivers every message after its pair's fixed delay, so the coordinator
-knows at send time which replies come first, and the plan asks only those: a
-read sends them alone a request; a write still goes to every replica, for
-convergence, but only they ack it, and none do for an op answered at once.
-Where rounding could reorder those replies, the plan asks every replica, as
-any other run does. On a topology whose longest round trip is under half of
+knows at send time which replies can count: of an op that waits for ``n``,
+those whose round trip is at most :data:`_ROUND_TRIP_MARGIN_MS` past the
+``n``-th shortest, so a tie at that cut widens the set. The plan asks only
+them: a read sends them alone a request; a write still goes to every replica,
+for convergence, but only they ack it, and none do for an op answered at once.
+On a topology whose longest round trip is under half of
 :data:`CLIENT_TIMEOUT_SLACK_MS`, every reply, even a timeout, comes before
 any client deadline could fire, so an exact run there sets none: an op in
 flight is a bare :class:`ClientTimeout` record. Every result equals the one
@@ -501,16 +502,13 @@ class Cluster:
 
         It is ``(required, count, asked)``, or ``None`` for a level that needs
         more acks than there are replicas. ``count`` is 1 if the coordinator
-        holds a replica. In an exact run, ``asked`` are the other replicas whose
-        ``required - count`` replies reach it first, in replica-map order; in
-        any other, ``replica_ids``. Each reply comes one fixed round trip after
-        its request, and equal hop pairs deliver in request order, so replicas
-        rank by round trip, ties in map order. The cut after the ``n``-th holds
-        only if each replica before it has the same hop pair as, or a round trip
-        more than :data:`_ROUND_TRIP_MARGIN_MS` shorter than, each one after it;
-        else rounding or a split such as 3 + 5 against 5 + 3 ms could reorder
-        them, and every other replica is asked. Memoized in
-        ``_plans[node][replica_ids][level]``, which the coordinator reads first.
+        holds a replica. ``asked`` is ``replica_ids``, except in an exact run,
+        where each reply comes one fixed round trip after its request: there it
+        is every other replica, in map order, whose round trip is at most
+        :data:`_ROUND_TRIP_MARGIN_MS` past the ``n``-th shortest, ``n`` being
+        ``required - count`` (none if it is 0). Any other reply comes after ``n``
+        of theirs, whatever the rounding; a tie at the cut widens the set. Memoized
+        in ``_plans[node][replica_ids][level]``, which the coordinator reads first.
         """
         try:
             required = required_acks(level, len(replica_ids))
@@ -521,18 +519,12 @@ class Cluster:
             asked = replica_ids
             if self.sim.exact:
                 n = required - count
-                others = tuple(r for r in replica_ids if r != node)
                 asked = ()  # answered at once: no one to ask
                 if n:
                     delay = self.sim.delay_ms
-                    hops = {r: (delay(node, r), delay(r, node)) for r in others}
-                    trip = {r: out + back for r, (out, back) in hops.items()}
-                    ranked = sorted(others, key=trip.__getitem__)  # stable: ties keep map order
-                    first, rest = ranked[:n], ranked[n:]
-                    asked = others
-                    if all(trip[u] - trip[a] > _ROUND_TRIP_MARGIN_MS or hops[u] == hops[a]
-                           for a in first for u in rest):
-                        asked = tuple(r for r in others if r in first)
+                    trip = {r: delay(node, r) + delay(r, node) for r in replica_ids if r != node}
+                    nth = sorted(trip.values())[n - 1]
+                    asked = tuple(r for r, t in trip.items() if t - nth <= _ROUND_TRIP_MARGIN_MS)
             plan = (required, count, asked)
         self._plans.setdefault(node, {}).setdefault(replica_ids, {})[level] = plan
         return plan

@@ -515,10 +515,11 @@ class TestFaults:
         ({"action": "heal", "group_b": frozenset({"b"})}, "group_b"),
         ({"action": "crash", "node": "a", "group_a": frozenset({"b"})}, "group_a"),
         ({"action": "recover", "node": "a", "group_b": frozenset({"b"})}, "group_b"),
+        ({"action": "partition", "group_a": "a", "group_b": frozenset({"b"})}, "group_a"),
     ], ids=["overlapping groups", "no groups", "no group_b", "partition naming a node",
             "unknown action", "nan time", "infinite time", "negative crash", "negative heal",
             "heal naming a node", "heal with a group", "crash with a group",
-            "recover with a group"])
+            "recover with a group", "string group"])
     def test_an_invalid_fault_is_refused_when_built(self, fields, at_fault):
         # Only the script loader used to refuse these. Built directly, each was
         # taken: overlapping groups cut a off from itself, a partition of no
@@ -528,6 +529,21 @@ class TestFaults:
         with pytest.raises(ValueError) as err:
             FaultAction(**{"at_ms": 0.0, **fields})
         assert str(err.value).startswith(f"{at_fault}: ")
+
+    def test_a_fault_keeps_the_groups_it_was_given(self):
+        # A fault used to keep the caller's sets: one changed after the build
+        # cut a off from itself, the fault could not be hashed, and list
+        # groups failed the disjointness check.
+        group_b = {"b"}
+        fault = FaultAction(0.0, "partition", group_a={"a"}, group_b=group_b)
+        group_b.add("a")
+        assert fault.group_b == frozenset({"b"})
+        sim = Simulator(pair_topology())
+        sim.apply_fault(fault)
+        assert sim.can_communicate("a", "a") and not sim.can_communicate("a", "b")
+        built = FaultAction(0.0, "partition", group_a=["a"], group_b=["b"])
+        assert built == fault and hash(built) == hash(fault)
+        assert type(built.group_a) is type(built.group_b) is frozenset
 
     def test_the_loader_accepts_exactly_the_faults_a_direct_build_accepts(self):
         # The loader only reads JSON and builds each action, so it accepts what
