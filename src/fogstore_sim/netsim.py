@@ -65,13 +65,13 @@ a timer and its payload are built only when the one before it is popped.
 The series' next timer is always in the heap, and nothing behind it is in
 memory.
 
-Message delays come from one per-simulator table, nested by source
-(``table[src][dst]``), so a lookup builds no pair key; a pair's entry is
-filled on its first message. An entry holds latency + service, the sum the
-topology and the destination's service time give, so delivery times are
-unchanged. With jitter on, an entry holds the bare latency instead, and a
-delay is ``max(0, latency ± jitter) + service``, where only a node with a
-service time adds one.
+A message's latency is read from the topology's shortest-path rows
+(``topology.latency_rows[src][dst]``), held by reference, not copied. The
+pair is looked up first, so an unknown endpoint raises
+:class:`UnknownNodeError` whether or not a fault is active. A delay is
+``max(0, latency ± jitter) + service(dst)``, where only a node with a
+service time adds one; with neither jitter nor a service time, a send skips
+both in one test.
 
 A simulator with no fault script and no jitter is :attr:`Simulator.exact`
 until a fault is applied: every message then arrives exactly
@@ -259,8 +259,9 @@ class Simulator:
         # Only the nodes that have a service time.
         self._service_ms = {nid: node.service_ms for nid, node in topology.nodes.items()
                             if node.service_ms}
-        # src -> dst -> latency + service, or the bare latency with jitter on
-        self._delay_ms: dict[str, dict[str, float]] = {}
+        # A delay is more than the bare latency: jitter is on or a node has a service time.
+        self._adjusted = jitter_ms > 0.0 or bool(self._service_ms)
+        self._latency = topology.latency_rows  # the topology's rows, not a copy
         self.report = SimReport()
         # No fault can apply and no jitter moves a delay.
         self.exact = not fault_script and jitter_ms == 0.0
@@ -275,9 +276,10 @@ class Simulator:
         if self._jitter_ms:
             raise ValueError("a jittered simulator has no fixed delay")
         try:
-            return self._delay_ms[src][dst]
-        except KeyError:
-            return self._first_delay(src, dst)
+            latency = self._latency[src][dst]
+        except KeyError:  # an unknown node: the topology's lookup raises, naming it
+            latency = self.topology.latency_ms(src, dst)
+        return latency + self._service_ms.get(dst, 0.0)
 
     # -- fault state ----------------------------------------------------
 
@@ -291,39 +293,34 @@ class Simulator:
     # -- scheduling -----------------------------------------------------
 
     def schedule_message(self, src: str, dst: str, payload: object) -> None:
-        """Enqueue delivery of ``payload`` at now + latency(src, dst).
+        """Enqueue delivery of ``payload`` at now + its delay (latency, jitter, service).
 
-        Silently drops the message when either endpoint is crashed or a
-        partition separates them; drops are semantics here, not errors.
-        With no node crashed and no partition active, nothing can block it.
+        An endpoint the topology lacks raises :class:`UnknownNodeError`.
+        Silently drops the message, drawing no jitter, when either endpoint
+        is crashed or a partition separates them; drops are semantics here,
+        not errors. With no node crashed and no partition active, nothing
+        can block it.
         """
+        try:
+            delay = self._latency[src][dst]
+        except KeyError:  # an unknown node: the topology's lookup raises, naming it
+            delay = self.topology.latency_ms(src, dst)
         unreachable = self._unreachable
         if unreachable is not None and (src in self._crashed or dst in unreachable[src]):
             self._drop(src, dst, payload, "blocked at send")
             return
-        jitter = self._jitter_ms
-        try:
-            delay = self._delay_ms[src][dst]
-        except KeyError:
-            delay = self._first_delay(src, dst)
-        if jitter > 0.0:
-            # max(0.0, delay + random.uniform(-jitter, jitter)), inlined: the same floats
-            delay += -jitter + self._jitter_span * self._jitter_random()
-            if not delay > 0.0:
-                delay = 0.0
+        if self._adjusted:
+            jitter = self._jitter_ms
+            if jitter > 0.0:
+                # max(0.0, delay + random.uniform(-jitter, jitter)), inlined: the same floats
+                delay += -jitter + self._jitter_span * self._jitter_random()
+                if not delay > 0.0:
+                    delay = 0.0
             if dst in self._service_ms:
                 delay += self._service_ms[dst]
         seq = self._seq
         self._seq = seq + 1
         heappush(self._queue, (self.now + delay, seq, src, dst, payload))
-
-    def _first_delay(self, src: str, dst: str) -> float:
-        """Fill the pair's table entry; an unknown node raises here."""
-        delay = self.topology.latency_ms(src, dst)
-        if self._jitter_ms == 0.0:
-            delay += self._service_ms.get(dst, 0.0)
-        self._delay_ms.setdefault(src, {})[dst] = delay
-        return delay
 
     def set_timer(self, node_id: str | None, delay_ms: float, payload: object) -> SimEvent:
         """Schedule a timer payload for ``node_id`` after ``delay_ms``; return its event.

@@ -1,8 +1,9 @@
 """Fog continuum model: nodes, failure groups, weighted links, geometry.
 
 A topology is immutable once constructed. All-pairs network latency is
-precomputed at load time, so lookups during a simulation are O(1) and the
-loader can reject disconnected graphs up front.
+precomputed at load time, one row per source (``latency_rows[src][dst]``),
+so the loader can reject disconnected graphs up front. Those rows are the
+only table of pair latencies: a simulator reads them too, never a copy.
 
 Two distance notions coexist and are deliberately kept apart:
 
@@ -77,7 +78,7 @@ class Topology:
     Because nothing changes after construction, ``nearest_node`` memoizes
     its answers per instance, and ``placements`` holds
     :func:`~fogstore_sim.placement.place_replicas`' choices by (anchor,
-    replica count); ``storage_by_latency`` sorts anew on each call.
+    replica count); ``storage_by_latency`` sorts the anchor's row anew.
     ``longest_round_trip_ms`` is the longest trip between two nodes and
     back, service times included.
 
@@ -119,27 +120,28 @@ class Topology:
             adjacency[link.endpoint_b][link.endpoint_a] = link.latency_ms
         self.links: tuple[Link, ...] = tuple(link_list)
 
-        self._latency: dict[str, dict[str, float]] = {
+        # src -> dst -> shortest-path latency, 0.0 from a node to itself; read only
+        self.latency_rows: dict[str, dict[str, float]] = {
             src: _dijkstra(adjacency, src) for src in adjacency
         }
         first = next(iter(adjacency))
-        if len(self._latency[first]) < len(adjacency):
-            missing = sorted(nid for nid in adjacency if nid not in self._latency[first])
+        if len(self.latency_rows[first]) < len(adjacency):
+            missing = sorted(nid for nid in adjacency if nid not in self.latency_rows[first])
             raise UnreachableError(
                 f"topology is disconnected: nodes {missing} cannot be reached from {first!r}")
 
         # Summation order varies with the Dijkstra source, which can skew the
         # two directions by float epsilons; mirror one triangle so the metric
         # is exactly symmetric.
-        for a in self._latency:
-            for b, value in self._latency[a].items():
+        for a, row in self.latency_rows.items():
+            for b, value in row.items():
                 if a < b:
-                    self._latency[b][a] = value
+                    self.latency_rows[b][a] = value
         # A message's delay is its latency plus the destination's service time.
         service = {nid: node.service_ms for nid, node in self.nodes.items()}
         self.longest_round_trip_ms: float = max(
             service[a] + max(latency + latency + service[b] for b, latency in row.items())
-            for a, row in self._latency.items())
+            for a, row in self.latency_rows.items())
         self.storage_ids: tuple[str, ...] = tuple(
             sorted(nid for nid, n in self.nodes.items() if n.is_storage)
         )
@@ -157,13 +159,11 @@ class Topology:
             raise UnknownNodeError(f"unknown node {node_id!r}") from None
 
     def latency_ms(self, a: str, b: str) -> float:
-        if a not in self.nodes:
-            raise UnknownNodeError(f"unknown node {a!r}")
-        if b not in self.nodes:
-            raise UnknownNodeError(f"unknown node {b!r}")
-        if a == b:
-            return 0.0
-        return self._latency[a][b]
+        """Shortest-path latency from ``a`` to ``b``; an unknown node raises UnknownNodeError."""
+        try:
+            return self.latency_rows[a][b]
+        except KeyError:
+            raise UnknownNodeError(f"unknown node {b if a in self.nodes else a!r}") from None
 
     def nearest_node(self, location: Coord, storage_only: bool = False) -> str:
         """Node id geographically closest to ``location``; ties break on id."""
@@ -181,8 +181,9 @@ class Topology:
     def storage_by_latency(self, anchor: str) -> tuple[str, ...]:
         """Storage ids other than ``anchor``, lowest latency from it first; ties on id."""
         self.node(anchor)  # an unknown anchor raises UnknownNodeError
+        row = self.latency_rows[anchor]
         return tuple(sorted((nid for nid in self.storage_ids if nid != anchor),
-                            key=lambda nid: (self.latency_ms(anchor, nid), nid)))
+                            key=lambda nid: (row[nid], nid)))
 
     def to_dict(self) -> dict:
         return {
@@ -211,9 +212,9 @@ def _dijkstra(adjacency: dict[str, dict[str, float]], source: str) -> dict[str, 
     bit for bit.
     """
     dist: dict[str, float] = {}
-    seen = {source: 0}
+    seen = {source: 0.0}
     tie = count()
-    fringe = [(0, next(tie), source)]
+    fringe = [(0.0, next(tie), source)]
     while fringe:
         d, _, node = heapq.heappop(fringe)
         if node in dist:

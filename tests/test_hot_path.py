@@ -3,7 +3,8 @@
 A sweep cell runs 10k ops at fixed levels, so per-op work whose answer
 cannot change within a cell shows up in every cell. ``Cluster.__init__``
 itself iterates ``ConsistencyLevel``; only ``run_queries`` is watched.
-Nor may a message cost an event object: only timers have one.
+Nor may a message cost an event object: only timers have one. Nor a
+``Topology.latency_ms`` call: every delay is read from the topology's rows.
 """
 
 import enum
@@ -17,6 +18,7 @@ from fogstore_sim.consistency import ConsistencyLevel, get_region
 from fogstore_sim.experiment import PAPER_LATENCY_SETTINGS, build_star_topology, run_queries
 from fogstore_sim.netsim import SimEvent, Simulator
 from fogstore_sim.store import Cluster
+from fogstore_sim.topology import Topology
 from fogstore_sim.workload import WorkloadClient, WorkloadSpec, generate_ops
 
 from conftest import INEXACT, STAR_CLIENT
@@ -27,43 +29,39 @@ ALL = ConsistencyLevel.ALL
 
 
 def profiled_run(cluster, queries, interval_ms):
-    """Run the queries under ``sys.setprofile``: calls per (file, function),
-    and each ``(src, dst)`` pair whose delay the simulator filled in."""
+    """Run the queries under ``sys.setprofile``: calls per code object."""
     calls: Counter = Counter()
-    fills = []
-    first_delay = Simulator._first_delay.__code__
 
     def profile(frame, event, arg):
         if event == "call":
-            code = frame.f_code
-            calls[code.co_filename, code.co_name] += 1
-            if code is first_delay:
-                fills.append((frame.f_locals["src"], frame.f_locals["dst"]))
+            calls[frame.f_code] += 1
 
     sys.setprofile(profile)
     try:
         results = run_queries(cluster, queries, open_loop_interval_ms=interval_ms)
     finally:
         sys.setprofile(None)
-    return results, calls, fills
+    return results, calls
 
 
 @pytest.mark.parametrize("interval_ms", [None, 0.5], ids=["closed", "open-0.5"])
 @pytest.mark.parametrize("levels", [(ONE, ONE), (QUORUM, ALL)], ids=["ONE/ONE", "QUORUM/ALL"])
-def test_a_fixed_level_op_runs_no_enum_code_no_region_match_and_fills_each_delay_once(
+def test_a_fixed_level_op_runs_no_enum_code_no_region_match_and_no_latency_lookup(
         levels, interval_ms):
     topo = build_star_topology(PAPER_LATENCY_SETTINGS["low"])
     cluster = Cluster(topo, Simulator(topo), fixed_read_level=levels[0],
                       fixed_write_level=levels[1])
     queries = generate_ops(WorkloadSpec(op_count=2_000, seed=3,
                                         clients=(WorkloadClient("c1", STAR_CLIENT),)))
-    results, calls, fills = profiled_run(cluster, queries, interval_ms)
+    results, calls = profiled_run(cluster, queries, interval_ms)
 
     assert len(results) == len(queries)
     assert {r.level_used for q, r in results if r.status != "error"} <= set(levels)
-    assert [name for (path, name) in calls if path == enum.__file__] == []
-    assert calls[get_region.__code__.co_filename, get_region.__name__] == 0
-    assert len(fills) == len(set(fills)) > 0
+    assert [code.co_name for code in calls if code.co_filename == enum.__file__] == []
+    assert calls[get_region.__code__] == 0
+    # Messages were sent, each on a delay read from the topology's rows.
+    assert calls[Simulator.schedule_message.__code__] > 0
+    assert calls[Topology.latency_ms.__code__] == 0
 
 
 @pytest.mark.parametrize("interval_ms", [None, 0.5], ids=["closed", "open-0.5"])

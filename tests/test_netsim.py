@@ -97,15 +97,26 @@ class TestDelivery:
         with pytest.raises(ValueError, match="NaN"):
             run_single(topo, workload, budget_ms=float("nan"))
 
+    @pytest.mark.parametrize("fault", [
+        None,
+        FaultAction(0.0, "crash", node="fog-1"),
+        FaultAction(0.0, "partition", group_a={"fog-1"}, group_b={"fog-2"}),
+    ], ids=["no-fault", "crash", "partition"])
     @pytest.mark.parametrize("jitter_ms", [0.0, 1.0])
     @pytest.mark.parametrize("src, dst", [("fog-1", "nope"), ("nope", "fog-1")])
-    def test_unknown_endpoint_raises_unknown_node_error(self, src, dst, jitter_ms):
+    def test_unknown_endpoint_raises_unknown_node_error(self, src, dst, jitter_ms, fault):
+        # Under a fault, too: an unknown node is an error, not a silent drop.
         sim = Simulator(build_star_topology((4, 5, 6, 7, 8)), jitter_ms=jitter_ms)
-        sim.schedule_message("fog-1", "fog-2", "known pair first")
+        if fault is not None:
+            sim.apply_fault(fault)
+        sim.schedule_message("fog-2", "fog-3", "known pair first")
+        unreachable = dict(sim._unreachable or {})
         with pytest.raises(UnknownNodeError, match="unknown node 'nope'"):
             sim.schedule_message(src, dst, "x")
+        assert sim.report.messages_dropped == 0
+        assert dict(sim._unreachable or {}) == unreachable  # no node's set was filled
 
-    def test_jittered_delay_reads_each_pair_latency_once(self, monkeypatch):
+    def test_jittered_delay_reads_the_topology_rows_not_latency_ms(self, monkeypatch):
         topo = oracle_topology()  # c and d have service times
         calls = []
         latency_ms = Topology.latency_ms
@@ -117,7 +128,7 @@ class TestDelivery:
         for src, dst in pairs:
             sim.schedule_message(src, dst, (src, dst))
         sim.run_until_quiescent()
-        assert sorted(calls) == sorted(set(pairs))
+        assert calls == []  # every delay comes from the rows the topology built
         rng = random.Random(9)
         expected = [max(0.0, latency_ms(topo, src, dst) + rng.uniform(-1.5, 1.5))
                     + topo.nodes[dst].service_ms for src, dst in pairs]

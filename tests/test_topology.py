@@ -76,8 +76,13 @@ class TestNetworkLatency:
         assert topo.latency_ms("client", "s1") == 5.0
 
     def test_self_distance_zero(self):
-        topo = make_chain()
-        assert topo.latency_ms("x", "x") == 0.0
+        # A float 0.0 even where every link latency is an int.
+        int_links = Topology([FogNode("a", (0, 0), "g1"), FogNode("b", (10, 0), "g2")],
+                             [Link("a", "b", 2)])
+        for topo in (make_chain(), int_links):
+            for nid in topo.nodes:
+                got = topo.latency_ms(nid, nid)
+                assert (type(got), got) == (float, 0.0)
 
     def test_chain(self):
         topo = make_chain()
@@ -96,8 +101,9 @@ class TestNetworkLatency:
 
     def test_unknown_node(self):
         topo = make_chain()
-        with pytest.raises(UnknownNodeError):
-            topo.latency_ms("a", "nope")
+        for a, b in [("a", "nope"), ("nope", "a"), ("nope", "nope")]:
+            with pytest.raises(UnknownNodeError, match="unknown node 'nope'"):
+                topo.latency_ms(a, b)
 
     def test_storage_by_latency_unknown_anchor(self):
         with pytest.raises(UnknownNodeError):
