@@ -189,7 +189,7 @@ def _cmd_place(args: argparse.Namespace) -> int:
         raise ConfigError("--at", f"expected finite X,Y coordinates, got {args.at!r}") from None
     maps = [place_replicas(key, location, topology, args.rf) for key in args.keys]
     with _open_output(args.out) as out:
-        out.write("\n".join(placement_csv_rows(maps)) + "\n")
+        out.write("\n".join(placement_csv_rows(args.keys, maps)) + "\n")
     return 0
 
 

@@ -433,6 +433,7 @@ class Simulator:
                 at_ms, seq, src, dst, payload = entry
                 if at_ms > max_ms:
                     heappush(queue, entry)
+                    report.end_ms = self.now
                     raise BudgetExceededError(max_ms, at_ms, self._live_events())
                 self.now = at_ms
                 report.events_processed += 1
@@ -474,6 +475,7 @@ class Simulator:
                     continue
             if at_ms > max_ms:
                 heappush(queue, entry)  # on its own: a lane or series moved on without it
+                report.end_ms = self.now
                 raise BudgetExceededError(max_ms, at_ms, self._live_events())
             self.now = at_ms
             report.events_processed += 1

@@ -10,7 +10,8 @@ remaining slots fill in pure latency order; the result is then flagged
 availability.
 
 Ties anywhere break on the lexicographically smallest node id, so identical
-inputs always yield identical maps.
+inputs always yield identical maps; keys placed at one anchor and replica
+count share one.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ from .topology import Coord, Topology
 
 @dataclass(frozen=True)
 class ReplicaMap:
-    """Ordered replica set for one key; ``replica_ids[0]`` is the anchor.
+    """Ordered replica set; ``replica_ids[0]`` is the anchor.
 
     ``degraded`` is True when the failure-group constraint had to be
     relaxed because fewer distinct storage-bearing groups exist than
     replicas requested.
     """
 
-    key: str
     replica_ids: tuple[str, ...]
     degraded: bool = False
 
@@ -46,23 +46,22 @@ def place_replicas(
 ) -> ReplicaMap:
     """Choose replica nodes for ``key`` anchored near ``data_location``.
 
-    The choice depends only on the anchor and the replica count, so the
-    topology keeps it per pair and each call builds only the key's map.
+    This policy ignores ``key``: it returns the one map that ``topology``
+    keeps per (anchor, replica count), shared by every key placed there.
+    Other policies may place by key, hence the signature.
     """
     if replication_factor < 1:
         raise ValueError("replication_factor must be >= 1")
     anchor = topology.nearest_node(data_location, storage_only=True)
     target = min(replication_factor, len(topology.storage_ids))
-    try:
-        replica_ids, degraded = topology.placements[anchor, target]
-    except KeyError:
-        replica_ids, degraded = topology.placements[anchor, target] = _place(
-            topology, anchor, target)
-    return ReplicaMap(key, replica_ids, degraded)
+    rmap = topology.placements.get((anchor, target))
+    if rmap is None:
+        rmap = topology.placements[anchor, target] = _place(topology, anchor, target)
+    return rmap
 
 
-def _place(topology: Topology, anchor: str, target: int) -> tuple[tuple[str, ...], bool]:
-    """``target`` replicas from ``anchor`` on, and whether the group constraint was relaxed."""
+def _place(topology: Topology, anchor: str, target: int) -> ReplicaMap:
+    """``target`` replicas from ``anchor`` on."""
     chosen = [anchor]
     used_groups = {topology.node(anchor).failure_group_id}
     set_aside: list[str] = []
@@ -78,12 +77,12 @@ def _place(topology: Topology, anchor: str, target: int) -> tuple[tuple[str, ...
 
     degraded = len(chosen) < target
     chosen.extend(set_aside[:target - len(chosen)])
-    return tuple(chosen), degraded
+    return ReplicaMap(tuple(chosen), degraded)
 
 
-def placement_csv_rows(maps: list[ReplicaMap]) -> list[str]:
-    """Render replica maps as ``key,replica1,...,replicaN,degraded`` rows."""
+def placement_csv_rows(keys: list[str], maps: list[ReplicaMap]) -> list[str]:
+    """Render each key's replica map as a ``key,replica1,...,replicaN,degraded`` row."""
     return [
-        ",".join([m.key, *m.replica_ids, "degraded" if m.degraded else "ok"])
-        for m in maps
+        ",".join([key, *m.replica_ids, "degraded" if m.degraded else "ok"])
+        for key, m in zip(keys, maps, strict=True)
     ]

@@ -53,13 +53,13 @@ on completion); the drivers that issue queries and run the simulator live in
 through one table keyed by payload type: the wire messages below and three
 typed timers (:class:`OpTimeout`, :class:`ClientTimeout`, :class:`Arrival`).
 
-A version is a per-key counter issued by the control plane, a
-zero-latency global registry that also holds each key's replica map and
-current data location; each storage node keeps its records in a plain dict.
-One counter per key means no two writes of a key share a version. Real
-deployments would gossip or use synchronized clocks here; a shared registry
-keeps version order aligned with operation order, which makes last-write-wins
-resolution deterministic and exact at simulation scale.
+The control plane is a zero-latency global registry with one
+:class:`KeyState` per key: its replica ids, its current data location, its
+version counter and whether it is live. Each storage node keeps its records
+in a plain dict. One counter per key means no two writes of a key share a
+version. Real deployments would gossip or use synchronized clocks here; a
+shared registry keeps version order aligned with operation order, which makes
+last-write-wins resolution deterministic and exact at simulation scale.
 
 Deletes replicate a tombstone record (no value) that wins by version like
 any write; tombstones are never garbage collected since runs are finite.
@@ -83,7 +83,7 @@ from .consistency import (
     required_acks,
 )
 from .netsim import SimEvent, Simulator
-from .placement import ReplicaMap, place_replicas
+from .placement import place_replicas
 from .topology import Topology
 
 __all__ = [
@@ -93,6 +93,7 @@ __all__ = [
     "QueryResult",
     "Cluster",
     "ControlPlane",
+    "KeyState",
     "required_acks",
     "WriteReq",
     "WriteAck",
@@ -291,39 +292,29 @@ class Arrival:
         return f"Arrival {self.query.kind.value} key={self.query.key}"
 
 
-class ControlPlane:
-    """Zero-latency global registry of key metadata.
+@dataclass(slots=True)
+class KeyState:
+    """What the control plane knows of one key.
 
-    Holds the replica map and the current data location per key (the one
-    the latest write naming a location gave it), issues monotone per-key
-    version counters, and tracks liveness (created vs deleted) for
-    duplicate-create detection. Deliberately not a replicated component: it
-    stands in for the deployment's metadata service.
+    ``version`` is the last one issued, counted across a delete and a
+    re-create. ``live`` turns on when a CREATE is accepted, off when a
+    DELETE completes and on when any other write completes.
+    """
+
+    replica_ids: tuple[str, ...]
+    location: DataContext
+    version: int = 0
+    live: bool = True
+
+
+class ControlPlane:
+    """Zero-latency global registry of key metadata, one :class:`KeyState` per key.
+
+    It stands in for the deployment's metadata service, so it is not replicated.
     """
 
     def __init__(self) -> None:
-        self.maps: dict[str, ReplicaMap] = {}
-        self.locations: dict[str, DataContext] = {}
-        self._counters: dict[str, int] = {}
-        self._deleted: set[str] = set()
-
-    def is_live(self, key: str) -> bool:
-        return key in self.maps and key not in self._deleted
-
-    def register(self, key: str, rmap: ReplicaMap) -> None:
-        self.maps[key] = rmap
-        self._deleted.discard(key)
-
-    def next_version(self, key: str) -> int:
-        version = self._counters.get(key, 0) + 1
-        self._counters[key] = version
-        return version
-
-    def note_completed_write(self, key: str, deleted: bool) -> None:
-        if deleted:
-            self._deleted.add(key)
-        else:
-            self._deleted.discard(key)
+        self.maps: dict[str, KeyState] = {}
 
 
 class Cluster:
@@ -411,10 +402,9 @@ class Cluster:
         """Keys whose live replicas disagree (expected empty at quiescence
         of a fault-free run; crashed nodes are excluded)."""
         problems = []
-        for key in sorted(self.control.maps):
-            rmap = self.control.maps[key]
+        for key, state in sorted(self.control.maps.items()):
             seen: dict[object, list[str]] = {}
-            for nid in rmap.replica_ids:
+            for nid in state.replica_ids:
                 if not self.sim.is_up(nid):
                     continue
                 seen.setdefault(self._records[nid].get(key), []).append(nid)
@@ -438,17 +428,19 @@ class Cluster:
         query = req.query
         kind = query.kind
         key = query.key
-        rmap = self.control.maps.get(key)
+        state = self.control.maps.get(key)
         if kind is _CREATE:
-            if self.control.is_live(key):
+            if state is not None and state.live:
                 self.sim.schedule_message(node, src, QueryResp(
                     op_id, QueryResult("error", None, None, 0.0, 0, "duplicate_key")))
                 return
-            rmap = place_replicas(key, query.data_ctx.data_geo, self.topology,
-                                  self.replication_factor)
-        elif rmap is None:
+            replica_ids = place_replicas(key, query.data_ctx.data_geo, self.topology,
+                                         self.replication_factor).replica_ids
+        elif state is None:
             self.sim.schedule_message(node, src, QueryResp(op_id, QueryResult("not_found")))
             return
+        else:
+            replica_ids = state.replica_ids
 
         is_read = kind is _READ
         level = query.level
@@ -456,11 +448,10 @@ class Cluster:
             if self._uniform_levels is None:
                 level = get_region(
                     self.region_set, key, query.client_ctx,
-                    query.data_ctx or self.control.locations[key],
+                    query.data_ctx or state.location,
                 ).level_for("read" if is_read else "write")
             else:
                 level = self._uniform_levels[is_read]
-        replica_ids = rmap.replica_ids
         try:
             plan = self._plans[node][replica_ids][level]
         except KeyError:
@@ -479,11 +470,15 @@ class Cluster:
                 freshest = self._records[node].get(key)
         else:
             value = None if kind is _DELETE else query.value
-            if kind is _CREATE:
-                self.control.register(key, rmap)
+            if state is None:  # a key's first CREATE registers it
+                state = self.control.maps[key] = KeyState(replica_ids, query.data_ctx)
+            elif kind is _CREATE:  # a re-CREATE: live, and placed again, from here
+                state.replica_ids = replica_ids
+                state.live = True
             if query.data_ctx is not None:
-                self.control.locations[key] = query.data_ctx
-            msg = WriteReq(op_id, VersionedRecord(key, value, self.control.next_version(key)))
+                state.location = query.data_ctx
+            state.version += 1
+            msg = WriteReq(op_id, VersionedRecord(key, value, state.version))
             if count:
                 _apply(self._records[node], msg.record)
         if count >= required:  # answered at once: no deadline, no in-flight state
@@ -569,7 +564,7 @@ class Cluster:
         if kind is _READ:
             value = None if freshest is None else freshest.value
             return QueryResult("not_found" if value is None else "ok", value, level, 0.0, count)
-        self.control.note_completed_write(query.key, deleted=kind is _DELETE)
+        self.control.maps[query.key].live = kind is not _DELETE
         return QueryResult("ok", None, level, 0.0, count)
 
     def _on_op_timeout(self, node: str, src: None, op: OpTimeout) -> None:

@@ -20,9 +20,12 @@ import math
 from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConfigError, coord, element, expect, load_json, number, string
+
+if TYPE_CHECKING:
+    from .placement import ReplicaMap
 
 Coord = tuple[float, float]
 
@@ -149,8 +152,8 @@ class Topology:
             raise NoStorageNodesError("topology has no storage nodes")
         self._node_ids: tuple[str, ...] = tuple(sorted(self.nodes))
         self._nearest: dict[tuple[float, float, bool], str] = {}
-        # (anchor, replica count) -> (replica ids, degraded), filled by placement
-        self.placements: dict[tuple[str, int], tuple[tuple[str, ...], bool]] = {}
+        # (anchor, replica count) -> the replica map every key placed there shares
+        self.placements: dict[tuple[str, int], ReplicaMap] = {}
 
     def node(self, node_id: str) -> FogNode:
         try:

@@ -88,6 +88,19 @@ class TestDelivery:
         with pytest.raises(BudgetExceededError):
             sim.run_until_quiescent(max_ms=1.0)
 
+    @pytest.mark.parametrize("late", ["message", "timer"])
+    def test_a_budget_stop_reports_the_clock_it_stopped_at(self, late):
+        sim = Simulator(build_star_topology((4, 5, 6, 7, 8)))
+        sim.schedule_message("fog-1", "fog-2", "early")  # due at 9 ms
+        if late == "message":
+            sim.schedule_message("fog-1", "fog-5", "late")  # due at 12 ms
+        else:
+            sim.set_timer(None, 12.0, "late")
+        with pytest.raises(BudgetExceededError):
+            sim.run_until_quiescent(10.0)
+        assert (sim.report.events_processed, sim.now) == (1, 9.0)
+        assert sim.report.end_ms == 9.0
+
     def test_nan_budget_rejected_before_any_event(self):
         # NaN compares false with every time, so it would silently mean "no budget"
         topo = build_star_topology((4, 5, 6, 7, 8))

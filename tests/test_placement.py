@@ -60,9 +60,17 @@ class TestPlaceReplicas:
         with pytest.raises(ValueError):
             place_replicas("k", (0, 0), make_two_group_star(), 0)
 
+    def test_keys_at_one_anchor_and_count_share_one_map(self):
+        topo = make_two_group_star()
+        rmap = place_replicas("k1", (0, 0), topo, 2)
+        assert place_replicas("k2", (1, 1), topo, 2) is rmap
+        other = place_replicas("k3", (0, 0), topo, 3)
+        assert other is not rmap
+        assert topo.placements == {("A", 2): rmap, ("A", 3): other}
+
     def test_replica_map_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            ReplicaMap("k", ("a", "a"))
+            ReplicaMap(("a", "a"))
 
 
 class TestPlacementProperties:
@@ -160,7 +168,7 @@ class TestAnchorOrder:
 class TestPlacementCsv:
     def test_rows(self):
         topo = make_two_group_star()
-        rows = placement_csv_rows([
+        rows = placement_csv_rows(["k1", "k2"], [
             place_replicas("k1", (0, 0), topo, 2),
             place_replicas("k2", (0, 0), topo, 3),
         ])

@@ -191,6 +191,32 @@ class TestCrudPaths:
         result = read(cluster, "k1", ONE)
         assert (result.status, result.value) == ("ok", "v1")
 
+    def test_a_key_is_live_from_its_create_reaching_the_coordinator(self):
+        # The second CREATE reaches fog-1 while the first still waits for its
+        # ALL acks, and is refused before the first completes.
+        cluster = star_cluster(fixed_read_level=ALL, fixed_write_level=ALL)
+        queries = [Query(QueryKind.CREATE, "k", client_ctx(), value=value,
+                         data_ctx=DataContext(STAR_CLIENT)) for value in ("first", "second")]
+        results = run_queries(cluster, queries, open_loop_interval_ms=1.0)  # completion order
+        assert [(q.value, r.status, r.error, r.latency_ms) for q, r in results] == [
+            ("second", "error", "duplicate_key", 10.0), ("first", "ok", None, 34.0)]
+
+    def test_a_recreate_places_the_key_again(self):
+        cluster = star_cluster(replication_factor=2, fixed_read_level=ALL,
+                               fixed_write_level=ALL)
+        assert create(cluster, key="k", level=None).status == "ok"
+        assert cluster.control.maps["k"].replica_ids == ("fog-1", "fog-2")
+        gone = run_one(cluster, Query(QueryKind.DELETE, "k", client_ctx()))
+        assert gone.status == "ok"
+        again = create(cluster, key="k", value="v2", data_geo=(800.0, 0.0), level=None)
+        assert again.status == "ok"
+        assert cluster.control.maps["k"].replica_ids == ("fog-5", "fog-1")
+        records = {nid: cluster._records[nid].get("k") for nid in ("fog-1", "fog-2", "fog-5")}
+        assert records == {"fog-1": VersionedRecord("k", "v2", 3),
+                           "fog-5": VersionedRecord("k", "v2", 3),
+                           "fog-2": VersionedRecord("k", None, 2)}  # the old tombstone stays
+        assert cluster.convergence_violations() == []
+
 
 class TestLatencyPaths:
     def test_one_with_local_replica_is_two_hops(self):
