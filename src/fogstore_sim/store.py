@@ -12,7 +12,8 @@ replicas:
 
 * writes are sent to every replica immediately; the client is acknowledged
   as soon as the level's required acknowledgement count is reached, and the
-  remaining replicas converge in the background (no rollback on timeout);
+  remaining replicas converge in the background (a write that times out is
+  indeterminate: it may have reached some replicas, and a retry is an upsert);
 * reads are answered from the first ``required`` replica responses, picking
   the record with the highest version among them.
 
@@ -45,7 +46,10 @@ keeps the freshest record (an ack carries none); the ``required``-th reply
 answers the op and later ones are ignored. One answer builder makes every
 answer of an op that reached its level, at once or after the wait: a read
 returns its freshest record's value, ``not_found`` for none or a tombstone,
-and a write is recorded as completed in the control plane before its ``ok``.
+and a write ``ok``. Every write is a blind upsert, as in Cassandra: a CREATE
+places its key and writes it whether it is new, live or deleted. A READ,
+UPDATE or DELETE of a key no CREATE placed has no replicas to ask, so it
+answers ``not_found`` at once.
 
 Clients enter through :meth:`Cluster.submit` alone (asynchronous, callback
 on completion); the drivers that issue queries and run the simulator live in
@@ -54,12 +58,13 @@ through one table keyed by payload type: the wire messages below and three
 typed timers (:class:`OpTimeout`, :class:`ClientTimeout`, :class:`Arrival`).
 
 The control plane is a zero-latency global registry with one
-:class:`KeyState` per key: its replica ids, its current data location, its
-version counter and whether it is live. Each storage node keeps its records
-in a plain dict. One counter per key means no two writes of a key share a
-version. Real deployments would gossip or use synchronized clocks here; a
-shared registry keeps version order aligned with operation order, which makes
-last-write-wins resolution deterministic and exact at simulation scale.
+:class:`KeyState` per key: its replica ids, its current data location and its
+version counter; only a write reaching its coordinator changes it. Each
+storage node keeps its records in a plain dict. One counter per key means no
+two writes of a key share a version. Real deployments would gossip or use
+synchronized clocks here; a shared registry keeps version order aligned with
+operation order, which makes last-write-wins resolution deterministic and
+exact at simulation scale.
 
 Deletes replicate a tombstone record (no value) that wins by version like
 any write; tombstones are never garbage collected since runs are finite.
@@ -171,7 +176,7 @@ class Query:
 class QueryResult:
     """Outcome reported to the client, including the level actually used."""
 
-    status: str = "ok"  # ok | not_found | error
+    status: str = "ok"  # ok | not_found | error (error: timeout | level_infeasible)
     value: str | None = None
     level_used: ConsistencyLevel | None = None
     latency_ms: float = 0.0
@@ -294,23 +299,21 @@ class Arrival:
 
 @dataclass(slots=True)
 class KeyState:
-    """What the control plane knows of one key.
+    """What the control plane knows of one key; whether it exists, the replicas say.
 
-    ``version`` is the last one issued, counted across a delete and a
-    re-create. ``live`` turns on when a CREATE is accepted, off when a
-    DELETE completes and on when any other write completes.
+    ``version`` is the last one issued, counted across a delete and a re-create.
     """
 
     replica_ids: tuple[str, ...]
     location: DataContext
     version: int = 0
-    live: bool = True
 
 
 class ControlPlane:
     """Zero-latency global registry of key metadata, one :class:`KeyState` per key.
 
     It stands in for the deployment's metadata service, so it is not replicated.
+    A key's first CREATE registers it, and nothing unregisters it.
     """
 
     def __init__(self) -> None:
@@ -399,8 +402,8 @@ class Cluster:
     # -- introspection ------------------------------------------------------
 
     def convergence_violations(self) -> list[str]:
-        """Keys whose live replicas disagree (expected empty at quiescence
-        of a fault-free run; crashed nodes are excluded)."""
+        """Keys whose replicas on up nodes disagree (expected empty at
+        quiescence of a fault-free run)."""
         problems = []
         for key, state in sorted(self.control.maps.items()):
             seen: dict[object, list[str]] = {}
@@ -430,13 +433,9 @@ class Cluster:
         key = query.key
         state = self.control.maps.get(key)
         if kind is _CREATE:
-            if state is not None and state.live:
-                self.sim.schedule_message(node, src, QueryResp(
-                    op_id, QueryResult("error", None, None, 0.0, 0, "duplicate_key")))
-                return
             replica_ids = place_replicas(key, query.data_ctx.data_geo, self.topology,
                                          self.replication_factor).replica_ids
-        elif state is None:
+        elif state is None:  # no CREATE placed the key: no replica to ask
             self.sim.schedule_message(node, src, QueryResp(op_id, QueryResult("not_found")))
             return
         else:
@@ -472,9 +471,8 @@ class Cluster:
             value = None if kind is _DELETE else query.value
             if state is None:  # a key's first CREATE registers it
                 state = self.control.maps[key] = KeyState(replica_ids, query.data_ctx)
-            elif kind is _CREATE:  # a re-CREATE: live, and placed again, from here
+            elif kind is _CREATE:  # a re-CREATE places the key again, from here
                 state.replica_ids = replica_ids
-                state.live = True
             if query.data_ctx is not None:
                 state.location = query.data_ctx
             state.version += 1
@@ -485,7 +483,7 @@ class Cluster:
             if not is_read:  # the other replicas still converge in the background
                 self._fan_out(node, replica_ids, asked, msg)
             self.sim.schedule_message(
-                node, src, QueryResp(op_id, self._answer(query, level, count, freshest)))
+                node, src, QueryResp(op_id, _answer(query, level, count, freshest)))
             return
         self._pending[op_id] = self.sim.set_timer(
             node, self.timeout_ms, OpTimeout(op_id, src, query, level, required, count, freshest))
@@ -555,17 +553,7 @@ class Cluster:
             timer.cancelled = True
             del self._pending[op.op_id]
             self.sim.schedule_message(node, op.client, QueryResp(
-                op.op_id, self._answer(op.query, op.level, op.count, op.freshest)))
-
-    def _answer(self, query: Query, level: ConsistencyLevel, count: int,
-                freshest: VersionedRecord | None) -> QueryResult:
-        """The answer to an op that reached its level; a write is first recorded as completed."""
-        kind = query.kind
-        if kind is _READ:
-            value = None if freshest is None else freshest.value
-            return QueryResult("not_found" if value is None else "ok", value, level, 0.0, count)
-        self.control.maps[query.key].live = kind is not _DELETE
-        return QueryResult("ok", None, level, 0.0, count)
+                op.op_id, _answer(op.query, op.level, op.count, op.freshest)))
 
     def _on_op_timeout(self, node: str, src: None, op: OpTimeout) -> None:
         # A timer that fires was never cancelled, so its op is still in flight.
@@ -617,6 +605,15 @@ def _apply(records: dict[str, VersionedRecord], record: VersionedRecord) -> None
     existing = records.get(record.key)
     if existing is None or record.version > existing.version:
         records[record.key] = record
+
+
+def _answer(query: Query, level: ConsistencyLevel, count: int,
+            freshest: VersionedRecord | None) -> QueryResult:
+    """The answer to an op that reached its level after ``count`` replies."""
+    if query.kind is _READ:
+        value = None if freshest is None else freshest.value
+        return QueryResult("not_found" if value is None else "ok", value, level, 0.0, count)
+    return QueryResult("ok", None, level, 0.0, count)
 
 
 # Plain functions, called as ``handler(cluster, dst, src, payload)``: a table

@@ -126,22 +126,35 @@ class TestCrudPaths:
         result = read(cluster, "k1", ONE)
         assert (result.status, result.value) == ("ok", "v1")
 
-    def test_read_of_never_written_key(self):
-        cluster = star_cluster()
-        result = read(cluster, "ghost", ALL)
-        assert result.status == "not_found"
-
     @pytest.mark.parametrize("write_level", WRITE_PATHS, ids=lambda level: level.value)
-    def test_duplicate_create_rejected(self, write_level):
+    def test_a_create_of_a_live_key_overwrites_it(self, write_level):
         cluster = star_cluster()
         assert create(cluster, level=write_level).status == "ok"
-        again = create(cluster, level=write_level)
-        assert (again.status, again.error) == ("error", "duplicate_key")
+        assert create(cluster, value="v2", level=write_level).status == "ok"
+        result = read(cluster, "k1", ALL)
+        assert (result.status, result.value) == ("ok", "v2")
 
-    def test_update_unknown_key_not_found(self):
+    @pytest.mark.parametrize("kind, deleted", [
+        (QueryKind.UPDATE, True),
+        (QueryKind.READ, False), (QueryKind.UPDATE, False), (QueryKind.DELETE, False),
+    ], ids=["update-after-delete", "read-unplaced", "update-unplaced", "delete-unplaced"])
+    def test_a_write_is_an_upsert_and_an_unplaced_key_is_not_found(self, kind, deleted):
+        # A key no CREATE placed has no replicas to ask: the coordinator answers
+        # at once, at no level. A placed key takes any write, as in Cassandra,
+        # so an UPDATE brings a deleted key back.
         cluster = star_cluster()
-        result = update(cluster, "ghost", "v", ONE)
-        assert result.status == "not_found"
+        if deleted:
+            create(cluster, key="k")
+            run_one(cluster, Query(QueryKind.DELETE, "k", client_ctx()))
+        value = "back" if kind is QueryKind.UPDATE else None
+        result = run_one(cluster, Query(kind, "k", client_ctx(), value=value, level=ALL))
+        if deleted:
+            assert result.status == "ok"
+            after = read(cluster, "k", ALL)
+            assert (after.status, after.value) == ("ok", "back")
+        else:
+            assert (result.status, result.latency_ms, result.level_used) == (
+                "not_found", 10.0, None)
 
     @pytest.mark.parametrize("write_level", WRITE_PATHS, ids=lambda level: level.value)
     def test_delete_then_read_all_is_not_found(self, write_level):
@@ -191,30 +204,38 @@ class TestCrudPaths:
         result = read(cluster, "k1", ONE)
         assert (result.status, result.value) == ("ok", "v1")
 
-    def test_a_key_is_live_from_its_create_reaching_the_coordinator(self):
+    def test_concurrent_creates_of_a_key_both_land(self):
         # The second CREATE reaches fog-1 while the first still waits for its
-        # ALL acks, and is refused before the first completes.
+        # ALL acks. Each is an upsert, so both complete and the later one wins.
         cluster = star_cluster(fixed_read_level=ALL, fixed_write_level=ALL)
         queries = [Query(QueryKind.CREATE, "k", client_ctx(), value=value,
                          data_ctx=DataContext(STAR_CLIENT)) for value in ("first", "second")]
         results = run_queries(cluster, queries, open_loop_interval_ms=1.0)  # completion order
         assert [(q.value, r.status, r.error, r.latency_ms) for q, r in results] == [
-            ("second", "error", "duplicate_key", 10.0), ("first", "ok", None, 34.0)]
+            ("first", "ok", None, 34.0), ("second", "ok", None, 34.0)]
+        result = read(cluster, "k", ALL)
+        assert (result.status, result.value) == ("ok", "second")
+        assert cluster.convergence_violations() == []
 
-    def test_a_recreate_places_the_key_again(self):
+    @pytest.mark.parametrize("deleted", [True, False], ids=["after-delete", "live"])
+    def test_a_recreate_places_the_key_again(self, deleted):
         cluster = star_cluster(replication_factor=2, fixed_read_level=ALL,
                                fixed_write_level=ALL)
         assert create(cluster, key="k", level=None).status == "ok"
         assert cluster.control.maps["k"].replica_ids == ("fog-1", "fog-2")
-        gone = run_one(cluster, Query(QueryKind.DELETE, "k", client_ctx()))
-        assert gone.status == "ok"
+        if deleted:
+            gone = run_one(cluster, Query(QueryKind.DELETE, "k", client_ctx()))
+            assert gone.status == "ok"
         again = create(cluster, key="k", value="v2", data_geo=(800.0, 0.0), level=None)
         assert again.status == "ok"
         assert cluster.control.maps["k"].replica_ids == ("fog-5", "fog-1")
         records = {nid: cluster._records[nid].get("k") for nid in ("fog-1", "fog-2", "fog-5")}
-        assert records == {"fog-1": VersionedRecord("k", "v2", 3),
-                           "fog-5": VersionedRecord("k", "v2", 3),
-                           "fog-2": VersionedRecord("k", None, 2)}  # the old tombstone stays
+        version = 3 if deleted else 2
+        # fog-2 left the map, so it keeps what it last held: the tombstone or v1.
+        old = VersionedRecord("k", None, 2) if deleted else VersionedRecord("k", "v1", 1)
+        assert records == {"fog-1": VersionedRecord("k", "v2", version),
+                           "fog-5": VersionedRecord("k", "v2", version),
+                           "fog-2": old}
         assert cluster.convergence_violations() == []
 
 
@@ -358,6 +379,23 @@ class TestFaultInteraction:
         result = update(cluster, "k1", "v2", ALL)
         assert (result.status, result.error) == ("error", "timeout")
         assert result.acks_received == 4
+
+    def test_a_create_that_timed_out_is_indeterminate_and_a_retry_upserts(self):
+        # With fog-5 down the ALL CREATE times out, yet it reached the other
+        # four replicas. The retry writes over it at the next version.
+        script = [FaultAction(0.0, "crash", node="fog-5")]
+        cluster = star_cluster(fault_script=script, timeout_ms=100)
+        queries = [
+            Query(QueryKind.CREATE, "k", client_ctx(), value="first",
+                  data_ctx=DataContext(STAR_CLIENT), level=ALL),
+            Query(QueryKind.CREATE, "k", client_ctx(), value="retry",
+                  data_ctx=DataContext(STAR_CLIENT), level=QUORUM),
+            Query(QueryKind.READ, "k", client_ctx(), level=QUORUM),
+        ]
+        results = [(r.status, r.error, r.value, r.latency_ms)
+                   for _, r in run_queries(cluster, queries)]
+        assert results == [("error", "timeout", None, 110.0), ("ok", None, None, 30.0),
+                           ("ok", None, "retry", 30.0)]
 
     def test_quorum_survives_two_partitioned_replicas(self):
         cluster = star_cluster()
