@@ -185,7 +185,7 @@ def _parse_level(raw: object, source: str, where: str) -> ConsistencyLevel:
 def _parse_spec(raw: dict, source: str, where: str, keyspace: str) -> ConsistencyRegionSpec:
     bands = []
     raw_bands = raw.get("bands")
-    if not raw_bands:
+    if raw_bands is None or raw_bands == []:  # any other value must be a non-empty array
         raise ConfigError(source, f"{where}: missing or empty 'bands'")
     for j, rb in enumerate(expect(raw_bands, list, source, f"{where}.bands")):
         bwhere = f"{where}.bands[{j}]"

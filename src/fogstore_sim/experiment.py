@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .consistency import ConsistencyLevel, RegionSet, _parse_level
-from .errors import ConfigError, expect, integer, load_json, number, string
+from .errors import ConfigError, element, expect, integer, load_json, number, string
 from .netsim import BudgetExceededError, FaultAction, Simulator
 from .store import _READ, Arrival, Cluster, Query, QueryResult
 from .topology import FogNode, Link, Topology, load_topology
@@ -293,13 +293,12 @@ def load_sweep_plan(path: str | Path) -> SweepPlan:
     for i, raw in enumerate(expect(data.get("settings", []), list, str(path), "settings")):
         where = f"settings[{i}]"
         raw = expect(raw, dict, str(path), where)
-        name = raw.get("name")
-        if not name:
-            raise ConfigError(str(path), f"{where}: missing field 'name'")
-        if not raw.get("topology"):
-            raise ConfigError(str(path), f"{where}: missing field 'topology'")
-        name = string(name, str(path), f"{where}.name")
-        topology = string(raw["topology"], str(path), f"{where}.topology")
+        with element(str(path), where):  # an absent field reads "missing field"
+            name = string(raw["name"], str(path), f"{where}.name")
+            topology = string(raw["topology"], str(path), f"{where}.topology")
+        for field, value in (("name", name), ("topology", topology)):
+            if not value:
+                raise ConfigError(str(path), f"{where}.{field}: must not be empty")
         settings.append((name, load_topology(resolve(topology))))
 
     levels = [_parse_level(raw, str(path), f"levels[{i}]")

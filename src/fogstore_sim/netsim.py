@@ -73,12 +73,14 @@ pair is looked up first, so an unknown endpoint raises
 service time adds one; with neither jitter nor a service time, a send skips
 both in one test.
 
-A simulator with no fault script and no jitter is :attr:`Simulator.exact`
-until a fault is applied: every message then arrives exactly
+A simulator built with no fault script and no jitter is
+:attr:`Simulator.exact`, and stays so for life: every message arrives exactly
 :meth:`Simulator.delay_ms` after it is sent, so a store may plan on those
-delays. A direct :meth:`Simulator.apply_fault` on an exact simulator waits
-for it to be idle (it raises while events are still due), so exactness never
-ends under an op in flight.
+delays, and :attr:`Simulator.longest_round_trip_ms` bounds every reply. A
+direct :meth:`Simulator.apply_fault` on an exact simulator raises: a
+simulator that is to take faults is built with a fault script or with
+jitter. This module alone knows that a delay is latency plus the
+destination's service time.
 
 A message is its heap entry, ``(at_ms, seq, src, dst, payload)``: sending
 one builds no event object. A timer or fault entry is ``(at_ms, seq, None,
@@ -219,11 +221,12 @@ class Simulator:
     events are applied internally (and traced). Multiple simulators are
     fully isolated and may run in parallel processes if desired.
 
-    ``now`` is the simulated clock in ms. ``exact`` is True while every
-    message takes exactly its pair's :meth:`delay_ms`: the simulator has no
-    fault script, no jitter and no fault applied. :meth:`apply_fault` refuses
-    to end it with events still due, so it never changes under an op in
-    flight. Both are plain attributes that only the simulator writes.
+    ``now`` is the simulated clock in ms. ``exact`` is True when every
+    message takes exactly its pair's :meth:`delay_ms`: the simulator was
+    built with no fault script and no jitter. It is set once, when the
+    simulator is built, and :meth:`apply_fault` refuses an exact simulator,
+    so it never changes. Both are plain attributes that only the simulator
+    writes.
     """
 
     def __init__(
@@ -281,14 +284,21 @@ class Simulator:
             latency = self.topology.latency_ms(src, dst)
         return latency + self._service_ms.get(dst, 0.0)
 
+    @property
+    def longest_round_trip_ms(self) -> float:
+        """The longest fixed round trip between two nodes, service times at both ends included.
+
+        Computed from every pair's row each time it is read; jitter is not included.
+        """
+        service = self._service_ms.get
+        return max(service(a, 0.0) + max(latency + latency + service(b, 0.0)
+                                          for b, latency in row.items())
+                   for a, row in self._latency.items())
+
     # -- fault state ----------------------------------------------------
 
     def is_up(self, node_id: str) -> bool:
         return node_id not in self._crashed
-
-    def can_communicate(self, a: str, b: str) -> bool:
-        """True when no active partition separates the two nodes."""
-        return b not in _partitioned_from(a, self._partitions)
 
     # -- scheduling -----------------------------------------------------
 
@@ -503,17 +513,17 @@ class Simulator:
     def apply_fault(self, action: FaultAction, seq: int | None = None) -> None:
         """Apply a fault action immediately (scripted faults arrive here too).
 
-        The simulator is no longer :attr:`exact` after it. An exact one with
-        events still due raises :class:`ValueError`: a store that planned an op
-        in flight on fixed delays would see them change under it. A node the
-        topology lacks raises :class:`UnknownNodeError`, as it does in a script.
+        A node the topology lacks raises :class:`UnknownNodeError`, as it does
+        in a script. Otherwise an :attr:`exact` simulator raises
+        :class:`ValueError`: a store plans on its fixed delays for life, so a
+        simulator that takes faults is built with a script or with jitter.
         Every source's unreachable set is decided afresh after it.
         """
         problem = _node_problem(action, self.topology)
         if problem is not None:
             raise UnknownNodeError(problem)
-        if self.exact and self._live_events():
-            raise ValueError("a fault on an exact simulator must wait until it is idle")
+        if self.exact:
+            raise ValueError("an exact simulator takes no fault: build it with a script or jitter")
         if action.action == "crash":
             self._crashed.add(action.node)  # type: ignore[arg-type]
         elif action.action == "recover":
@@ -524,7 +534,6 @@ class Simulator:
             self._partitions.clear()
         crashed, partitions = self._crashed, self._partitions
         self._unreachable = _Unreachable(crashed, partitions) if crashed or partitions else None
-        self.exact = False
         self.report.faults_applied += 1
         self._emit_trace(KIND_FAULT, None, None, action.describe(), seq)
 
@@ -549,21 +558,14 @@ class _Unreachable(dict):
         self._partitions = tuple(partitions)
 
     def __missing__(self, src: str) -> frozenset[str]:
-        blocked = self._crashed | _partitioned_from(src, self._partitions)
+        blocked = self._crashed
+        for group_a, group_b in self._partitions:  # the opposite group of each one src is in
+            if src in group_a:
+                blocked |= group_b
+            elif src in group_b:
+                blocked |= group_a
         self[src] = blocked
         return blocked
-
-
-def _partitioned_from(src: str, partitions: Iterable[tuple[frozenset[str], frozenset[str]]]
-                      ) -> frozenset[str]:
-    """The nodes the partitions cut ``src`` off from: the opposite group of each one it is in."""
-    cut_off: frozenset[str] = frozenset()
-    for group_a, group_b in partitions:
-        if src in group_a:
-            cut_off |= group_b
-        elif src in group_b:
-            cut_off |= group_a
-    return cut_off
 
 
 def _node_problem(action: FaultAction, topology: Topology) -> str | None:

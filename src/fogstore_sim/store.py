@@ -26,14 +26,17 @@ fan-out; only an op that waits for replies sets a coordinator deadline.
 The coordinator runs an op by its plan, one per (coordinator, replica tuple,
 level): the acks the level requires, the reply its own replica gives at once
 (if it holds one), and the replicas it asks for the rest. An exact simulator
-(:attr:`~fogstore_sim.netsim.Simulator.exact`: no faults, no jitter)
-delivers every message after its pair's fixed delay, so the coordinator
+(:attr:`~fogstore_sim.netsim.Simulator.exact`: built with no faults and no
+jitter, and so for life) delivers every message after its pair's fixed
+delay, so a plan made once holds for every op, and the coordinator
 knows at send time which replies can count: of an op that waits for ``n``,
 those whose round trip is at most :data:`_ROUND_TRIP_MARGIN_MS` past the
 ``n``-th shortest, so a tie at that cut widens the set. The plan asks only
 them: a read sends them alone a request; a write still goes to every replica,
 for convergence, but only they ack it, and none do for an op answered at once.
-On a topology whose longest round trip is under half of
+When the simulator's longest round trip
+(:attr:`~fogstore_sim.netsim.Simulator.longest_round_trip_ms`, read once,
+when the cluster is built, and only of an exact simulator) is under half of
 :data:`CLIENT_TIMEOUT_SLACK_MS`, every reply, even a timeout, comes before
 any client deadline could fire, so an exact run there sets none: an op in
 flight is a bare :class:`ClientTimeout` record. Every result equals the one
@@ -371,7 +374,9 @@ class Cluster:
         # A client op whose reply cannot miss its deadline sets none: the bare record.
         self._client_ops: dict[int, SimEvent | ClientTimeout] = {}  # SimEvent payload: ClientTimeout
         # Exact runs: every reply, even a timeout, comes before any client deadline.
-        self._replies_beat_deadlines = topology.longest_round_trip_ms < CLIENT_TIMEOUT_SLACK_MS / 2
+        # Only an exact simulator is asked for its bound; a driver need not have one.
+        self._replies_beat_deadlines = (
+            simulator.exact and simulator.longest_round_trip_ms < CLIENT_TIMEOUT_SLACK_MS / 2)
         # By coordinator, then replicas, then level: the op's plan, see _plan.
         self._plans: dict[str, dict[tuple[str, ...], dict[ConsistencyLevel, tuple | None]]] = {}
         self._latencies: dict[float, float] = {}
@@ -392,7 +397,7 @@ class Cluster:
         attach = self.topology.nearest_node(query.client_ctx.client_geo)
         coordinator = self.topology.nearest_node(query.client_ctx.client_geo, storage_only=True)
         op = ClientTimeout(op_id, query, callback, sim.now)
-        if sim.exact and self._replies_beat_deadlines:
+        if self._replies_beat_deadlines:
             self._client_ops[op_id] = op  # the reply, even a timeout, comes before any deadline
         else:
             self._client_ops[op_id] = sim.set_timer(None, self.client_timeout_ms, op)
@@ -460,8 +465,6 @@ class Cluster:
                 op_id, QueryResult("error", None, level, 0.0, 0, "level_infeasible")))
             return
         required, count, asked = plan
-        if not self.sim.exact:  # a fault applied since the plan was made
-            asked = replica_ids
 
         freshest = None
         if is_read:

@@ -82,8 +82,8 @@ class Topology:
     its answers per instance, and ``placements`` holds
     :func:`~fogstore_sim.placement.place_replicas`' choices by (anchor,
     replica count); ``storage_by_latency`` sorts the anchor's row anew.
-    ``longest_round_trip_ms`` is the longest trip between two nodes and
-    back, service times included.
+    A node's ``service_ms`` is only stored here: the simulator adds it to
+    each delay.
 
     Raises :class:`TopologyError` subclasses on construction when ids are
     duplicated, links dangle, latencies are nonpositive, the graph is
@@ -140,11 +140,6 @@ class Topology:
             for b, value in row.items():
                 if a < b:
                     self.latency_rows[b][a] = value
-        # A message's delay is its latency plus the destination's service time.
-        service = {nid: node.service_ms for nid, node in self.nodes.items()}
-        self.longest_round_trip_ms: float = max(
-            service[a] + max(latency + latency + service[b] for b, latency in row.items())
-            for a, row in self.latency_rows.items())
         self.storage_ids: tuple[str, ...] = tuple(
             sorted(nid for nid, n in self.nodes.items() if n.is_storage)
         )

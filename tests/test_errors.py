@@ -169,6 +169,47 @@ WRONG_JSON_TYPE = [
     *NOT_A_STRING,
 ]
 
+# A present field of the wrong type used to read as missing. Only an absent
+# field says so (for bands, null or an empty array too); any other wrong type
+# gets the message of the check for its type, and an empty string its own.
+FIELD_MESSAGES = [
+    (load_sweep_plan, {"settings": [{"topology": "t.json"}]},
+     "settings[0]: missing field 'name'"),
+    (load_sweep_plan, {"settings": [{"name": "x"}]}, "settings[0]: missing field 'topology'"),
+    (load_sweep_plan, {"settings": [{"name": 0, "topology": "t.json"}]},
+     "settings[0].name: expected a JSON string, got 0"),
+    (load_sweep_plan, {"settings": [{"name": None, "topology": "t.json"}]},
+     "settings[0].name: expected a JSON string, got None"),
+    (load_sweep_plan, {"settings": [{"name": "", "topology": "t.json"}]},
+     "settings[0].name: must not be empty"),
+    (load_sweep_plan, {"settings": [{"name": "x", "topology": 0}]},
+     "settings[0].topology: expected a JSON string, got 0"),
+    (load_sweep_plan, {"settings": [{"name": "x", "topology": 7}]},
+     "settings[0].topology: expected a JSON string, got 7"),
+    (load_sweep_plan, {"settings": [{"name": "x", "topology": ""}]},
+     "settings[0].topology: must not be empty"),
+    (load_regions, {"default": {}}, "default: missing or empty 'bands'"),
+    (load_regions, {"default": {"bands": None}}, "default: missing or empty 'bands'"),
+    (load_regions, {"default": {"bands": []}}, "default: missing or empty 'bands'"),
+    (load_regions, {"default": {"bands": 0}}, "default.bands: expected a JSON array, got 0"),
+    (load_regions, {"default": {"bands": False}},
+     "default.bands: expected a JSON array, got False"),
+    (load_regions, {"default": {"bands": ""}}, "default.bands: expected a JSON array, got ''"),
+    (load_regions, {"default": {"bands": {}}}, "default.bands: expected a JSON array, got {}"),
+    (load_regions, {"default": {"bands": 5}}, "default.bands: expected a JSON array, got 5"),
+    (load_regions, {"default": GOOD_DEFAULT, "specs": [{"keyspace": "k", "bands": 0}]},
+     "specs[0].bands: expected a JSON array, got 0"),
+]
+
+
+@pytest.mark.parametrize("loader,doc,message", FIELD_MESSAGES,
+                         ids=[message for _, _, message in FIELD_MESSAGES])
+def test_only_an_absent_field_reads_missing(loader, doc, message, tmp_path):
+    with pytest.raises(ConfigError) as err:
+        load_beside_good_files(loader, doc, tmp_path)
+    assert str(err.value) == f"{tmp_path / 'doc.json'}: {message}"
+
+
 # A coordinate pair is exactly two numbers in both loaders that read one.
 BAD_COORDS = [
     (load_workload, _workload(geo=(1, 2, 3)), "clients[0].geo", "three"),

@@ -119,7 +119,9 @@ class TestDelivery:
     @pytest.mark.parametrize("src, dst", [("fog-1", "nope"), ("nope", "fog-1")])
     def test_unknown_endpoint_raises_unknown_node_error(self, src, dst, jitter_ms, fault):
         # Under a fault, too: an unknown node is an error, not a silent drop.
-        sim = Simulator(build_star_topology((4, 5, 6, 7, 8)), jitter_ms=jitter_ms)
+        # A simulator that takes a fault is built inexact.
+        sim = Simulator(build_star_topology((4, 5, 6, 7, 8)), jitter_ms=jitter_ms,
+                        fault_script=() if fault is None else INEXACT)
         if fault is not None:
             sim.apply_fault(fault)
         sim.schedule_message("fog-2", "fog-3", "known pair first")
@@ -424,15 +426,13 @@ class TestFaults:
 
     def test_partition_symmetry_and_heal(self):
         log = []
-        sim = Simulator(pair_topology(), handler=recording_handler(log))
+        sim = Simulator(pair_topology(), handler=recording_handler(log), fault_script=INEXACT)
         sim.apply_fault(FaultAction(at_ms=0.0, action="partition",
                                     group_a=frozenset(["a"]), group_b=frozenset(["b"])))
-        assert not sim.can_communicate("a", "b")
-        assert not sim.can_communicate("b", "a")
         sim.schedule_message("a", "b", "x")
         sim.schedule_message("b", "a", "y")
         sim.run_until_quiescent()
-        assert log == []
+        assert log == []  # both blocked at send, before the script's heal ran
         assert sim.report.messages_dropped == 2
         sim.apply_fault(FaultAction(at_ms=0.0, action="heal"))
         sim.schedule_message("a", "b", "z")
@@ -443,7 +443,7 @@ class TestFaults:
         # A message dropped at send and a fault applied directly are never
         # scheduled; they used to print the seq the next event would take.
         trace = []
-        sim = Simulator(pair_topology(), trace=trace.append)
+        sim = Simulator(pair_topology(), trace=trace.append, jitter_ms=0.5)  # takes faults
         sim.apply_fault(FaultAction(at_ms=0.0, action="crash", node="b"))
         sim.schedule_message("a", "b", "lost")
         sim.set_timer(None, 1.0, "tick")
@@ -562,9 +562,13 @@ class TestFaults:
         fault = FaultAction(0.0, "partition", group_a={"a"}, group_b=group_b)
         group_b.add("a")
         assert fault.group_b == frozenset({"b"})
-        sim = Simulator(pair_topology())
+        log = []
+        sim = Simulator(pair_topology(), handler=recording_handler(log), fault_script=INEXACT)
         sim.apply_fault(fault)
-        assert sim.can_communicate("a", "a") and not sim.can_communicate("a", "b")
+        for dst in ("a", "b"):
+            sim.schedule_message("a", dst, dst)
+        sim.run_until_quiescent()
+        assert [payload for *_, payload in log] == ["a"]  # a still reaches itself, not b
         built = FaultAction(0.0, "partition", group_a=["a"], group_b=["b"])
         assert built == fault and hash(built) == hash(fault)
         assert type(built.group_a) is type(built.group_b) is frozenset
@@ -609,14 +613,16 @@ class TestFaults:
         FaultAction(0.0, "partition", group_a=frozenset({"a"}), group_b=frozenset({"ghost"})),
         FaultAction(0.0, "partition", group_a=frozenset({"ghost"}), group_b=frozenset({"b"})),
     ], ids=["crash", "recover", "partition group_b", "partition group_a"])
-    def test_unknown_node_in_a_direct_fault_rejected(self, action):
+    @pytest.mark.parametrize("fault_script", [(), INEXACT], ids=["exact", "inexact"])
+    def test_unknown_node_in_a_direct_fault_rejected(self, action, fault_script):
         # A direct fault used to be taken silently: the ghost joined the
         # crashed set or a partition, and the simulator stopped being exact.
-        sim = Simulator(pair_topology())
+        # The unknown node is reported first, on an exact simulator too.
+        sim = Simulator(pair_topology(), fault_script=fault_script)
         with pytest.raises(UnknownNodeError, match="unknown node 'ghost'"):
             sim.apply_fault(action)
-        assert sim.exact and sim.report.faults_applied == 0
-        assert sim.is_up("ghost") and sim.can_communicate("a", "ghost")
+        assert sim.exact == (not fault_script) and sim.report.faults_applied == 0
+        assert sim.is_up("ghost") and sim._unreachable is None  # nothing was applied
         sim.schedule_message("a", "b", "x")
         assert sim.run_until_quiescent().messages_delivered == 1
 
@@ -629,23 +635,39 @@ class TestExact:
         assert not Simulator(pair_topology(), jitter_ms=0.5).exact
         assert not Simulator(pair_topology(), fault_script=INEXACT).exact
         sim = Simulator(pair_topology())
-        sim.apply_fault(FaultAction(0.0, "heal"))
-        assert not sim.exact
-
-    def test_a_direct_fault_waits_until_an_exact_simulator_is_idle(self):
-        sim = Simulator(pair_topology())
         sim.schedule_message("a", "b", "x")
-        sim.set_timer(None, 1.0, "t").cancelled = True  # a dead timer does not count
-        with pytest.raises(ValueError, match="idle"):
-            sim.apply_fault(FaultAction(0.0, "crash", node="b"))
-        assert sim.exact and sim.is_up("b") and sim.report.faults_applied == 0
         sim.run_until_quiescent()
-        sim.apply_fault(FaultAction(0.0, "crash", node="b"))
-        assert not sim.exact and not sim.is_up("b")
-        sim.schedule_message("b", "a", "y")  # dropped at send
+        assert sim.exact  # for life: running changes nothing
+
+    @pytest.mark.parametrize("idle", [False, True], ids=["events due", "idle"])
+    def test_an_exact_simulator_refuses_a_direct_fault(self, idle):
+        # A direct fault used to end exactness once the simulator was idle.
+        log = []
+        sim = Simulator(pair_topology(), handler=recording_handler(log))
+        sim.schedule_message("a", "b", "x")
+        if idle:
+            sim.run_until_quiescent()
+        for action in (FaultAction(0.0, "crash", node="b"), FaultAction(0.0, "heal")):
+            with pytest.raises(ValueError, match="exact simulator takes no fault"):
+                sim.apply_fault(action)
+        assert sim.exact and sim.is_up("b") and sim.report.faults_applied == 0
+        sim.schedule_message("a", "b", "y")
+        sim.run_until_quiescent()
+        assert [payload for *_, payload in log] == ["x", "y"]
+
+    @pytest.mark.parametrize("build", [{"fault_script": INEXACT}, {"jitter_ms": 0.5}],
+                             ids=["script", "jitter"])
+    def test_an_inexact_simulator_takes_a_direct_fault_at_any_time(self, build):
+        sim = Simulator(pair_topology(), **build)
+        sim.schedule_message("a", "b", "x")
         sim.set_timer(None, 1.0, "t")
-        sim.apply_fault(FaultAction(0.0, "recover", node="b"))  # inexact: any time
-        assert sim.is_up("b")
+        sim.apply_fault(FaultAction(0.0, "crash", node="b"))  # events still due
+        assert not sim.is_up("b")
+        sim.run_until_quiescent()
+        sim.apply_fault(FaultAction(0.0, "recover", node="b"))  # idle
+        assert sim.is_up("b") and not sim.exact
+        assert sim.report.faults_applied == 2 + len(build.get("fault_script", ()))
+        assert sim.report.messages_dropped == 1  # x, at delivery
 
     def test_the_fixed_delay_is_the_one_a_message_takes(self):
         topo = oracle_topology()  # c and d have service times

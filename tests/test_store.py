@@ -398,7 +398,7 @@ class TestFaultInteraction:
                            ("ok", None, "retry", 30.0)]
 
     def test_quorum_survives_two_partitioned_replicas(self):
-        cluster = star_cluster()
+        cluster = star_cluster(fault_script=INEXACT)  # takes direct faults
         create(cluster)
         cluster.sim.apply_fault(FaultAction(
             at_ms=0.0, action="partition",
@@ -410,7 +410,7 @@ class TestFaultInteraction:
     def test_stale_write_visible_to_all_level_read(self):
         # write lands only on the coordinator (others partitioned away); a
         # later ALL read must surface the coordinator's fresher version
-        cluster = star_cluster()
+        cluster = star_cluster(fault_script=INEXACT)  # takes direct faults
         create(cluster)
         cluster.sim.run_until_quiescent()
         cluster.sim.apply_fault(FaultAction(
@@ -425,7 +425,7 @@ class TestFaultInteraction:
         assert (result.status, result.value) == ("ok", "v-new")
 
     def test_crash_recover_preserves_replica_state(self):
-        cluster = star_cluster()
+        cluster = star_cluster(fault_script=INEXACT)  # takes direct faults
         create(cluster, level=ALL)
         before = cluster._records["fog-5"].get("k1")
         cluster.sim.apply_fault(FaultAction(at_ms=0.0, action="crash", node="fog-5"))
@@ -1079,17 +1079,23 @@ class TestExactRuns:
             assert outcomes[0] == outcomes[1]
             assert "timeout" not in {o[2] for o in outcomes[0]}  # no deadline fired
 
-    def test_a_direct_fault_waits_until_no_op_is_in_flight(self, monkeypatch):
-        trace = []
+    def test_only_an_inexact_cluster_takes_a_direct_fault(self, monkeypatch):
+        # An exact cluster plans its ops on fixed delays for life, so its
+        # simulator refuses a direct fault, with an op in flight and idle.
         topo = build_star_topology((4, 5, 6, 7, 8))
-        cluster = Cluster(topo, Simulator(topo, trace=trace.append),
+        exact = Cluster(topo, Simulator(topo), fixed_read_level=QUORUM, fixed_write_level=QUORUM)
+        create(exact)
+        exact.submit(Query(QueryKind.READ, "k1", client_ctx()), lambda q, r: None)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="exact simulator takes no fault"):
+                exact.sim.apply_fault(FaultAction(0.0, "crash", node="fog-5"))
+            exact.sim.run_until_quiescent()
+        assert exact.sim.exact and exact.sim.is_up("fog-5")
+        # An inexact one takes it, and asks every replica from then on.
+        trace = []
+        cluster = Cluster(topo, Simulator(topo, fault_script=INEXACT, trace=trace.append),
                           fixed_read_level=QUORUM, fixed_write_level=QUORUM)
         create(cluster)
-        cluster.submit(Query(QueryKind.READ, "k1", client_ctx()), lambda q, r: None)
-        with pytest.raises(ValueError, match="idle"):
-            cluster.sim.apply_fault(FaultAction(0.0, "crash", node="fog-5"))
-        cluster.sim.run_until_quiescent()
-        assert cluster.sim.exact
         cluster.sim.apply_fault(FaultAction(0.0, "crash", node="fog-5"))
         del trace[:]
         timers = count_timers(monkeypatch)
@@ -1098,6 +1104,48 @@ class TestExactRuns:
         assert timers == {"ClientTimeout": 1, "OpTimeout": 1}
         asked = {line.split(",")[4] for line in trace if "ReadReq" in line}
         assert asked == {"fog-2", "fog-3", "fog-4", "fog-5"}  # fog-5's is dropped at send
+
+    def test_the_longest_round_trip_is_the_bound_the_topology_gave(self):
+        # The bound moved from the topology build to the simulator. The
+        # topology's formula, written out here, must give the same float.
+        def reference(topo):
+            service = {nid: node.service_ms for nid, node in topo.nodes.items()}
+            return max(service[a] + max(latency + latency + service[b] for b, latency in row.items())
+                       for a, row in topo.latency_rows.items())
+
+        topologies = [build_star_topology(spokes) for spokes in PAPER_LATENCY_SETTINGS.values()]
+        topologies += [star_with_service(*spec) for spec in self.TOPOLOGIES.values()]
+        rng = random.Random(33)
+        for seed in range(150):
+            topo = random_topology(seed)
+            nodes = [replace(node, service_ms=rng.choice([0.0, 0.0, 2.5, rng.uniform(0, 5)]))
+                     for node in topo.nodes.values()]
+            topologies.append(Topology(nodes, topo.links))
+        assert sum(any(n.service_ms for n in t.nodes.values()) for t in topologies) > 100
+        for topo in topologies:
+            assert Simulator(topo).longest_round_trip_ms == reference(topo)
+
+    @pytest.mark.parametrize("build", [{"fault_script": INEXACT}, {"jitter_ms": 0.5}],
+                             ids=["script", "jitter"])
+    def test_an_inexact_cluster_never_reads_the_bound(self, build):
+        # A driver that is not exact need only say so: the cluster reads the
+        # bound of an exact simulator alone, once, when it is built.
+        class NoBound(Simulator):
+            @property
+            def longest_round_trip_ms(self):
+                raise AssertionError("the bound of an inexact simulator was read")
+
+        topo = build_star_topology(PAPER_LATENCY_SETTINGS["low"])
+        queries = mixed_queries(0)
+        outcomes = []
+        for simulator in (Simulator, NoBound):
+            cluster = Cluster(topo, simulator(topo, **build), fixed_read_level=QUORUM,
+                              fixed_write_level=QUORUM)
+            results = run_queries(cluster, queries)
+            assert len(results) == len(queries)
+            outcomes.append([outcome(r) for _, r in results])
+        assert outcomes[0] == outcomes[1]
+        assert "timeout" not in {o[2] for o in outcomes[0]}
 
     def test_a_write_asking_no_ack_is_marked_in_the_trace(self):
         # fog-1 holds a replica: it answers a ONE write at once and asks no
