@@ -216,6 +216,15 @@ class SweepPlan:
         for direction in self.directions:
             if direction not in ("read", "write"):
                 raise ValueError(f"unknown direction {direction!r}")
+        # A repeat would write rows that no reader of the CSV can tell apart.
+        for where, values, noun in (
+            ("settings[{}].name", [name for name, _ in self.settings], "setting"),
+            ("levels[{}]", [level.value for level in self.levels], "level"),
+            ("directions[{}]", self.directions, "direction"),
+        ):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{where.format(i)}: duplicate {noun} {value!r}")
         if self.replication_factor < 1:
             raise ValueError(f"replication_factor: must be >= 1 (got {self.replication_factor})")
         for name in ("timeout_ms", "budget_ms"):

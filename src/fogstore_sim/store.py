@@ -44,21 +44,22 @@ the full fan-out and every deadline would give. A trace marks a
 :class:`WriteReq` that asks for no ack with a trailing ``no-ack``; only an
 exact run sends one.
 
-Write acks and read responses reach one reply handler, which counts them and
-keeps the freshest record (an ack carries none); the ``required``-th reply
-answers the op and later ones are ignored. One answer builder makes every
-answer of an op that reached its level, at once or after the wait: a read
-returns its freshest record's value, ``not_found`` for none or a tombstone,
-and a write ``ok``. Every write is a blind upsert, as in Cassandra: a CREATE
-places its key and writes it whether it is new, live or deleted. A READ,
-UPDATE or DELETE of a key no CREATE placed has no replicas to ask, so it
-answers ``not_found`` at once.
+Write acks and read responses reach one reply handler, which counts each
+replica once and keeps the freshest record (an ack carries none); the
+``required``-th replica answers the op, and later or repeated replies are
+ignored. One builder makes the answer of an op that reached its level, at
+once or after the wait, the :class:`QueryResult` the coordinator replies
+with: a read returns its freshest record's value, ``not_found`` for none or
+a tombstone, and a write ``ok``. Every write is a blind upsert, as in
+Cassandra: a CREATE places its key and writes it whether it is new, live or
+deleted. A READ, UPDATE or DELETE of a key no CREATE placed has no replicas
+to ask, so it answers ``not_found`` at once.
 
 Clients enter through :meth:`Cluster.submit` alone (asynchronous, callback
 on completion); the drivers that issue queries and run the simulator live in
 :mod:`fogstore_sim.experiment`. Every simulator event reaches the cluster
-through one table keyed by payload type: the wire messages below and three
-typed timers (:class:`OpTimeout`, :class:`ClientTimeout`, :class:`Arrival`).
+through one table keyed by payload type: the wire messages and three typed
+timers (:class:`OpTimeout`, :class:`ClientTimeout`, :class:`Arrival`).
 
 The control plane is a zero-latency global registry with one
 :class:`KeyState` per key: its replica ids, its current data location and its
@@ -108,7 +109,6 @@ __all__ = [
     "ReadReq",
     "ReadResp",
     "QueryReq",
-    "QueryResp",
     "OpTimeout",
     "ClientTimeout",
     "Arrival",
@@ -177,7 +177,7 @@ class Query:
 
 @dataclass(slots=True)
 class QueryResult:
-    """Outcome reported to the client, including the level actually used."""
+    """The client's outcome, sent as the coordinator's reply; ``op_id`` is ``submit``'s id."""
 
     status: str = "ok"  # ok | not_found | error (error: timeout | level_infeasible)
     value: str | None = None
@@ -185,6 +185,10 @@ class QueryResult:
     latency_ms: float = 0.0
     acks_received: int = 0
     error: str | None = None
+    op_id: int = 0
+
+    def __str__(self) -> str:
+        return f"QueryResp op={self.op_id} status={self.status}"
 
 
 # -- wire messages ---------------------------------------------------------
@@ -200,15 +204,6 @@ class QueryReq:
 
     def __str__(self) -> str:
         return f"QueryReq op={self.op_id} {self.query.kind.value} key={self.query.key}"
-
-
-@dataclass(slots=True)
-class QueryResp:
-    op_id: int
-    result: QueryResult
-
-    def __str__(self) -> str:
-        return f"QueryResp op={self.op_id} status={self.result.status}"
 
 
 @dataclass(slots=True)
@@ -269,6 +264,8 @@ class OpTimeout:
     level: ConsistencyLevel
     required: int
     count: int
+    bits: dict[str, int]  # the plan's bit per replica
+    answered: int  # the bits of the replicas that replied: a repeat counts once
     freshest: VersionedRecord | None
 
     def __str__(self) -> str:
@@ -441,7 +438,7 @@ class Cluster:
             replica_ids = place_replicas(key, query.data_ctx.data_geo, self.topology,
                                          self.replication_factor).replica_ids
         elif state is None:  # no CREATE placed the key: no replica to ask
-            self.sim.schedule_message(node, src, QueryResp(op_id, QueryResult("not_found")))
+            self.sim.schedule_message(node, src, QueryResult("not_found", op_id=op_id))
             return
         else:
             replica_ids = state.replica_ids
@@ -461,10 +458,10 @@ class Cluster:
         except KeyError:
             plan = self._plan(node, replica_ids, level)
         if plan is None:
-            self.sim.schedule_message(node, src, QueryResp(
-                op_id, QueryResult("error", None, level, 0.0, 0, "level_infeasible")))
+            self.sim.schedule_message(
+                node, src, QueryResult("error", None, level, 0.0, 0, "level_infeasible", op_id))
             return
-        required, count, asked = plan
+        required, count, asked, bits = plan
 
         freshest = None
         if is_read:
@@ -485,26 +482,25 @@ class Cluster:
         if count >= required:  # answered at once: no deadline, no in-flight state
             if not is_read:  # the other replicas still converge in the background
                 self._fan_out(node, replica_ids, asked, msg)
-            self.sim.schedule_message(
-                node, src, QueryResp(op_id, _answer(query, level, count, freshest)))
+            self.sim.schedule_message(node, src, _answer(op_id, query, level, count, freshest))
             return
-        self._pending[op_id] = self.sim.set_timer(
-            node, self.timeout_ms, OpTimeout(op_id, src, query, level, required, count, freshest))
+        op = OpTimeout(op_id, src, query, level, required, count, bits, 0, freshest)
+        self._pending[op_id] = self.sim.set_timer(node, self.timeout_ms, op)
         self._fan_out(node, replica_ids, asked, ReadReq(op_id, key) if is_read else msg)
 
     def _plan(self, node: str, replica_ids: tuple[str, ...],
-              level: ConsistencyLevel) -> tuple[int, int, tuple[str, ...]] | None:
+              level: ConsistencyLevel) -> tuple[int, int, tuple[str, ...], dict[str, int]] | None:
         """The plan of an op at ``level`` on ``replica_ids`` that ``node`` coordinates.
 
-        It is ``(required, count, asked)``, or ``None`` for a level that needs
-        more acks than there are replicas. ``count`` is 1 if the coordinator
-        holds a replica. ``asked`` is ``replica_ids``, except in an exact run,
-        where each reply comes one fixed round trip after its request: there it
-        is every other replica, in map order, whose round trip is at most
-        :data:`_ROUND_TRIP_MARGIN_MS` past the ``n``-th shortest, ``n`` being
-        ``required - count`` (none if it is 0). Any other reply comes after ``n``
-        of theirs, whatever the rounding; a tie at the cut widens the set. Memoized
-        in ``_plans[node][replica_ids][level]``, which the coordinator reads first.
+        It is ``(required, count, asked, bits)``, or ``None`` for a level that needs more
+        acks than there are replicas. ``count`` is 1 if the coordinator holds a replica.
+        ``asked`` is ``replica_ids``, except in an exact run, where each reply comes one
+        fixed round trip after its request: there it is every other replica, in map order,
+        whose round trip is at most :data:`_ROUND_TRIP_MARGIN_MS` past the ``n``-th
+        shortest, ``n`` being ``required - count`` (none if it is 0). Any other reply comes
+        after ``n`` of theirs, whatever the rounding; a tie at the cut widens the set.
+        ``bits`` maps each replica to ``1 << i``, ``i`` its index in ``replica_ids``.
+        Memoized in ``_plans[node][replica_ids][level]``, which the coordinator reads first.
         """
         try:
             required = required_acks(level, len(replica_ids))
@@ -521,7 +517,7 @@ class Cluster:
                     trip = {r: delay(node, r) + delay(r, node) for r in replica_ids if r != node}
                     nth = sorted(trip.values())[n - 1]
                     asked = tuple(r for r, t in trip.items() if t - nth <= _ROUND_TRIP_MARGIN_MS)
-            plan = (required, count, asked)
+            plan = (required, count, asked, {r: 1 << i for i, r in enumerate(replica_ids)})
         self._plans.setdefault(node, {}).setdefault(replica_ids, {})[level] = plan
         return plan
 
@@ -543,11 +539,15 @@ class Cluster:
                     send(node, replica_id, msg if replica_id in asked else rest)
 
     def _on_reply(self, node: str, src: str, msg: WriteAck | ReadResp) -> None:
-        """Count a replica's reply and keep the freshest record; answer at the level's count."""
+        """Count each replica's reply once and keep the freshest record; answer at the count."""
         timer = self._pending.get(msg.op_id)
         if timer is None:
             return  # operation already completed or timed out
         op = timer.payload
+        bit = op.bits[src]
+        if op.answered & bit:
+            return  # this replica's reply was counted already
+        op.answered |= bit
         op.count += 1
         record = msg.record
         if record is not None and (op.freshest is None or record.version > op.freshest.version):
@@ -555,14 +555,14 @@ class Cluster:
         if op.count >= op.required:
             timer.cancelled = True
             del self._pending[op.op_id]
-            self.sim.schedule_message(node, op.client, QueryResp(
-                op.op_id, _answer(op.query, op.level, op.count, op.freshest)))
+            self.sim.schedule_message(
+                node, op.client, _answer(op.op_id, op.query, op.level, op.count, op.freshest))
 
     def _on_op_timeout(self, node: str, src: None, op: OpTimeout) -> None:
         # A timer that fires was never cancelled, so its op is still in flight.
         del self._pending[op.op_id]
-        self.sim.schedule_message(node, op.client, QueryResp(
-            op.op_id, QueryResult("error", None, op.level, 0.0, op.count, "timeout")))
+        self.sim.schedule_message(node, op.client, QueryResult(
+            "error", None, op.level, 0.0, op.count, "timeout", op.op_id))
 
     # -- replica side -------------------------------------------------------------
 
@@ -577,14 +577,13 @@ class Cluster:
 
     # -- client side ------------------------------------------------------------
 
-    def _on_query_resp(self, node: str, src: str, msg: QueryResp) -> None:
-        op = self._client_ops.pop(msg.op_id, None)
+    def _on_query_resp(self, node: str, src: str, result: QueryResult) -> None:
+        op = self._client_ops.pop(result.op_id, None)
         if op is None:
             return  # client already gave up on this operation
         if type(op) is SimEvent:  # the op's deadline timer
             op.cancelled = True
             op = op.payload
-        result = msg.result
         result.latency_ms = self._elapsed_ms(op)
         op.callback(op.query, result)
 
@@ -593,7 +592,8 @@ class Cluster:
         timer = self._pending.pop(op.op_id, None)  # its OpTimeout died with a crashed coordinator
         if timer is not None:
             timer.cancelled = True
-        op.callback(op.query, QueryResult("error", None, None, self._elapsed_ms(op), 0, "timeout"))
+        op.callback(op.query, QueryResult(
+            "error", None, None, self._elapsed_ms(op), 0, "timeout", op.op_id))
 
     def _elapsed_ms(self, op: ClientTimeout) -> float:
         """The op's latency so far, as the float object shared by equal latencies."""
@@ -610,13 +610,12 @@ def _apply(records: dict[str, VersionedRecord], record: VersionedRecord) -> None
         records[record.key] = record
 
 
-def _answer(query: Query, level: ConsistencyLevel, count: int,
+def _answer(op_id: int, query: Query, level: ConsistencyLevel, count: int,
             freshest: VersionedRecord | None) -> QueryResult:
-    """The answer to an op that reached its level after ``count`` replies."""
-    if query.kind is _READ:
-        value = None if freshest is None else freshest.value
-        return QueryResult("not_found" if value is None else "ok", value, level, 0.0, count)
-    return QueryResult("ok", None, level, 0.0, count)
+    """The answer to op ``op_id``, which reached its level after ``count`` replies."""
+    value = None if query.kind is not _READ or freshest is None else freshest.value
+    status = "not_found" if value is None and query.kind is _READ else "ok"
+    return QueryResult(status, value, level, 0.0, count, None, op_id)
 
 
 # Plain functions, called as ``handler(cluster, dst, src, payload)``: a table
@@ -627,7 +626,7 @@ _HANDLERS: dict[type, Callable[..., None]] = {
     ReadReq: Cluster._on_read_req,
     WriteAck: Cluster._on_reply,
     ReadResp: Cluster._on_reply,
-    QueryResp: Cluster._on_query_resp,
+    QueryResult: Cluster._on_query_resp,
     OpTimeout: Cluster._on_op_timeout,
     ClientTimeout: Cluster._on_client_timeout,
     Arrival: Cluster._on_arrival,

@@ -257,6 +257,21 @@ class TestSweep:
         assert str(err.value) == (f"{config}: levels[1]: unknown level 'SOME' "
                                   "(expected one of ONE, TWO, QUORUM, ALL)")
 
+    def test_a_repeated_setting_name_fails_before_any_cell_runs(self, paper_dir, tmp_path,
+                                                                 capsys):
+        write_workload(tmp_path / "wl.json")
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "workload": "wl.json",
+            "settings": [{"name": "x", "topology": str(paper_dir / f"star6-{name}.json")}
+                         for name in ("low", "high")],
+            "levels": ["ONE"],
+        }))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        assert f"{config}: settings[1].name: duplicate setting 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command,flag", [("run", "--out"), ("run", "--trace"),
                                           ("sweep", "--out")])

@@ -103,6 +103,11 @@ BAD_SWEEP_PLAN = [
     (load_sweep_plan, _sweep(budget_ms=INF), "budget_ms", "inf"),
     (load_sweep_plan, _sweep(replication_factor=0), "replication_factor", "zero"),
     (load_sweep_plan, _sweep(directions=[]), "directions", "empty"),
+    # Repeats: their CSV rows could not be told apart.
+    (load_sweep_plan, {"settings": [{"name": "x", "topology": "t.json"}] * 2, "levels": ["ONE"]},
+     "settings[1].name", "duplicate"),
+    (load_sweep_plan, _sweep(levels=["ONE", "ONE"]), "levels[1]", "duplicate"),
+    (load_sweep_plan, _sweep(directions=["read", "read"]), "directions[1]", "duplicate"),
 ]
 
 # Ids and names that str() used to coerce: two nodes with a null failure group

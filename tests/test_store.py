@@ -36,7 +36,6 @@ from fogstore_sim.store import (
     Query,
     QueryKind,
     QueryReq,
-    QueryResp,
     QueryResult,
     ReadReq,
     ReadResp,
@@ -367,7 +366,7 @@ class TestConvergence:
         cluster = star_cluster(fault_script=script)
         result = create(cluster, key="k")
         if (result.status, cluster.sim.is_up("fog-5")) != ("ok", True):
-            pytest.fail(f"setup: {result}, fog-5 up: {cluster.sim.is_up('fog-5')}")
+            pytest.fail(f"setup: {result!r}, fog-5 up: {cluster.sim.is_up('fog-5')}")
         assert cluster.convergence_violations() == []
 
 
@@ -455,6 +454,109 @@ class TestFaultInteraction:
         result = read(cluster, "k1", QUORUM)
         assert (result.status, result.error) == ("error", "timeout")
         assert cluster._pending == {}
+
+
+class RepeatingSimulator(Simulator):
+    """Delivers every write ack and read response twice, the copy right after it."""
+
+    def schedule_message(self, src, dst, payload):
+        super().schedule_message(src, dst, payload)
+        if type(payload) in (WriteAck, ReadResp):
+            super().schedule_message(src, dst, payload)
+
+
+class TestRepeatedReplies:
+    """A replica's reply counts once, however often the network delivers it."""
+
+    CRASHED = ("fog-3", "fog-4", "fog-5")
+
+    def runs(self, crashed, queries, interval_ms=None, timeout_ms=10_000.0):
+        """Yield the plain run's cluster and outcomes, then the doubled run's."""
+        topo = build_star_topology(PAPER_LATENCY_SETTINGS["low"])
+        script = INEXACT + tuple(FaultAction(0.0, "crash", node=nid) for nid in crashed)
+        for simulator in (Simulator, RepeatingSimulator):
+            cluster = Cluster(topo, simulator(topo, fault_script=script), fixed_read_level=QUORUM,
+                              fixed_write_level=QUORUM, timeout_ms=timeout_ms)
+            results = run_queries(cluster, queries, open_loop_interval_ms=interval_ms)
+            assert len(results) == len(queries)  # one callback per op
+            assert cluster._pending == {} and cluster._client_ops == {}
+            yield cluster, [outcome(r) for _, r in results]
+
+    def test_all_waits_for_every_replica(self):
+        # Counting replies, the doubled acks of fog-2 and fog-3 met ALL at
+        # 30.0 ms, before fog-4 and fog-5 had replied.
+        queries = [Query(QueryKind.CREATE, "k", client_ctx(), value="v",
+                         data_ctx=DataContext(STAR_CLIENT), level=ALL),
+                   Query(QueryKind.READ, "k", client_ctx(), level=ALL)]
+        for _, got in self.runs((), queries):
+            assert got == [("ok", None, None, ALL, 5, "34.0"), ("ok", "v", None, ALL, 5, "34.0")]
+
+    def test_a_quorum_of_two_replicas_times_out(self):
+        # Counting replies, fog-2's doubled ack made a quorum of 3 at 28.0 ms,
+        # though only fog-1 and fog-2 hold the key.
+        queries = [Query(QueryKind.CREATE, "k", client_ctx(), value="v",
+                         data_ctx=DataContext(STAR_CLIENT))]
+        for cluster, got in self.runs(self.CRASHED, queries):
+            assert got == [("error", None, "timeout", QUORUM, 2, "10010.0")]
+            held = [nid for nid, records in cluster._records.items() if "k" in records]
+            assert held == ["fog-1", "fog-2"]
+
+    @pytest.mark.parametrize("interval_ms", [None, 0.5], ids=["closed", "open-0.5"])
+    @pytest.mark.parametrize("crashed", [(), CRASHED], ids=["all-up", "three-down"])
+    def test_a_doubled_run_equals_the_plain_one(self, crashed, interval_ms):
+        plain, doubled = (got for _, got in self.runs(crashed, mixed_queries(1), interval_ms,
+                                                      timeout_ms=50.0))
+        assert plain == doubled
+
+
+def run_checking_op_ids(cluster, queries, interval_ms=None):
+    """Run ``queries``, checking that the result each callback gets carries the
+    id ``submit`` returned for its query, once per op."""
+    pairs = []
+    submit = cluster.submit
+
+    def recording_submit(query, callback):
+        def done(query, result):
+            pairs.append((op_id, result.op_id))
+            callback(query, result)
+
+        op_id = submit(query, done)
+        return op_id
+
+    cluster.submit = recording_submit  # the open loop's arrivals submit through it too
+    results = run_queries(cluster, queries, open_loop_interval_ms=interval_ms)
+    assert sorted(pairs) == [(i, i) for i in range(1, len(queries) + 1)]
+    return results
+
+
+class TestOpIds:
+    """Every result carries the id :meth:`Cluster.submit` returned for its query."""
+
+    @pytest.mark.parametrize("interval_ms", [None, 0.5], ids=["closed", "open-0.5"])
+    def test_every_result_carries_its_op_id(self, interval_ms):
+        cluster = star_cluster(fixed_read_level=QUORUM, fixed_write_level=QUORUM)
+        results = run_checking_op_ids(cluster, mixed_queries(2), interval_ms)
+        assert {r.status for _, r in results} == {"ok", "not_found"}
+
+    def test_a_client_deadline_timeout_carries_its_op_id(self):
+        cluster = star_cluster(fault_script=[FaultAction(7.0, "crash", node="fog-1")],
+                               fixed_read_level=QUORUM, fixed_write_level=QUORUM)
+        results = run_checking_op_ids(cluster, mixed_queries(3, count=10), 1.0)
+        # level_used None: the client's deadline answered, not the crashed coordinator
+        assert any(r.error == "timeout" and r.level_used is None for _, r in results)
+
+    @pytest.mark.parametrize("rf, level, status, error", [
+        (5, ONE, "not_found", None), (1, TWO, "error", "level_infeasible"),
+    ], ids=["unplaced", "level-infeasible"])
+    def test_an_answer_without_fan_out_carries_its_op_id(self, rf, level, status, error):
+        cluster = star_cluster(replication_factor=rf)
+        queries = [Query(QueryKind.CREATE, "a", client_ctx(), value="1",
+                         data_ctx=DataContext(STAR_CLIENT)),
+                   Query(QueryKind.READ, "unplaced" if rf == 5 else "a", client_ctx(),
+                         level=level)]
+        [_, (_, result)] = run_checking_op_ids(cluster, queries)
+        assert (result.status, result.error) == (status, error)
+        assert str(result) == f"QueryResp op=2 status={status}"
 
 
 class TestClientOnStorageNode:
@@ -744,9 +846,8 @@ def test_per_op_objects_have_no_instance_dict():
     result = QueryResult()
     objects = [
         Simulator(build_star_topology((4, 5, 6, 7, 8))).set_timer(None, 0.0, None),
-        QueryReq(1, query), QueryResp(1, result), WriteReq(1, record), WriteAck(1),
-        ReadReq(1, "k"), ReadResp(1, record),
-        OpTimeout(1, "client", query, ONE, 1, 0, None), ClientTimeout(1, query, print, 0.0),
+        QueryReq(1, query), WriteReq(1, record), WriteAck(1), ReadReq(1, "k"), ReadResp(1, record),
+        OpTimeout(1, "client", query, ONE, 1, 0, {}, 0, None), ClientTimeout(1, query, print, 0.0),
         Arrival(query, print),
         query, result, record,
         ctx, DataContext(STAR_CLIENT),
@@ -1002,7 +1103,7 @@ class TestExactRuns:
                     widened |= any(len(asked) > required - count
                                    for by_replicas in exact._plans.values()
                                    for by_level in by_replicas.values()
-                                   for required, count, asked in filter(None, by_level.values()))
+                                   for required, count, asked, _ in filter(None, by_level.values()))
         assert widened == (name in self.TIED)
 
     def test_asks_every_reply_that_can_count_and_no_later_one(self):
