@@ -86,12 +86,20 @@ class ClientContext:
     client_id: str
     client_geo: Coord
 
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, self.client_geo)):
+            raise ValueError(f"client_geo: must be finite (got {self.client_geo})")
+
 
 @dataclass(frozen=True, slots=True)
 class DataContext:
     """Location of the source of a key's data."""
 
     data_geo: Coord
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, self.data_geo)):
+            raise ValueError(f"data_geo: must be finite (got {self.data_geo})")
 
 
 @dataclass(frozen=True)

@@ -31,14 +31,15 @@ heal has neither. Anything else, an unknown action included, raises
 never decrease. An action naming a node the topology lacks is refused, in
 a script and in a direct :meth:`Simulator.apply_fault` alike.
 
-Reachability is decided once per applied fault, per source, not once per
-message. Each fault resets a map from a source to the destinations it cannot
-reach: the crashed nodes plus the opposite group of every partition the
-source belongs to. A source's set is filled on its first send or delivery
-after the fault, so no fault rebuilds all pairs. A send is then blocked when
-its source is down or its destination is in that set, and a delivery when
-its destination is in it. With no node down and no partition active the map
-is ``None``, and a message pays one ``is None`` test for the faults.
+Reachability is decided once per applied fault, not once per message. Each
+fault builds the whole map anew, a plain dict from every node to the
+destinations it cannot reach: the crashed nodes plus the opposite group of
+every partition the node belongs to. That costs O(nodes) per fault, plus one
+set union per partition member, and nothing per message. A send is then
+blocked when its source is down or its destination is in the source's set,
+and a delivery when its destination is in it. With no node down and no
+partition active the map is ``None``, and a message pays one ``is None``
+test for the faults.
 
 Timers wait in FIFO lanes, one per payload type. A timer whose due time is
 not below its lane's tail joins the lane, and only each lane's head sits in
@@ -253,9 +254,9 @@ class Simulator:
         self._series: dict[int, _Series] = {}
         self._crashed: set[str] = set()
         self._partitions: list[tuple[frozenset[str], frozenset[str]]] = []
-        # src -> the destinations it cannot reach under the faults now active;
-        # None while no node is down and no partition is active.
-        self._unreachable: _Unreachable | None = None
+        # Every node -> the destinations it cannot reach under the faults now
+        # active, rebuilt whole by each fault; None while no fault is active.
+        self._unreachable: dict[str, frozenset[str]] | None = None
         self._jitter_ms = jitter_ms
         self._jitter_span = jitter_ms + jitter_ms
         self._jitter_random = random.Random(jitter_seed).random
@@ -517,7 +518,7 @@ class Simulator:
         in a script. Otherwise an :attr:`exact` simulator raises
         :class:`ValueError`: a store plans on its fixed delays for life, so a
         simulator that takes faults is built with a script or with jitter.
-        Every source's unreachable set is decided afresh after it.
+        Every node's unreachable set is rebuilt after it.
         """
         problem = _node_problem(action, self.topology)
         if problem is not None:
@@ -533,7 +534,8 @@ class Simulator:
         else:  # heal
             self._partitions.clear()
         crashed, partitions = self._crashed, self._partitions
-        self._unreachable = _Unreachable(crashed, partitions) if crashed or partitions else None
+        self._unreachable = (_unreachable(self.topology.nodes, crashed, partitions)
+                             if crashed or partitions else None)
         self.report.faults_applied += 1
         self._emit_trace(KIND_FAULT, None, None, action.describe(), seq)
 
@@ -542,30 +544,16 @@ def _short_series(first: int, count: int) -> ValueError:
     return ValueError(f"timer series from seq {first} has fewer than {count} payloads")
 
 
-class _Unreachable(dict):
-    """src -> the set of destinations a message from src cannot reach.
-
-    Built for one state of the faults; a source's set is filled on first use:
-    the crashed nodes plus the opposite group of every partition it is in.
-    """
-
-    __slots__ = ("_crashed", "_partitions")
-
-    def __init__(self, crashed: set[str],
-                 partitions: list[tuple[frozenset[str], frozenset[str]]]):
-        super().__init__()
-        self._crashed = frozenset(crashed)
-        self._partitions = tuple(partitions)
-
-    def __missing__(self, src: str) -> frozenset[str]:
-        blocked = self._crashed
-        for group_a, group_b in self._partitions:  # the opposite group of each one src is in
-            if src in group_a:
-                blocked |= group_b
-            elif src in group_b:
-                blocked |= group_a
-        self[src] = blocked
-        return blocked
+def _unreachable(nodes: Iterable[str], crashed: set[str],
+                 partitions: list[tuple[frozenset[str], frozenset[str]]]
+                 ) -> dict[str, frozenset[str]]:
+    """Every node -> what it cannot reach: the crashed nodes and its partitions' far sides."""
+    table = dict.fromkeys(nodes, frozenset(crashed))
+    for group_a, group_b in partitions:
+        for members, opposite in ((group_a, group_b), (group_b, group_a)):
+            for nid in members:
+                table[nid] = table[nid] | opposite
+    return table
 
 
 def _node_problem(action: FaultAction, topology: Topology) -> str | None:

@@ -6,6 +6,7 @@ import pytest
 
 from fogstore_sim.consistency import (
     Band,
+    ClientContext,
     ConsistencyLevel,
     ConsistencyRegionSpec,
     DataContext,
@@ -95,6 +96,19 @@ class TestGetRegion:
         assert inner.level_for("read") is ALL
         assert inner.level_for("write") is ONE
         assert outer.level_for("read") is ONE
+
+
+class TestContexts:
+    # A non-finite coordinate was accepted here and crashed a banded run
+    # mid-way: its NaN distance fell in no band, so band_for_distance asserted.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_coordinate_is_refused_when_built(self, bad):
+        with pytest.raises(ValueError) as exc:
+            ClientContext("c", (bad, 0.0))
+        assert str(exc.value) == f"client_geo: must be finite (got {(bad, 0.0)})"
+        with pytest.raises(ValueError) as exc:
+            DataContext((0.0, bad))
+        assert str(exc.value) == f"data_geo: must be finite (got {(0.0, bad)})"
 
 
 class TestSpecValidation:

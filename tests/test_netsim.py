@@ -497,6 +497,66 @@ class TestFaults:
         assert drops == ["blocked at send: m2", "blocked at delivery: m1",
                          "blocked at send: m5", "blocked at delivery: m4"]
 
+    def test_every_pair_is_decided_right_after_every_fault(self):
+        # Each action of random fault scripts, applied directly. Right after
+        # it, every node has its entry in the table, and for every ordered
+        # pair a send is dropped at send, and a message sent before the
+        # action is dropped at delivery, exactly when reference_log's rule
+        # says so.
+        topology = oracle_topology()
+        pairs = [(src, dst) for src in ORACLE_NODES for dst in ORACLE_NODES]
+        rng = random.Random(35)
+        at_delivery = partitions_seen = 0
+        crashed, partitions = set(), []
+
+        def separated(a, b):
+            return any((a in group_a and b in group_b) or (a in group_b and b in group_a)
+                       for group_a, group_b in partitions)
+
+        def blocked_at_send(src, dst):
+            return src in crashed or dst in crashed or separated(src, dst)
+
+        for _ in range(200):
+            trace = []
+            sim = Simulator(topology, fault_script=INEXACT, trace=trace.append)
+            sim.run_until_quiescent()  # the script's heal: no fault is active
+            crashed.clear()
+            partitions.clear()
+            for fault in random_schedule(rng)[0]:
+                in_flight = [pair for pair in pairs if not blocked_at_send(*pair)]
+                for src, dst in in_flight:
+                    sim.schedule_message(src, dst, "before")
+                sim.apply_fault(fault)
+                if fault.action == "crash":
+                    crashed.add(fault.node)
+                elif fault.action == "recover":
+                    crashed.discard(fault.node)
+                elif fault.action == "partition":
+                    partitions.append((fault.group_a, fault.group_b))
+                    partitions_seen += 1
+                else:
+                    partitions.clear()
+                table = sim._unreachable
+                assert table is None or sorted(table) == sorted(topology.nodes)
+                del trace[:]
+                for src, dst in pairs:
+                    sim.schedule_message(src, dst, "after")
+                sim.run_until_quiescent()
+                expected = []
+                for src, dst in in_flight:
+                    if dst in crashed or separated(src, dst):
+                        expected.append(("drop", src, dst, "blocked at delivery: before"))
+                        at_delivery += 1
+                    else:
+                        expected.append(("message", src, dst, "before"))
+                for src, dst in pairs:
+                    if blocked_at_send(src, dst):
+                        expected.append(("drop", src, dst, "blocked at send: after"))
+                    else:
+                        expected.append(("message", src, dst, "after"))
+                assert sorted(tuple(line.split(",", 5)[2:]) for line in trace) == sorted(expected)
+        assert at_delivery > 500 and partitions_seen > 100
+
     def test_node_timer_dropped_again_after_recovery(self):
         script = [FaultAction(at_ms=10.0, action="crash", node="b"),
                   FaultAction(at_ms=20.0, action="recover", node="b"),
