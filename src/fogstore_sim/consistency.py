@@ -11,7 +11,8 @@ exact key is its own longest prefix), else the mandatory default spec. The
 spec set is immutable after load; a band lookup touches no shared mutable
 state. This module only answers "which band"; the store's coordinator
 decides which data location a query is resolved against. A uniform level is
-a set with one infinite band.
+a set with one infinite band, :attr:`RegionSet.uniform_band`, which the set
+finds once, when it is built, so a caller need not match it per key.
 """
 
 from __future__ import annotations
@@ -20,13 +21,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Literal, Sequence
+from typing import Callable, Sequence
 
 from .errors import ConfigError, expect, load_json, number, string
 from .topology import Coord, geo_distance
-
-OpKind = Literal["read", "write"]
-
 
 class ConsistencyLevel(Enum):
     """Number of replica acknowledgements required to complete an operation."""
@@ -110,9 +108,6 @@ class Band:
     read_level: ConsistencyLevel
     write_level: ConsistencyLevel
 
-    def level_for(self, op_kind: OpKind) -> ConsistencyLevel:
-        return self.read_level if op_kind == "read" else self.write_level
-
 
 @dataclass(frozen=True)
 class ConsistencyRegionSpec:
@@ -142,18 +137,23 @@ class ConsistencyRegionSpec:
 
 
 class RegionSet:
-    """All loaded region specs plus the mandatory default."""
+    """All loaded region specs plus the mandatory default.
+
+    ``uniform_band`` is the band of every key at every distance when the set
+    has no specs and its default one band, as fixed levels make; else ``None``.
+    """
 
     def __init__(self, specs: Sequence[ConsistencyRegionSpec], default: ConsistencyRegionSpec):
-        seen = set()
-        for spec in specs:
-            if spec.keyspace in seen:
-                raise ValueError(f"duplicate keyspace {spec.keyspace!r}")
-            seen.add(spec.keyspace)
         self.specs = tuple(specs)
+        seen = set()
+        for i, spec in enumerate(self.specs):
+            if spec.keyspace in seen:
+                raise ValueError(f"specs[{i}].keyspace: duplicate keyspace {spec.keyspace!r}")
+            seen.add(spec.keyspace)
         self.default = default
         # Longest keyspace first, so the first prefix match is the longest one.
         self._by_length = sorted(self.specs, key=lambda spec: len(spec.keyspace), reverse=True)
+        self.uniform_band = default.bands[0] if not self.specs and len(default.bands) == 1 else None
 
     @classmethod
     def uniform(cls, read: ConsistencyLevel, write: ConsistencyLevel) -> RegionSet:

@@ -208,14 +208,14 @@ class SweepPlan:
 
     def __post_init__(self) -> None:
         if not self.settings:
-            raise ValueError("sweep needs at least one setting")
+            raise ValueError("settings: must name at least one setting")
         if not self.levels:
-            raise ValueError("sweep needs at least one level")
+            raise ValueError("levels: must name at least one level")
         if not self.directions:
             raise ValueError("directions: must name at least one of read, write")
-        for direction in self.directions:
+        for i, direction in enumerate(self.directions):
             if direction not in ("read", "write"):
-                raise ValueError(f"unknown direction {direction!r}")
+                raise ValueError(f"directions[{i}]: unknown direction {direction!r}")
         # A repeat would write rows that no reader of the CSV can tell apart.
         for where, values, noun in (
             ("settings[{}].name", [name for name, _ in self.settings], "setting"),

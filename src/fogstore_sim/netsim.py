@@ -581,6 +581,7 @@ def fault_script_from_dict(data: dict, source: str = "<dict>") -> list[FaultActi
     actions: list[FaultAction] = []
     for i, raw in enumerate(expect(data.get("events", []), list, source, "events")):
         where = f"events[{i}]"
+        raw = expect(raw, dict, source, where)
         with element(source, where):
             at_ms = number(raw["at_ms"], source, f"{where}.at_ms")
             kind = string(raw["action"], source, f"{where}.action")

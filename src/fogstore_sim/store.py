@@ -3,12 +3,12 @@
 Every storage node can act as a coordinator. A client's query travels from
 its attach point to the storage node geographically closest to the client.
 That coordinator alone decides a query's consistency level: the level the
-query pins, else its band in the cluster's region set, measured from the data
-location the query names or else the key's location in the control plane.
-A set of no specs and one band, which fixed read and write levels make, gives
-each direction one level: the cluster resolves it once, when it is built, so
-such an op matches no region. The coordinator then fans out to the key's
-replicas:
+query pins, else its band's read or write level. The band is the set's
+:attr:`~fogstore_sim.consistency.RegionSet.uniform_band` if it has one, as
+fixed read and write levels make, so such an op matches no region; else the
+query's band in the cluster's region set, measured from the data location the
+query names or else the key's location in the control plane. The coordinator
+then fans out to the key's replicas:
 
 * writes are sent to every replica immediately; the client is acknowledged
   as soon as the level's required acknowledgement count is reached, and the
@@ -354,12 +354,8 @@ class Cluster:
         simulator.handler = self._dispatch
         self.replication_factor = replication_factor
         self.region_set = region_set
-        # A set of no specs and one band gives every op of a direction the same
-        # level: (write, read), indexed by "is a read". Any other set is matched per op.
-        self._uniform_levels = None
-        if not region_set.specs and len(region_set.default.bands) == 1:
-            band = region_set.default.bands[0]
-            self._uniform_levels = (band.write_level, band.read_level)
+        # The band of every op in a uniform set; any other set is matched per op.
+        self._uniform_band = region_set.uniform_band
         self.timeout_ms = timeout_ms
         self.client_timeout_ms = timeout_ms + CLIENT_TIMEOUT_SLACK_MS
         self.control = ControlPlane()
@@ -446,13 +442,9 @@ class Cluster:
         is_read = kind is _READ
         level = query.level
         if level is None:
-            if self._uniform_levels is None:
-                level = get_region(
-                    self.region_set, key, query.client_ctx,
-                    query.data_ctx or state.location,
-                ).level_for("read" if is_read else "write")
-            else:
-                level = self._uniform_levels[is_read]
+            band = self._uniform_band or get_region(
+                self.region_set, key, query.client_ctx, query.data_ctx or state.location)
+            level = band.read_level if is_read else band.write_level
         try:
             plan = self._plans[node][replica_ids][level]
         except KeyError:

@@ -241,6 +241,7 @@ def topology_from_dict(data: dict, source: str = "<dict>") -> Topology:
     nodes = []
     for i, raw in enumerate(expect(data.get("nodes", []), list, source, "nodes")):
         where = f"nodes[{i}]"
+        raw = expect(raw, dict, source, where)
         with element(source, where):
             nodes.append(
                 FogNode(
@@ -256,6 +257,7 @@ def topology_from_dict(data: dict, source: str = "<dict>") -> Topology:
     links = []
     for i, raw in enumerate(expect(data.get("links", []), list, source, "links")):
         where = f"links[{i}]"
+        raw = expect(raw, dict, source, where)
         with element(source, where):
             links.append(
                 Link(

@@ -186,6 +186,7 @@ def workload_from_dict(data: dict, source: str = "<dict>") -> WorkloadSpec:
     clients = []
     for i, raw in enumerate(expect(data.get("clients", []), list, source, "clients")):
         where = f"clients[{i}]"
+        raw = expect(raw, dict, source, where)
         with element(source, where):
             clients.append(WorkloadClient(
                 client_id=string(raw["id"], source, f"{where}.id"),

@@ -159,6 +159,48 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: {faults}: unknown node 'fog-9'")
         assert not out.exists()  # checked before any output file is opened
 
+    def test_seed_and_ops_write_what_the_workload_file_would(self, tmp_path):
+        assert main(["gen-paper-configs", "--out-dir", str(tmp_path)]) == 0
+        sample = tmp_path / "star6-workload.json"
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps({**json.loads(sample.read_text()),
+                                      "seed": 3, "op_count": 100}))
+        topology = str(tmp_path / "star6-low.json")
+        outs = {}
+        for name, flags in [("flags", ["--workload", str(sample), "--seed", "3", "--ops", "100"]),
+                            ("file", ["--workload", str(edited)]),
+                            ("seed-42", ["--workload", str(sample), "--ops", "100"])]:
+            outs[name] = tmp_path / f"{name}.csv"
+            assert main(["run", "--topology", topology, *flags, "--out", str(outs[name])]) == 0
+        counts = {name: [row.split(",")[-1] for row in out.read_text().splitlines()[1:]]
+                  for name, out in outs.items()}
+        assert counts == {"flags": ["92", "8"], "file": ["92", "8"], "seed-42": ["93", "7"]}
+        assert outs["flags"].read_bytes() == outs["file"].read_bytes()
+
+    def test_a_run_in_which_every_op_fails_writes_the_header_alone(self, paper_dir, tmp_path,
+                                                                   capsys):
+        faults = tmp_path / "faults.json"
+        faults.write_text(json.dumps({"events": [
+            {"at_ms": 0, "action": "crash", "node": f"fog-{i}"} for i in range(1, 6)]}))
+        out = tmp_path / "out.csv"
+        code = main(["run", "--topology", str(paper_dir / "star6-low.json"),
+                     "--workload", str(write_workload(tmp_path / "wl.json")),
+                     "--faults", str(faults), "--ops", "5", "--timeout-ms", "1",
+                     "--out", str(out)])
+        assert code == 0
+        assert out.read_text() == "setting,level,op_kind,min,p25,p50,p75,p95,p99,count\n"
+        assert capsys.readouterr().err == "note: 5 operations failed with timeout\n"
+
+    def test_a_run_over_its_budget_exits_3(self, paper_dir, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = main(["run", "--topology", str(paper_dir / "star6-low.json"),
+                     "--workload", str(write_workload(tmp_path / "wl.json")),
+                     "--budget-ms", "1", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: simulation budget 1.0 ms exceeded: next event at 5.0 ms, 1 pending\n")
+        assert out.read_text() == ""  # opened before the run, so an aborted run leaves it empty
+
     def test_trace_file_is_written_and_deterministic(self, paper_dir, tmp_path):
         workload = write_workload(tmp_path / "wl.json", op_count=10)
         traces = []
@@ -193,6 +235,25 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert len(lines) == 13  # header + 4 levels x 3 settings
         assert all(",read," in l for l in lines[1:])
+
+    def test_seed_writes_what_the_plan_s_workload_would(self, tmp_path):
+        assert main(["gen-paper-configs", "--out-dir", str(tmp_path)]) == 0
+        sample = tmp_path / "star6-workload.json"
+        (tmp_path / "seed-3.json").write_text(json.dumps({**json.loads(sample.read_text()),
+                                                          "seed": 3}))
+        plan, edited = tmp_path / "star6-sweep.json", tmp_path / "edited-sweep.json"
+        doc = {**json.loads(plan.read_text()),
+               "settings": [{"name": "low", "topology": "star6-low.json"}]}
+        plan.write_text(json.dumps(doc))
+        edited.write_text(json.dumps({**doc, "workload": "seed-3.json"}))
+        outs = {}
+        for name, flags in [("flags", ["--config", str(plan), "--seed", "3"]),
+                            ("file", ["--config", str(edited)]),
+                            ("seed-42", ["--config", str(plan)])]:
+            outs[name] = tmp_path / f"{name}.csv"
+            assert main(["sweep", *flags, "--ops", "100", "--out", str(outs[name])]) == 0
+        assert outs["flags"].read_bytes() == outs["file"].read_bytes()
+        assert outs["flags"].read_bytes() != outs["seed-42"].read_bytes()
 
     def test_budget_exceeded_reported_per_cell(self, paper_dir, tmp_path, capsys):
         write_workload(tmp_path / "wl.json", op_count=100)

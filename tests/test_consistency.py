@@ -93,9 +93,9 @@ class TestGetRegion:
 
     def test_get_level(self):
         inner, outer = traffic_spec().bands
-        assert inner.level_for("read") is ALL
-        assert inner.level_for("write") is ONE
-        assert outer.level_for("read") is ONE
+        assert inner.read_level is ALL
+        assert inner.write_level is ONE
+        assert outer.read_level is ONE
 
 
 class TestContexts:
@@ -183,7 +183,14 @@ class TestRegionSetMatching:
         for key in ("tl-1", "", "other"):
             for distance in (0.0, 500.0, 1e6):
                 band = get_region(spec_set, key, client_ctx((distance, 0.0)), data)
-                assert (band.level_for("read"), band.level_for("write")) == (QUORUM, TWO)
+                assert (band.read_level, band.write_level) == (QUORUM, TWO)
+        assert spec_set.uniform_band is spec_set.default.bands[0]
+
+    def test_only_a_set_of_no_specs_and_one_band_is_uniform(self):
+        one_band = ConsistencyRegionSpec("", (Band(math.inf, ONE, ONE),))
+        assert RegionSet([], traffic_spec("")).uniform_band is None  # two bands
+        assert RegionSet([traffic_spec("tl-")], one_band).uniform_band is None
+        assert RegionSet([], one_band).uniform_band is one_band.bands[0]
 
 
 class TestLevelMonotonicity:

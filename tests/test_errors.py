@@ -27,6 +27,13 @@ class TestLoadJson:
             loader(path)
         assert str(err.value).startswith(f"{path}: ")
 
+    def test_non_object_document_names_path(self, loader, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(ConfigError, match="document must be a JSON object$") as err:
+            loader(path)
+        assert str(err.value).startswith(f"{path}: ")
+
 
 BAND = {"read": "ONE", "write": "ONE"}
 NAN, INF = float("nan"), float("inf")
@@ -204,6 +211,20 @@ FIELD_MESSAGES = [
     (load_regions, {"default": {"bands": 5}}, "default.bands: expected a JSON array, got 5"),
     (load_regions, {"default": GOOD_DEFAULT, "specs": [{"keyspace": "k", "bands": 0}]},
      "specs[0].bands: expected a JSON array, got 0"),
+    # A refusal names the field it refuses, as the duplicate checks do.
+    (load_sweep_plan, _sweep(settings=[]), "settings: must name at least one setting"),
+    (load_sweep_plan, _sweep(levels=[]), "levels: must name at least one level"),
+    (load_sweep_plan, _sweep(directions=["sideways"]),
+     "directions[0]: unknown direction 'sideways'"),
+    (load_regions, {"default": GOOD_DEFAULT, "specs": [{"keyspace": "tl-", "bands": [BAND]}] * 2},
+     "specs[1].keyspace: duplicate keyspace 'tl-'"),
+    (load_topology, {}, "topology has no nodes"),
+    # An element that is not an object used to fail in the interpreter's words,
+    # such as "list indices must be integers or slices, not str".
+    *((loader, {field: [value]}, f"{field}[0]: expected a JSON object, got {value!r}")
+      for loader, field in [(load_topology, "nodes"), (load_topology, "links"),
+                            (load_workload, "clients"), (load_fault_script, "events")]
+      for value in ([], "crash", 1, None)),
 ]
 
 
@@ -213,6 +234,14 @@ def test_only_an_absent_field_reads_missing(loader, doc, message, tmp_path):
     with pytest.raises(ConfigError) as err:
         load_beside_good_files(loader, doc, tmp_path)
     assert str(err.value) == f"{tmp_path / 'doc.json'}: {message}"
+
+
+def test_a_sweep_plan_without_a_workload_is_refused(tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(_sweep()))
+    with pytest.raises(ConfigError) as err:
+        load_sweep_plan(path)
+    assert str(err.value) == f"{path}: workload: a workload file is required"
 
 
 # A coordinate pair is exactly two numbers in both loaders that read one.

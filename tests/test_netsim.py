@@ -743,6 +743,11 @@ class TestExact:
         with pytest.raises(ValueError, match="jitter"):
             Simulator(topo, jitter_ms=1.0).delay_ms("a", "c")
 
+    def test_the_fixed_delay_to_an_unknown_node_names_it(self):
+        sim = Simulator(build_star_topology((4, 5, 6, 7, 8)))
+        with pytest.raises(UnknownNodeError, match="unknown node 'ghost'"):
+            sim.delay_ms("fog-1", "ghost")
+
 
 class TestDeterminism:
     def run_once(self, jitter_ms=0.0):

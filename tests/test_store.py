@@ -355,6 +355,16 @@ class TestConvergence:
         assert all(r.status in ("ok", "not_found") for _, r in results)
         assert cluster.convergence_violations() == []
 
+    def test_a_replica_on_a_down_node_is_left_out_of_convergence(self):
+        # fog-5 never recovers, so its missing copy is no divergence: only the
+        # replicas on up nodes are compared.
+        cluster = star_cluster(fault_script=[FaultAction(0.0, "crash", node="fog-5")])
+        result = create(cluster, key="k")
+        assert (result.status, result.latency_ms) == ("ok", 10.0)
+        assert "k" not in cluster._records["fog-5"]
+        assert all("k" in cluster._records[f"fog-{i}"] for i in range(1, 5))
+        assert cluster.convergence_violations() == []
+
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="ROADMAP item 3: no replica repair")
     def test_a_replica_that_missed_a_write_while_down_converges(self):
@@ -627,6 +637,10 @@ class TestQueryValidation:
     def test_update_needs_value(self):
         with pytest.raises(ValueError):
             Query(QueryKind.UPDATE, "k", client_ctx())
+
+    def test_cluster_rejects_a_replication_factor_below_one(self):
+        with pytest.raises(ValueError, match="replication_factor must be >= 1"):
+            star_cluster(replication_factor=0)
 
     @pytest.mark.parametrize("timeout_ms", [0.0, -1.0, math.nan, math.inf])
     def test_cluster_rejects_an_unusable_timeout(self, timeout_ms):
