@@ -103,13 +103,15 @@ def _check_level_source(workload: WorkloadSpec, workload_path: str,
                           f"regions file, not {'both' if fixed else 'neither'}")
 
 
+def _with_overrides(workload: WorkloadSpec, args: argparse.Namespace) -> WorkloadSpec:
+    """``workload`` with the seed and op count that ``--seed`` and ``--ops`` give, if any."""
+    given = {"seed": args.seed, "op_count": args.ops}
+    return replace(workload, **{name: value for name, value in given.items() if value is not None})
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     topology = load_topology(args.topology)
-    workload = load_workload(args.workload)
-    if args.seed is not None:
-        workload = replace(workload, seed=args.seed)
-    if args.ops is not None:
-        workload = replace(workload, op_count=args.ops)
+    workload = _with_overrides(load_workload(args.workload), args)
     _check_level_source(workload, args.workload, args.regions)
     region_set = load_regions(args.regions) if args.regions else None
     fault_script = load_fault_script(args.faults) if args.faults else ()
@@ -146,10 +148,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     plan = load_sweep_plan(args.config)
-    if args.seed is not None:
-        plan.workload = replace(plan.workload, seed=args.seed)
-    if args.ops is not None:
-        plan.workload = replace(plan.workload, op_count=args.ops)
+    plan.workload = _with_overrides(plan.workload, args)
     if args.budget_ms is not None:
         plan.budget_ms = args.budget_ms
     with _open_output(args.out) as out:
@@ -229,27 +228,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a single experiment")
+    shared = argparse.ArgumentParser(add_help=False)  # the flags run and sweep share
+    shared.add_argument("--seed", type=int, help="override the workload seed")
+    shared.add_argument("--ops", type=_positive_int, help="override the workload op count")
+    shared.add_argument("--budget-ms", type=_positive_float,
+                        help="abort a run, or fail a sweep cell, if the sim clock passes this")
+    shared.add_argument("--out", help="CSV output path (default stdout)")
+
+    run = sub.add_parser("run", parents=[shared], help="run a single experiment")
     run.add_argument("--topology", required=True)
     run.add_argument("--workload", required=True)
     run.add_argument("--regions", help="consistency regions file (omit to use fixed levels)")
     run.add_argument("--faults", help="fault script file")
     run.add_argument("--rf", type=_positive_int, default=5, help="replication factor (default 5)")
-    run.add_argument("--seed", type=int, help="override the workload seed")
-    run.add_argument("--ops", type=_positive_int, help="override the workload op count")
     run.add_argument("--timeout-ms", type=_positive_float, default=10_000.0)
-    run.add_argument("--budget-ms", type=_positive_float, help="abort if the sim clock passes this")
     run.add_argument("--setting-name", help="setting label for CSV rows (default: topology stem)")
-    run.add_argument("--out", help="CSV output path (default stdout)")
     run.add_argument("--trace", help="write an event trace to this path")
     run.set_defaults(func=_cmd_run)
 
-    sweep = sub.add_parser("sweep", help="run a settings x levels x directions sweep")
+    sweep = sub.add_parser("sweep", parents=[shared],
+                           help="run a settings x levels x directions sweep")
     sweep.add_argument("--config", required=True, help="sweep plan JSON file")
-    sweep.add_argument("--seed", type=int, help="override the workload seed")
-    sweep.add_argument("--ops", type=_positive_int, help="override the workload op count")
-    sweep.add_argument("--budget-ms", type=_positive_float, help="per-cell simulated-time budget")
-    sweep.add_argument("--out", help="CSV output path (default stdout)")
     sweep.set_defaults(func=_cmd_sweep)
 
     gen = sub.add_parser("gen-paper-configs",

@@ -23,7 +23,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import ConfigError, expect, load_json, number, string
+from .errors import ConfigError, document, element, expect, load_json, number, string
 from .topology import Coord, geo_distance
 
 class ConsistencyLevel(Enum):
@@ -199,23 +199,17 @@ def _parse_spec(raw: dict, source: str, where: str, keyspace: str) -> Consistenc
         bwhere = f"{where}.bands[{j}]"
         radius = expect(rb, dict, source, bwhere).get("radius_m", None)
         radius_m = math.inf if radius is None else number(radius, source, f"{bwhere}.radius_m")
-        bands.append(
-            Band(
-                max_radius_m=radius_m,
-                read_level=_parse_level(rb.get("read"), source, f"{bwhere}.read"),
-                write_level=_parse_level(rb.get("write"), source, f"{bwhere}.write"),
-            )
-        )
-    try:
+        with element(source, bwhere):  # an absent level reads "missing field"
+            bands.append(Band(max_radius_m=radius_m,
+                              read_level=_parse_level(rb["read"], source, f"{bwhere}.read"),
+                              write_level=_parse_level(rb["write"], source, f"{bwhere}.write")))
+    with element(source, where):
         return ConsistencyRegionSpec(keyspace=keyspace, bands=tuple(bands))
-    except ValueError as exc:
-        raise ConfigError(source, f"{where}: {exc}") from None
 
 
 def regions_from_dict(data: dict, source: str = "<dict>") -> RegionSet:
     """Build a region set from the JSON document structure."""
-    if not isinstance(data, dict):
-        raise ConfigError(source, "regions document must be a JSON object")
+    data = document(data, source, "regions")
     if "default" not in data:
         raise ConfigError(source, "default: a default spec (infinite radius band) is required")
     default = _parse_spec(expect(data["default"], dict, source, "default"), source, "default",
@@ -223,17 +217,14 @@ def regions_from_dict(data: dict, source: str = "<dict>") -> RegionSet:
     specs = []
     for i, raw in enumerate(expect(data.get("specs", []), list, source, "specs")):
         where = f"specs[{i}]"
-        if "keyspace" not in expect(raw, dict, source, where):
-            raise ConfigError(source, f"{where}: missing field 'keyspace'")
-        keyspace = string(raw["keyspace"], source, f"{where}.keyspace")
+        raw = expect(raw, dict, source, where)
+        with element(source, where):
+            keyspace = string(raw["keyspace"], source, f"{where}.keyspace")
         specs.append(_parse_spec(raw, source, where, keyspace=keyspace))
-    try:
+    with element(source):
         return RegionSet(specs, default)
-    except ValueError as exc:
-        raise ConfigError(source, str(exc)) from None
 
 
 def load_regions(path: str | Path) -> RegionSet:
     """Load and validate a consistency regions JSON file."""
-    path = Path(path)
-    return regions_from_dict(load_json(path), source=str(path))
+    return regions_from_dict(load_json(path), str(path))

@@ -1,4 +1,12 @@
-"""Shared error types and the JSON file reader used by every config loader."""
+"""Shared error types and the JSON file reader used by every config loader.
+
+Every loader takes one path from a file to its object: :func:`load_json`
+reads the file, :func:`document` checks that it is a JSON object, each
+element's fields are read inside ``element(source, where)``, and the object
+is built inside ``element(source)``, which passes a constructor's refusal
+through as ``<file>: <message>``. A ``load_*`` function is one call:
+``X_from_dict(load_json(path), str(path))``.
+"""
 
 from __future__ import annotations
 
@@ -34,6 +42,13 @@ def load_json(path: str | Path) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from None
+
+
+def document(data: object, source: str, noun: str) -> dict:
+    """``data`` if it is a JSON object, else ``<source>: <noun> document must be a JSON object``."""
+    if not isinstance(data, dict):
+        raise ConfigError(source, f"{noun} document must be a JSON object")
+    return data
 
 
 def expect(value: object, kind: type[T], source: str, where: str) -> T:
@@ -85,15 +100,18 @@ def coord(value: object, source: str, where: str) -> tuple[float, float]:
 
 
 @contextmanager
-def element(source: str, where: str) -> Iterator[None]:
+def element(source: str, where: str | None = None) -> Iterator[None]:
     """Turn a malformed field of one config element into a ConfigError.
 
     A missing field reads ``<where>: missing field 'x'``; a field of the
     wrong type or value (including a short list) reads ``<where>: <exc>``.
+    With no ``where`` the message is the exception's own, which names its
+    field: the wrap around building a whole document.
     """
+    prefix = "" if where is None else f"{where}: "
     try:
         yield
     except KeyError as exc:
-        raise ConfigError(source, f"{where}: missing field {exc.args[0]!r}") from None
+        raise ConfigError(source, f"{prefix}missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(source, f"{where}: {exc}") from None
+        raise ConfigError(source, f"{prefix}{exc}") from None

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .consistency import ConsistencyLevel, RegionSet, _parse_level
-from .errors import ConfigError, element, expect, integer, load_json, number, string
+from .errors import ConfigError, document, element, expect, integer, load_json, number, string
 from .netsim import BudgetExceededError, FaultAction, Simulator
 from .store import _READ, Arrival, Cluster, Query, QueryResult
 from .topology import FogNode, Link, Topology, load_topology
@@ -282,51 +282,53 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     return SweepResult("\n".join(lines) + "\n", failures)
 
 
-def load_sweep_plan(path: str | Path) -> SweepPlan:
-    """Load a sweep plan file; relative paths resolve against its directory."""
-    path = Path(path)
-    data = load_json(path)
-    if not isinstance(data, dict):
-        raise ConfigError(str(path), "sweep document must be a JSON object")
-    base = path.parent
+def sweep_plan_from_dict(data: dict, source: str = "<dict>") -> SweepPlan:
+    """Build a sweep plan from the JSON document structure.
+
+    Relative paths resolve against the directory of ``source``.
+    """
+    data = document(data, source, "sweep")
 
     def resolve(p: str) -> Path:
         candidate = Path(p)
-        return candidate if candidate.is_absolute() else base / candidate
+        return candidate if candidate.is_absolute() else Path(source).parent / candidate
 
     if "workload" not in data:
-        raise ConfigError(str(path), "workload: a workload file is required")
-    workload = load_workload(resolve(string(data["workload"], str(path), "workload")))
+        raise ConfigError(source, "workload: a workload file is required")
+    workload = load_workload(resolve(string(data["workload"], source, "workload")))
 
     settings: list[tuple[str, Topology]] = []
-    for i, raw in enumerate(expect(data.get("settings", []), list, str(path), "settings")):
+    for i, raw in enumerate(expect(data.get("settings", []), list, source, "settings")):
         where = f"settings[{i}]"
-        raw = expect(raw, dict, str(path), where)
-        with element(str(path), where):  # an absent field reads "missing field"
-            name = string(raw["name"], str(path), f"{where}.name")
-            topology = string(raw["topology"], str(path), f"{where}.topology")
+        raw = expect(raw, dict, source, where)
+        with element(source, where):  # an absent field reads "missing field"
+            name = string(raw["name"], source, f"{where}.name")
+            topology = string(raw["topology"], source, f"{where}.topology")
         for field, value in (("name", name), ("topology", topology)):
             if not value:
-                raise ConfigError(str(path), f"{where}.{field}: must not be empty")
+                raise ConfigError(source, f"{where}.{field}: must not be empty")
         settings.append((name, load_topology(resolve(topology))))
 
-    levels = [_parse_level(raw, str(path), f"levels[{i}]")
-              for i, raw in enumerate(expect(data.get("levels", []), list, str(path), "levels"))]
+    levels = [_parse_level(raw, source, f"levels[{i}]")
+              for i, raw in enumerate(expect(data.get("levels", []), list, source, "levels"))]
 
-    directions = [string(d, str(path), f"directions[{i}]") for i, d in
-                  enumerate(expect(data.get("directions", ["read", "write"]), list, str(path),
+    directions = [string(d, source, f"directions[{i}]") for i, d in
+                  enumerate(expect(data.get("directions", ["read", "write"]), list, source,
                                    "directions"))]
-    try:
+    with element(source):
         return SweepPlan(
             settings=settings,
             levels=levels,
             directions=directions,
             workload=workload,
-            replication_factor=integer(data.get("replication_factor", 5), str(path),
+            replication_factor=integer(data.get("replication_factor", 5), source,
                                        "replication_factor"),
-            timeout_ms=number(data.get("timeout_ms", 10_000.0), str(path), "timeout_ms"),
-            budget_ms=(number(data["budget_ms"], str(path), "budget_ms")
+            timeout_ms=number(data.get("timeout_ms", 10_000.0), source, "timeout_ms"),
+            budget_ms=(number(data["budget_ms"], source, "budget_ms")
                        if data.get("budget_ms") is not None else None),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(path), str(exc)) from None
+
+
+def load_sweep_plan(path: str | Path) -> SweepPlan:
+    """Load a sweep plan file; relative paths resolve against its directory."""
+    return sweep_plan_from_dict(load_json(path), str(path))

@@ -110,7 +110,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import ConfigError, element, expect, load_json, number, string
+from .errors import ConfigError, document, element, expect, load_json, number, string
 from .topology import Topology, UnknownNodeError
 
 Handler = Callable[["Simulator", "SimEvent"], None]
@@ -576,8 +576,7 @@ def check_fault_nodes(fault_script: Sequence[FaultAction], topology: Topology,
 
 def fault_script_from_dict(data: dict, source: str = "<dict>") -> list[FaultAction]:
     """Build a fault script from JSON: one :class:`FaultAction` per event, times non-decreasing."""
-    if not isinstance(data, dict):
-        raise ConfigError(source, "fault script document must be a JSON object")
+    data = document(data, source, "fault script")
     actions: list[FaultAction] = []
     for i, raw in enumerate(expect(data.get("events", []), list, source, "events")):
         where = f"events[{i}]"
@@ -603,5 +602,4 @@ def fault_script_from_dict(data: dict, source: str = "<dict>") -> list[FaultActi
 
 def load_fault_script(path: str | Path) -> list[FaultAction]:
     """Load and validate a fault script JSON file."""
-    path = Path(path)
-    return fault_script_from_dict(load_json(path), source=str(path))
+    return fault_script_from_dict(load_json(path), str(path))

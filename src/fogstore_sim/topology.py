@@ -22,7 +22,7 @@ from itertools import count
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import ConfigError, coord, element, expect, load_json, number, string
+from .errors import coord, document, element, expect, load_json, number, string
 
 if TYPE_CHECKING:
     from .placement import ReplicaMap
@@ -34,8 +34,8 @@ Coord = tuple[float, float]
 NEAREST_MEMO_CAP = 4096
 
 
-class TopologyError(Exception):
-    """Structurally invalid topology or bad node reference."""
+class TopologyError(ValueError):
+    """Structurally invalid topology or bad node reference: a bad value."""
 
 
 class UnknownNodeError(TopologyError):
@@ -97,7 +97,7 @@ class Topology:
         self.nodes: dict[str, FogNode] = {}
         for i, node in enumerate(node_list):
             if node.node_id in self.nodes:
-                raise TopologyError(f"duplicate node id {node.node_id!r}")
+                raise TopologyError(f"nodes[{i}].id: duplicate node id {node.node_id!r}")
             if not all(math.isfinite(c) for c in node.geo):
                 raise TopologyError(f"nodes[{i}].geo: must be finite (node {node.node_id!r})")
             if not (math.isfinite(node.service_ms) and node.service_ms >= 0):
@@ -105,7 +105,7 @@ class Topology:
                                     f"(got {node.service_ms}, node {node.node_id!r})")
             self.nodes[node.node_id] = node
         if not self.nodes:
-            raise TopologyError("topology has no nodes")
+            raise TopologyError("nodes: must name at least one node")
 
         adjacency: dict[str, dict[str, float]] = {nid: {} for nid in self.nodes}
         for i, link in enumerate(link_list):
@@ -144,7 +144,7 @@ class Topology:
             sorted(nid for nid, n in self.nodes.items() if n.is_storage)
         )
         if not self.storage_ids:
-            raise NoStorageNodesError("topology has no storage nodes")
+            raise NoStorageNodesError("nodes: must name at least one storage node")
         self._node_ids: tuple[str, ...] = tuple(sorted(self.nodes))
         self._nearest: dict[tuple[float, float, bool], str] = {}
         # (anchor, replica count) -> the replica map every key placed there shares
@@ -236,8 +236,7 @@ def topology_from_dict(data: dict, source: str = "<dict>") -> Topology:
 
     Fields it does not know are ignored, so documents may carry extra ones.
     """
-    if not isinstance(data, dict):
-        raise ConfigError(source, "topology document must be a JSON object")
+    data = document(data, source, "topology")
     nodes = []
     for i, raw in enumerate(expect(data.get("nodes", []), list, source, "nodes")):
         where = f"nodes[{i}]"
@@ -266,13 +265,10 @@ def topology_from_dict(data: dict, source: str = "<dict>") -> Topology:
                     latency_ms=number(raw["latency_ms"], source, f"{where}.latency_ms"),
                 )
             )
-    try:
+    with element(source):
         return Topology(nodes, links)
-    except TopologyError as exc:
-        raise ConfigError(source, str(exc)) from None
 
 
 def load_topology(path: str | Path) -> Topology:
     """Load and validate a topology JSON file."""
-    path = Path(path)
-    return topology_from_dict(load_json(path), source=str(path))
+    return topology_from_dict(load_json(path), str(path))

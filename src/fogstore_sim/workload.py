@@ -24,8 +24,7 @@ from random import Random
 from typing import Sequence
 
 from .consistency import ClientContext, ConsistencyLevel, DataContext, _parse_level
-from .errors import (ConfigError, coord, element, expect, integer, load_json, number,
-                     string)
+from .errors import coord, document, element, expect, integer, load_json, number, string
 from .store import Query, QueryKind
 from .topology import Coord
 
@@ -66,13 +65,13 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         if self.op_count < 1:
-            raise ValueError("op_count must be >= 1")
+            raise ValueError(f"op_count: must be >= 1 (got {self.op_count})")
         if not 0.0 <= self.read_fraction <= 1.0:
-            raise ValueError("read_fraction must be in [0, 1]")
+            raise ValueError(f"read_fraction: must be in [0, 1] (got {self.read_fraction})")
         if not _finite_positive(self.recency_skew):
             raise ValueError(f"recency_skew: must be finite and > 0 (got {self.recency_skew})")
         if not self.clients:
-            raise ValueError("at least one client position is required")
+            raise ValueError("clients: must name at least one client")
         for i, client in enumerate(self.clients):
             if not _finite_positive(client.weight):
                 raise ValueError(
@@ -181,8 +180,7 @@ def format_stats_row(setting: str, level: str, op_kind: str, summary: StatsSumma
 
 def workload_from_dict(data: dict, source: str = "<dict>") -> WorkloadSpec:
     """Build a workload spec from the JSON document structure."""
-    if not isinstance(data, dict):
-        raise ConfigError(source, "workload document must be a JSON object")
+    data = document(data, source, "workload")
     clients = []
     for i, raw in enumerate(expect(data.get("clients", []), list, source, "clients")):
         where = f"clients[{i}]"
@@ -200,7 +198,7 @@ def workload_from_dict(data: dict, source: str = "<dict>") -> WorkloadSpec:
         None if data.get(name) is None else _parse_level(data[name], source, name)
         for name in ("fixed_read_level", "fixed_write_level")
     )
-    try:
+    with element(source):
         return WorkloadSpec(
             op_count=integer(data.get("op_count", 0), source, "op_count"),
             clients=tuple(clients),
@@ -216,11 +214,8 @@ def workload_from_dict(data: dict, source: str = "<dict>") -> WorkloadSpec:
             ),
             seed=integer(data.get("seed", 0), source, "seed"),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(source, str(exc)) from None
 
 
 def load_workload(path: str | Path) -> WorkloadSpec:
     """Load and validate a workload JSON file."""
-    path = Path(path)
-    return workload_from_dict(load_json(path), source=str(path))
+    return workload_from_dict(load_json(path), str(path))

@@ -433,7 +433,7 @@ def test_topology_without_storage_nodes_is_config_error(command, code, tmp_path,
     }[command]
     assert main([command, "--topology", str(topology), *inputs]) == code
     out_text, err = capsys.readouterr()
-    assert (out_text, err) == ("", f"error: {topology}: topology has no storage nodes\n")
+    assert (out_text, err) == ("", f"error: {topology}: nodes: must name at least one storage node\n")
     assert not out.exists()
 
 

@@ -2,12 +2,12 @@ import json
 
 import pytest
 
-from fogstore_sim.consistency import load_regions
+from fogstore_sim.consistency import load_regions, regions_from_dict
 from fogstore_sim.errors import ConfigError
-from fogstore_sim.experiment import load_sweep_plan
-from fogstore_sim.netsim import load_fault_script
-from fogstore_sim.topology import load_topology
-from fogstore_sim.workload import load_workload
+from fogstore_sim.experiment import load_sweep_plan, sweep_plan_from_dict
+from fogstore_sim.netsim import fault_script_from_dict, load_fault_script
+from fogstore_sim.topology import load_topology, topology_from_dict
+from fogstore_sim.workload import load_workload, workload_from_dict
 
 LOADERS = [load_topology, load_regions, load_fault_script, load_workload, load_sweep_plan]
 
@@ -33,6 +33,18 @@ class TestLoadJson:
         with pytest.raises(ConfigError, match="document must be a JSON object$") as err:
             loader(path)
         assert str(err.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("from_dict,noun", [
+    (topology_from_dict, "topology"), (regions_from_dict, "regions"),
+    (workload_from_dict, "workload"), (fault_script_from_dict, "fault script"),
+    (sweep_plan_from_dict, "sweep"),
+], ids=lambda x: getattr(x, "__name__", x))
+@pytest.mark.parametrize("data", [[], "x", None], ids=repr)
+def test_a_non_object_document_given_directly_is_refused(from_dict, noun, data):
+    with pytest.raises(ConfigError) as err:
+        from_dict(data)
+    assert str(err.value) == f"<dict>: {noun} document must be a JSON object"
 
 
 BAND = {"read": "ONE", "write": "ONE"}
@@ -218,7 +230,26 @@ FIELD_MESSAGES = [
      "directions[0]: unknown direction 'sideways'"),
     (load_regions, {"default": GOOD_DEFAULT, "specs": [{"keyspace": "tl-", "bands": [BAND]}] * 2},
      "specs[1].keyspace: duplicate keyspace 'tl-'"),
-    (load_topology, {}, "topology has no nodes"),
+    (load_topology, {}, "nodes: must name at least one node"),
+    (load_topology, {"nodes": [{"id": "a", "geo": [0, 0], "failure_group": "g"}] * 2},
+     "nodes[1].id: duplicate node id 'a'"),
+    (load_topology, {"nodes": [{"id": "a", "geo": [0, 0], "failure_group": "g",
+                                "is_storage": False}]},
+     "nodes: must name at least one storage node"),
+    (load_workload, {"op_count": 1}, "clients: must name at least one client"),
+    (load_workload, {**_workload(), "op_count": 0}, "op_count: must be >= 1 (got 0)"),
+    (load_workload, {**_workload(), "read_fraction": NAN},
+     "read_fraction: must be in [0, 1] (got nan)"),
+    # A band level that is absent is missing; an explicit null is an unknown level.
+    (load_regions, {"default": {"bands": [{"write": "ONE"}]}},
+     "default.bands[0]: missing field 'read'"),
+    (load_regions, {"default": {"bands": [{"read": "ONE"}]}},
+     "default.bands[0]: missing field 'write'"),
+    *((load_regions, {"default": GOOD_DEFAULT, "specs": [{"keyspace": "k", "bands": [band]}]},
+       f"specs[0].bands[0]: missing field {field!r}")
+      for band, field in [({"write": "ONE"}, "read"), ({"read": "ONE"}, "write")]),
+    (load_regions, {"default": {"bands": [{"read": None, "write": "ONE"}]}},
+     "default.bands[0].read: unknown level None (expected one of ONE, TWO, QUORUM, ALL)"),
     # An element that is not an object used to fail in the interpreter's words,
     # such as "list indices must be integers or slices, not str".
     *((loader, {field: [value]}, f"{field}[0]: expected a JSON object, got {value!r}")
