@@ -4,9 +4,12 @@ Subcommands:
 
 * ``run``               one experiment (topology + workload, optional regions/faults)
 * ``sweep``             the full settings x levels x directions grid from a plan file
-* ``gen-paper-configs`` write the three star6 topologies plus sample workload/sweep files
+* ``gen-paper-configs`` write the paper's sweep: its star topologies, workload and plan
 * ``place``             dump replica placements for keys at a data location
 * ``validate``          parse and validate config files without running
+
+A command that fails after it has opened an output file (``--out``,
+``--trace``) removes that file, so a failed run leaves no output behind.
 """
 
 from __future__ import annotations
@@ -17,51 +20,16 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, ContextManager, TextIO
+from typing import Callable, Iterator, TextIO
 
 from .consistency import load_regions
 from .errors import ConfigError
-from .experiment import (
-    PAPER_LATENCY_SETTINGS,
-    STAR_CLIENT_GEO,
-    load_sweep_plan,
-    make_paper_topologies,
-    run_single,
-    run_sweep,
-)
+from .experiment import load_sweep_plan, make_paper_configs, run_single, run_sweep
 from .netsim import BudgetExceededError, check_fault_nodes, load_fault_script
 from .placement import place_replicas, placement_csv_rows
 from .topology import load_topology
 from .workload import (STATS_CSV_HEADER, WorkloadSpec, _finite_positive, format_stats_row,
                        load_workload)
-
-SAMPLE_WORKLOAD = """\
-{
-  "op_count": 10000,
-  "read_fraction": 0.95,
-  "key_prefix": "key-",
-  "recency_skew": 0.3,
-  "clients": [{"id": "ycsb", "geo": [%(x)s, 0.0], "weight": 1.0}],
-  "fixed_read_level": "ONE",
-  "fixed_write_level": "ONE",
-  "seed": 42
-}
-"""
-
-SAMPLE_SWEEP = """\
-{
-  "workload": "star6-workload.json",
-  "settings": [
-    {"name": "low", "topology": "star6-low.json"},
-    {"name": "medium", "topology": "star6-medium.json"},
-    {"name": "high", "topology": "star6-high.json"}
-  ],
-  "levels": ["ONE", "TWO", "QUORUM", "ALL"],
-  "directions": ["read", "write"],
-  "replication_factor": 5
-}
-"""
-
 
 def _positive(parse: Callable[[str], float]) -> Callable[[str], float]:
     """An argparse type: ``parse`` the text, then accept only finite values > 0."""
@@ -80,18 +48,27 @@ _positive_int = _positive(int)
 _positive_float = _positive(float)
 
 
-def _open_output(path: str | None) -> ContextManager[TextIO]:
+@contextlib.contextmanager
+def _open_output(path: str | None) -> Iterator[TextIO]:
     """Open an output file (stdout if ``path`` is None) before any work runs.
 
     A path that cannot be written is a ConfigError, so a bad ``--out`` fails
-    before a long run instead of after it.
+    before a long run instead of after it. A command that raises once the
+    file is open removes it, so a failed run leaves no output behind.
     """
     if path is None:
-        return contextlib.nullcontext(sys.stdout)
+        yield sys.stdout
+        return
     try:
-        return open(path, "w")
+        file = open(path, "w")
     except OSError as exc:
         raise ConfigError(path, f"cannot write file: {exc.strerror}") from None
+    try:
+        with file:
+            yield file
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _check_level_source(workload: WorkloadSpec, workload_path: str,
@@ -160,20 +137,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_paper_configs(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    workload_path = out_dir / "star6-workload.json"
-    sweep_path = out_dir / "star6-sweep.json"
     try:
-        paths = make_paper_topologies(out_dir)
-        workload_path.write_text(SAMPLE_WORKLOAD % {"x": STAR_CLIENT_GEO[0]})
-        sweep_path.write_text(SAMPLE_SWEEP)
+        paths = make_paper_configs(args.out_dir)
     except OSError as exc:
         raise ConfigError(exc.filename or args.out_dir,
                           f"cannot write file: {exc.strerror}") from None
-    for name in PAPER_LATENCY_SETTINGS:
-        print(paths[name])
-    print(workload_path)
-    print(sweep_path)
+    for path in paths:
+        print(path)
     return 0
 
 
@@ -252,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=_cmd_sweep)
 
     gen = sub.add_parser("gen-paper-configs",
-                         help="write the star6 low/medium/high topologies and sample configs")
+                         help="write the paper's sweep: its star topologies, workload and plan")
     gen.add_argument("--out-dir", default=".", help="directory to write into")
     gen.set_defaults(func=_cmd_gen_paper_configs)
 

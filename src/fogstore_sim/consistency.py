@@ -118,16 +118,15 @@ class ConsistencyRegionSpec:
 
     def __post_init__(self) -> None:
         if not self.bands:
-            raise ValueError(f"spec {self.keyspace!r}: needs at least one band")
+            raise ValueError("bands: must name at least one band")
         radii = [b.max_radius_m for b in self.bands]
         for j, r in enumerate(radii):
             if not r > 0:  # also rejects NaN, which every band lookup would skip
-                raise ValueError(f"spec {self.keyspace!r}: bands[{j}].radius_m must be > 0 "
-                                 f"(got {r})")
+                raise ValueError(f"bands[{j}].radius_m: must be > 0 (got {r})")
         if any(a >= b for a, b in zip(radii, radii[1:])):
-            raise ValueError(f"spec {self.keyspace!r}: band radii must strictly increase")
+            raise ValueError("bands: radii must strictly increase")
         if not math.isinf(radii[-1]):
-            raise ValueError(f"spec {self.keyspace!r}: last band must have infinite radius")
+            raise ValueError("bands: the last band must have an infinite radius")
 
     def band_for_distance(self, distance_m: float) -> Band:
         for band in self.bands:
@@ -192,9 +191,8 @@ def _parse_level(raw: object, source: str, where: str) -> ConsistencyLevel:
 
 def _parse_spec(raw: dict, source: str, where: str, keyspace: str) -> ConsistencyRegionSpec:
     bands = []
-    raw_bands = raw.get("bands")
-    if raw_bands is None or raw_bands == []:  # any other value must be a non-empty array
-        raise ConfigError(source, f"{where}: missing or empty 'bands'")
+    with element(source, where):  # an absent bands reads "missing field"
+        raw_bands = raw["bands"]
     for j, rb in enumerate(expect(raw_bands, list, source, f"{where}.bands")):
         bwhere = f"{where}.bands[{j}]"
         radius = expect(rb, dict, source, bwhere).get("radius_m", None)

@@ -2,9 +2,11 @@
 
 Every loader takes one path from a file to its object: :func:`load_json`
 reads the file, :func:`document` checks that it is a JSON object, each
-element's fields are read inside ``element(source, where)``, and the object
-is built inside ``element(source)``, which passes a constructor's refusal
-through as ``<file>: <message>``. A ``load_*`` function is one call:
+element's fields are read, and an element such as a fault action or a region
+spec is built, inside ``element(source, where)``, which joins a constructor's
+refusal to the element's path as ``<where>.<message>``. The object is built
+inside ``element(source)``, which passes a constructor's refusal through as
+``<file>: <message>``. A ``load_*`` function is one call:
 ``X_from_dict(load_json(path), str(path))``.
 """
 
@@ -103,10 +105,10 @@ def coord(value: object, source: str, where: str) -> tuple[float, float]:
 def element(source: str, where: str | None = None) -> Iterator[None]:
     """Turn a malformed field of one config element into a ConfigError.
 
-    A missing field reads ``<where>: missing field 'x'``; a field of the
-    wrong type or value (including a short list) reads ``<where>: <exc>``.
-    With no ``where`` the message is the exception's own, which names its
-    field: the wrap around building a whole document.
+    A missing field reads ``<where>: missing field 'x'``. A constructor's
+    refusal names its field relative to the element, so it is joined to the
+    path with a dot: ``<where>.<exc>``. With no ``where`` the message is the
+    exception's own: the wrap around building a whole document.
     """
     prefix = "" if where is None else f"{where}: "
     try:
@@ -114,4 +116,4 @@ def element(source: str, where: str | None = None) -> Iterator[None]:
     except KeyError as exc:
         raise ConfigError(source, f"{prefix}missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(source, f"{prefix}{exc}") from None
+        raise ConfigError(source, f"{exc}" if where is None else f"{where}.{exc}") from None

@@ -14,7 +14,9 @@ run changes a query.
 client attach node at 1 ms) whose storage link delays are 4/5/6/7/8 ms
 (low), 8/10/12/14/16 ms (medium) and 12/15/18/21/24 ms (high). Node
 coordinates are laid out on a line at 100 m per millisecond of link delay,
-so geographic closeness agrees with link latency.
+so geographic closeness agrees with link latency. ``make_paper_configs``
+adds the paper's workload and sweep plan beside them: the one definition of
+the sweep that ``gen-paper-configs`` writes.
 """
 
 from __future__ import annotations
@@ -80,6 +82,32 @@ def make_paper_topologies(out_dir: str | Path) -> dict[str, Path]:
         path.write_text(json.dumps(topo.to_dict(), indent=2) + "\n")
         paths[name] = path
     return paths
+
+
+def make_paper_configs(out_dir: str | Path) -> list[Path]:
+    """Write the paper's sweep: the three star topologies, its workload and its plan.
+
+    The plan crosses every setting with every level in both directions at
+    rf 5, on 10,000 ops from one client at the attach node. Returns the
+    topology paths in setting order, then the workload's and the plan's.
+    """
+    topologies = make_paper_topologies(out_dir)
+    workload_path = Path(out_dir, "star6-workload.json")
+    plan_path = Path(out_dir, "star6-sweep.json")
+    workload = {
+        "op_count": 10_000, "read_fraction": 0.95, "key_prefix": "key-", "recency_skew": 0.3,
+        "clients": [{"id": "ycsb", "geo": list(STAR_CLIENT_GEO), "weight": 1.0}],
+        "fixed_read_level": "ONE", "fixed_write_level": "ONE", "seed": 42,
+    }
+    plan = {
+        "workload": workload_path.name,
+        "settings": [{"name": name, "topology": path.name} for name, path in topologies.items()],
+        "levels": [level.value for level in ConsistencyLevel],
+        "directions": ["read", "write"], "replication_factor": 5,
+    }
+    for path, doc in ((workload_path, workload), (plan_path, plan)):
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+    return [*topologies.values(), workload_path, plan_path]
 
 
 @dataclass

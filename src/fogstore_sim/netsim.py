@@ -590,10 +590,7 @@ def fault_script_from_dict(data: dict, source: str = "<dict>") -> list[FaultActi
                           enumerate(expect(raw.get(name, []), list, source, f"{where}.{name}")))
                 for name in ("group_a", "group_b")
             )
-        try:
             action = FaultAction(at_ms, kind, node, group_a, group_b)
-        except ValueError as exc:
-            raise ConfigError(source, f"{where}.{exc}") from None
         if actions and at_ms < actions[-1].at_ms:
             raise ConfigError(source, f"{where}.at_ms: times must be non-decreasing")
         actions.append(action)

@@ -8,6 +8,7 @@ byte-identical output.
 
 import math
 import random
+import tempfile
 
 import pytest
 
@@ -21,8 +22,9 @@ from fogstore_sim.consistency import (
 )
 from fogstore_sim.experiment import (
     PAPER_LATENCY_SETTINGS,
-    SweepPlan,
     build_star_topology,
+    load_sweep_plan,
+    make_paper_configs,
     run_single,
     run_sweep,
 )
@@ -47,9 +49,7 @@ QUORUM = ConsistencyLevel.QUORUM
 ALL = ConsistencyLevel.ALL
 
 SETTINGS = list(PAPER_LATENCY_SETTINGS)
-LEVELS = [ONE, TWO, QUORUM, ALL]
 DIRECTIONS = ["read", "write"]
-SWEEP_OPS = 10_000
 SWEEP_SEED = 42
 
 
@@ -59,14 +59,9 @@ def check(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def full_sweep_csv() -> str:
-    settings = [(name, build_star_topology(lat)) for name, lat in PAPER_LATENCY_SETTINGS.items()]
-    workload = WorkloadSpec(
-        op_count=SWEEP_OPS,
-        clients=(WorkloadClient("ycsb", STAR_CLIENT),),
-        seed=SWEEP_SEED,
-    )
-    plan = SweepPlan(settings=settings, levels=LEVELS, directions=DIRECTIONS,
-                     workload=workload, replication_factor=5)
+    """The paper's sweep, run from the plan that ``gen-paper-configs`` writes."""
+    with tempfile.TemporaryDirectory() as work:
+        plan = load_sweep_plan(make_paper_configs(work)[-1])
     result = run_sweep(plan)
     assert result.cell_failures == []
     return result.csv_text

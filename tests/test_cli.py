@@ -3,14 +3,17 @@ import json
 import pytest
 
 from fogstore_sim.cli import main
+from fogstore_sim.consistency import ConsistencyLevel
 from fogstore_sim.errors import ConfigError
 from fogstore_sim.experiment import (
     PAPER_LATENCY_SETTINGS,
+    STAR_CLIENT_GEO,
     build_star_topology,
     load_sweep_plan,
     make_paper_topologies,
 )
 from fogstore_sim.topology import load_topology
+from fogstore_sim.workload import WorkloadClient, WorkloadSpec, load_workload
 
 
 def write_workload(path, **overrides):
@@ -66,6 +69,27 @@ class TestGenPaperConfigs:
         assert [name for name, _ in plan.settings] == ["low", "medium", "high"]
         assert len(plan.levels) == 4
         assert plan.directions == ["read", "write"]
+
+    def test_the_files_load_to_the_paper_sweep(self, tmp_path, capsys):
+        assert main(["gen-paper-configs", "--out-dir", str(tmp_path)]) == 0
+        names = [f"star6-{name}.json" for name in PAPER_LATENCY_SETTINGS]
+        names += ["star6-workload.json", "star6-sweep.json"]
+        assert capsys.readouterr().out.splitlines() == [str(tmp_path / name) for name in names]
+        workload = WorkloadSpec(
+            op_count=10_000, clients=(WorkloadClient("ycsb", STAR_CLIENT_GEO, 1.0),),
+            read_fraction=0.95, key_prefix="key-", recency_skew=0.3,
+            fixed_read_level=ConsistencyLevel.ONE, fixed_write_level=ConsistencyLevel.ONE,
+            seed=42)
+        assert load_workload(tmp_path / "star6-workload.json") == workload
+        plan = load_sweep_plan(tmp_path / "star6-sweep.json")
+        assert plan.workload == workload
+        assert [name for name, _ in plan.settings] == list(PAPER_LATENCY_SETTINGS)
+        for name, topology in plan.settings:
+            star = build_star_topology(PAPER_LATENCY_SETTINGS[name])
+            assert topology.to_dict() == star.to_dict()
+        assert plan.levels == list(ConsistencyLevel)
+        assert plan.directions == ["read", "write"]
+        assert plan.replication_factor == 5
 
     def test_readme_run_example(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -199,7 +223,7 @@ class TestRun:
         assert code == 3
         assert capsys.readouterr().err == (
             "error: simulation budget 1.0 ms exceeded: next event at 5.0 ms, 1 pending\n")
-        assert out.read_text() == ""  # opened before the run, so an aborted run leaves it empty
+        assert not out.exists()
 
     def test_trace_file_is_written_and_deterministic(self, paper_dir, tmp_path):
         workload = write_workload(tmp_path / "wl.json", op_count=10)

@@ -98,7 +98,8 @@ NON_FINITE = [
     (load_workload, _workload(weight=INF), "clients[0].weight", "inf"),
     (load_workload, _workload(geo=(NAN, 0)), "clients[0].geo", "nan"),
     (load_workload, {**_workload(), "data_geo": [INF, 0]}, "data_geo", "inf"),
-    (load_regions, {"default": {"bands": [{**BAND, "radius_m": NAN}, BAND]}}, "default", "nan"),
+    (load_regions, {"default": {"bands": [{**BAND, "radius_m": NAN}, BAND]}},
+     "default.bands[0].radius_m", "nan"),
     (load_fault_script, {"events": [{"at_ms": NAN, "action": "crash", "node": "fog-1"}]},
      "events[0].at_ms", "nan"),
     (load_fault_script, {"events": [{"at_ms": INF, "action": "crash", "node": "fog-1"}]},
@@ -194,8 +195,8 @@ WRONG_JSON_TYPE = [
 ]
 
 # A present field of the wrong type used to read as missing. Only an absent
-# field says so (for bands, null or an empty array too); any other wrong type
-# gets the message of the check for its type, and an empty string its own.
+# field says so; any other wrong type gets the message of the check for its
+# type, and an empty string or array its own.
 FIELD_MESSAGES = [
     (load_sweep_plan, {"settings": [{"topology": "t.json"}]},
      "settings[0]: missing field 'name'"),
@@ -212,9 +213,11 @@ FIELD_MESSAGES = [
      "settings[0].topology: expected a JSON string, got 7"),
     (load_sweep_plan, {"settings": [{"name": "x", "topology": ""}]},
      "settings[0].topology: must not be empty"),
-    (load_regions, {"default": {}}, "default: missing or empty 'bands'"),
-    (load_regions, {"default": {"bands": None}}, "default: missing or empty 'bands'"),
-    (load_regions, {"default": {"bands": []}}, "default: missing or empty 'bands'"),
+    (load_regions, {"default": {}}, "default: missing field 'bands'"),
+    (load_regions, {"default": {"bands": None}}, "default.bands: expected a JSON array, got None"),
+    (load_regions, {"default": {"bands": []}}, "default.bands: must name at least one band"),
+    (load_regions, {"default": GOOD_DEFAULT, "specs": [{"keyspace": "k"}]},
+     "specs[0]: missing field 'bands'"),
     (load_regions, {"default": {"bands": 0}}, "default.bands: expected a JSON array, got 0"),
     (load_regions, {"default": {"bands": False}},
      "default.bands: expected a JSON array, got False"),
